@@ -15,7 +15,6 @@ from .enrich import (
 )
 from .model import NodeKind, SourceSpan, UnifiedNode, span_text
 from .printer import print_minimal, render_full, unified_diff
-from .query import Consequent, Match, NodePattern, WordTest, find_all, holds
 from .rules import (
     RULES,
     RepairOutcome,
@@ -32,12 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorpusStats",
-    "Consequent",
     "DockerfileAst",
     "FileReport",
-    "Match",
     "NodeKind",
-    "NodePattern",
     "RepairOutcome",
     "RuleId",
     "RULES",
@@ -45,15 +41,12 @@ __all__ = [
     "SourceSpan",
     "UnifiedAst",
     "UnifiedNode",
-    "WordTest",
     "analyze_text",
     "build_unified_ast",
     "collect_stats",
     "detect",
     "enrich",
-    "find_all",
     "fix_text",
-    "holds",
     "parse_and_enrich",
     "parse_dockerfile",
     "parse_shell",

@@ -2,8 +2,10 @@
 
 Exit codes are CI-friendly:
 
-* lint: 0 no smells, 1 smells found, 2 unreadable or wholly unparseable file
-* fix:  0 everything repaired, 1 residual smells remain, 2 I/O or parse failure
+* lint: 0 no smells, 1 smells found, 2 a file unreadable, wholly
+  unparseable or hit an internal error (the other files are still reported)
+* fix:  0 everything repaired, 1 residual smells remain, 2 I/O or parse
+  failure, or an internal error on a file
 * stats: always 0 unless the root is unusable
 """
 
@@ -14,7 +16,7 @@ import json
 import os
 import sys
 
-from .rules import RULES, RuleId, parse_rule_name, rule_for
+from .rules import RULES, RuleId, parse_rule_name
 from .runner import (
     DEFAULT_GLOBS,
     PARSE_FAILED,
@@ -54,9 +56,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="PATTERN",
         help="filename pattern for directory discovery "
         "(repeatable; default: Dockerfile, *.Dockerfile, Dockerfile.*)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers"
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="show warnings")
 
@@ -137,7 +136,7 @@ def _exit_code_lint(reports: list[FileReport]) -> int:
 
 def _cmd_lint(args, rules, globs) -> int:
     paths = discover(args.paths, globs)
-    reports = process_files(paths, rules, fix=False, jobs=args.jobs)
+    reports = process_files(paths, rules, fix=False)
     code = _exit_code_lint(reports)
     if args.format == "json":
         payload = {
@@ -176,7 +175,7 @@ def _cmd_lint(args, rules, globs) -> int:
 
 def _cmd_fix(args, rules, globs) -> int:
     paths = discover(args.paths, globs)
-    reports = process_files(paths, rules, fix=True, jobs=args.jobs)
+    reports = process_files(paths, rules, fix=True)
     write_failures = []
     for report in reports:
         if report.fixed is None or not report.changed:
@@ -302,7 +301,7 @@ def _cmd_stats(args, rules, globs) -> int:
         print(f"error: no such path: {args.root}", file=sys.stderr)
         return 2
     paths = discover([args.root], globs)
-    stats, reports = collect_stats(paths, rules, jobs=args.jobs)
+    stats, reports = collect_stats(paths, rules)
     if args.format == "json":
         payload = {
             "rules": {

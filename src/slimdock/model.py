@@ -12,7 +12,7 @@ never normalized.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Any, Iterator
 
@@ -142,11 +142,6 @@ class SourceMap:
         el, ec = self.position(end)
         return SourceSpan(start, end, sl, sc, el, ec)
 
-    def line_start(self, offset: int) -> int:
-        """Offset of the first character of the line containing ``offset``."""
-        line_idx = bisect.bisect_right(self._line_starts, offset) - 1
-        return self._line_starts[line_idx]
-
 
 def span_text(source: str, span: SourceSpan) -> str:
     """Exact slice of ``source`` covered by ``span``; no normalization.
@@ -172,10 +167,6 @@ def register_annotation_labels(labels: Iterator[str] | list[str] | set[str]) -> 
     """Add labels to the controlled vocabulary (startup-time only)."""
     for label in labels:
         _ANNOTATION_REGISTRY.add(label)
-
-
-def known_annotation_labels() -> frozenset[str]:
-    return frozenset(_ANNOTATION_REGISTRY)
 
 
 def is_registered_label(label: str) -> bool:
@@ -248,10 +239,10 @@ class UnifiedNode:
         return child
 
     def child_index(self, child: "UnifiedNode") -> int:
-        for i, c in enumerate(self.children):
-            if c is child:
-                return i
-        raise ValueError("node is not a child of this parent")
+        try:
+            return self.children.index(child)  # nodes compare by identity
+        except ValueError:
+            raise ValueError("node is not a child of this parent") from None
 
     # -- modification tracking -----------------------------------------
 

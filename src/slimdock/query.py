@@ -1,23 +1,20 @@
-"""Declarative matching over the unified AST.
+"""The per-RUN statement index that every rule reads.
 
-A NodePattern names a target (node kind or annotation label), optionally a
-text test for word nodes, and structural post-conditions: other patterns
-that must or must not hold inside, before, or after the match. Patterns
-are built programmatically by the rules module; unknown annotation labels
-are rejected at construction time so misconfigured rules fail at startup,
-not per file.
-
-``before``/``after`` are evaluated at the statement level: positions are
-compared in depth-first document order of the enclosing command
-statements, which also works for statements synthesized by repairs (they
-have no spans). Nodes inside SC-UNPARSED subtrees are never matched.
+One pre-order walk over a RUN records, per annotation label, the labelled
+nodes together with their enclosing command statement. Positions count
+the nodes of that walk, so comparing two statements' positions compares
+their document order; that also holds for statements synthesized by
+repairs, which have no spans. Nodes inside SC-UNPARSED regions are never
+indexed. "Is there a cleanup after this statement?" is answered from the
+last position at which each label, and each rm operand, occurs; those
+tables are built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Iterator, Literal
+from typing import Iterator
 
 from .model import (
     STATEMENT_KINDS,
@@ -26,11 +23,21 @@ from .model import (
     UnifiedNode,
     is_registered_label,
 )
-from .shell import variable_reference, word_text
+from .shell import variable_reference
 
 
 class PatternConfigError(SlimdockError):
-    """A pattern references an unknown annotation label."""
+    """A rule references an unknown annotation label."""
+
+
+def checked_label(label: str) -> str:
+    """``label`` itself, or PatternConfigError when it is not registered.
+
+    Rules pass every label they use through this at import, so a
+    misconfigured rule fails at startup; the lookups below trust them."""
+    if not is_registered_label(label):
+        raise PatternConfigError(f"unknown annotation label {label!r}")
+    return label
 
 
 def _normalize_path(p: str) -> str:
@@ -60,180 +67,101 @@ def path_covers(operand: str, target: str) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class WordTest:
-    """Text predicate applied to a word node's logical text."""
-
-    mode: Literal["exact", "prefix", "glob", "variable"]
-    value: str
-
-    def matches(self, text: str) -> bool:
-        if self.mode == "exact":
-            return text == self.value
-        if self.mode == "prefix":
-            return text.startswith(self.value)
-        if self.mode == "glob":
-            # the word is the glob; equal strings also count (D2)
-            return path_covers(text, self.value)
-        if self.mode == "variable":
-            return variable_reference(text) == self.value
-        raise PatternConfigError(f"unknown word test mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class Consequent:
-    relation: Literal["inNode", "before", "after"]
-    pattern: "NodePattern"
-    must_exist: bool = True
-
-
-@dataclass(frozen=True)
-class NodePattern:
-    """Target kind/label plus optional word test and post-conditions."""
-
-    target: NodeKind | str
-    word: WordTest | None = None
-    consequent: tuple[Consequent, ...] = ()
-    bind: str | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.target, NodeKind) and not is_registered_label(self.target):
-            raise PatternConfigError(f"pattern targets unknown label {self.target!r}")
-
-
-@dataclass
-class Match:
-    node: UnifiedNode
-    scope: UnifiedNode
-    statement: UnifiedNode
-    bindings: dict[str, UnifiedNode] = field(default_factory=dict)
-
-
-def statement_of(node: UnifiedNode) -> UnifiedNode:
-    """Nearest enclosing command statement (the node itself if it is one)."""
-    cur: UnifiedNode | None = node
-    while cur is not None:
-        if cur.kind in STATEMENT_KINDS:
-            return cur
-        cur = cur.parent
-    return node
-
-
 def _walk_matchable(root: UnifiedNode) -> Iterator[UnifiedNode]:
     """Pre-order walk that refuses to descend into SC-UNPARSED regions."""
     stack = [root]
     while stack:
         node = stack.pop()
         yield node
-        if node.kind is NodeKind.SC_UNPARSED:
-            continue
-        stack.extend(reversed(node.children))
+        if node.kind is not NodeKind.SC_UNPARSED:
+            stack.extend(reversed(node.children))
 
 
-def _target_matches(node: UnifiedNode, pattern: NodePattern) -> bool:
-    if isinstance(pattern.target, NodeKind):
-        if node.kind is not pattern.target:
-            return False
-    elif not node.has_annotation(pattern.target):
-        return False
-    if pattern.word is not None:
-        text = node.prop("text")
-        if text is None:
-            return False
-        if not pattern.word.matches(text):
-            return False
-    return True
+def statement_has(statement: UnifiedNode, label: str) -> bool:
+    """Whether any matchable node of the statement's subtree carries ``label``."""
+    return any(label in node.annotations for node in _walk_matchable(statement))
 
 
-def document_order(scope: UnifiedNode) -> dict[int, int]:
-    """DFS pre-order index per node id; spans-free, so synthesized nodes
-    order correctly too."""
-    return {id(node): i for i, node in enumerate(scope.walk())}
+@dataclass(frozen=True)
+class Anchor:
+    """A labelled node, its enclosing statement and their walk positions."""
+
+    node: UnifiedNode
+    statement: UnifiedNode
+    label: str
+    position: int
+    statement_position: int
 
 
-def find_all(root: UnifiedNode, pattern: NodePattern) -> list[Match]:
-    """All matches of ``pattern`` under ``root``, in document order."""
-    matches: list[Match] = []
-    order = None
-    for node in _walk_matchable(root):
-        if not _target_matches(node, pattern):
-            continue
-        match = Match(node=node, scope=root, statement=statement_of(node))
-        if pattern.bind:
-            match.bindings[pattern.bind] = node
-        ok = True
-        for consequent in pattern.consequent:
-            if order is None:
-                order = document_order(root)
-            found = _evaluate(consequent.relation, consequent.pattern, match, root, order)
-            if bool(found) != consequent.must_exist:
-                ok = False
-                break
-            if found is not None and consequent.pattern.bind:
-                match.bindings[consequent.pattern.bind] = found
-        if ok:
-            matches.append(match)
-    return matches
+class RunIndex:
+    """Labelled nodes of one subtree (a RUN, or a statement a repair
+    inserted), in document order, with cleanup lookups by position."""
 
+    def __init__(self, root: UnifiedNode):
+        self._anchors: dict[str, list[Anchor]] = {}
+        self._last: dict[str, int] = {}
+        self._removals: tuple[dict, dict] | None = None
+        stack: list[tuple[UnifiedNode, UnifiedNode | None, int]] = [(root, None, -1)]
+        position = 0
+        while stack:
+            node, statement, statement_position = stack.pop()
+            if node.kind in STATEMENT_KINDS:
+                statement, statement_position = node, position
+            for label in node.annotations:
+                self._anchors.setdefault(label, []).append(
+                    Anchor(node, statement or node, label, position,
+                           statement_position if statement else position)
+                )
+            position += 1
+            if node.kind is not NodeKind.SC_UNPARSED:
+                stack.extend((child, statement, statement_position)
+                             for child in reversed(node.children))
+        self.size = position
 
-def _evaluate(
-    relation: str,
-    pattern: NodePattern,
-    anchor: Match,
-    scope: UnifiedNode,
-    order: dict[int, int],
-) -> UnifiedNode | None:
-    """First node satisfying the relation, or None.
+    def anchors(self, label: str) -> list[Anchor]:
+        """Nodes carrying ``label``, in document order."""
+        return self._anchors.get(label, [])
 
-    Relations anchor at the match's enclosing command statement: ``inNode``
-    searches that statement's subtree, ``before``/``after`` compare the
-    document order of other matches' statements against it.
-    """
-    if relation == "inNode":
-        for node in _walk_matchable(anchor.statement):
-            if _target_matches(node, pattern):
-                return node
-        return None
-    if relation in ("before", "after"):
-        anchor_pos = order.get(id(anchor.statement))
-        if anchor_pos is None:
-            return None
-        for other in find_all(scope, NodePattern(pattern.target, pattern.word)):
-            if other.statement is anchor.statement:
-                continue
-            pos = order.get(id(other.statement))
-            if pos is None:
-                continue
-            if relation == "after" and pos > anchor_pos and _nested_ok(other, pattern):
-                return other.node
-            if relation == "before" and pos < anchor_pos and _nested_ok(other, pattern):
-                return other.node
-        return None
-    raise PatternConfigError(f"unknown relation {relation!r}")
+    def later(self, label: str, position: int) -> bool:
+        """Some statement after ``position`` carries ``label``."""
+        last = self._last.get(label)
+        if last is None:
+            last = max((a.statement_position for a in self.anchors(label)), default=-1)
+            self._last[label] = last
+        return last > position
 
+    def removed_after(self, position: int, target: str, recursive: bool) -> bool:
+        """Some rm statement after ``position`` has an operand that covers
+        ``target`` (``path_covers``), and a recursive flag if asked for."""
+        return any(
+            last[recursive] > position and path_covers(operand, target)
+            for operand, last in self._rm_operands()[0].items()
+        )
 
-def _nested_ok(match: Match, pattern: NodePattern) -> bool:
-    """Post-conditions of a relation's inner pattern (e.g. an rm that must
-    carry certain flags) are checked against the candidate's statement."""
-    for consequent in pattern.consequent:
-        if consequent.relation != "inNode":
-            raise PatternConfigError("nested relation patterns support inNode only")
-        found = None
-        for node in _walk_matchable(match.statement):
-            if _target_matches(node, consequent.pattern):
-                found = node
-                break
-        if bool(found) != consequent.must_exist:
-            return False
-    return True
+    def removed_variable_after(self, position: int, name: str) -> bool:
+        """Some recursive rm after ``position`` removes ``$name`` or below it."""
+        return self._rm_operands()[1].get(name, -1) > position
 
-
-def holds(
-    relation: Literal["inNode", "before", "after"],
-    pattern: NodePattern,
-    anchor: Match,
-    scope: UnifiedNode,
-) -> bool:
-    """Whether ``pattern`` stands in ``relation`` to the anchor within scope."""
-    order = document_order(scope)
-    return _evaluate(relation, pattern, anchor, scope, order) is not None
+    def _rm_operands(self) -> tuple[dict, dict]:
+        """Last statement position per rm operand, as ``[any rm, recursive
+        rm]``; and per variable a recursive rm removes."""
+        if self._removals is None:
+            operands: dict[str, list[int]] = {}
+            variables: dict[str, int] = {}
+            for anchor in self.anchors("SC-RM"):
+                where = anchor.statement_position
+                nodes = list(_walk_matchable(anchor.statement))
+                recursive = any("SC-RM-F-RECURSIVE" in n.annotations for n in nodes)
+                for node in nodes:
+                    text = node.prop("text")
+                    if "SC-RM-PATH" not in node.annotations or text is None:
+                        continue
+                    last = operands.setdefault(text, [-1, -1])
+                    last[0] = max(last[0], where)
+                    if recursive:
+                        last[1] = max(last[1], where)
+                        name = variable_reference(text)
+                        if name is not None:
+                            variables[name] = max(variables.get(name, -1), where)
+            self._removals = operands, variables
+        return self._removals

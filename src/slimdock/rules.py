@@ -1,10 +1,11 @@
 """The registry of the 14 size-impacting smells.
 
-Each rule pairs a detection query with a repair transformation and the
-verify-or-rollback protocol. Detection scope for "later cleanup" checks is
-the enclosing RUN instruction only: container layering means a cleanup in
-a later RUN cannot shrink the earlier layer, so cross-RUN cleanup does not
-remove the size smell.
+Each rule pairs a check, asked about every node of a RUN that carries one
+of its anchor labels (see ``query.RunIndex``), with a repair
+transformation and the verify-or-rollback protocol. Detection scope for
+"later cleanup" checks is the enclosing RUN instruction only: container
+layering means a cleanup in a later RUN cannot shrink the earlier layer,
+so cross-RUN cleanup does not remove the size smell.
 
 Repairs are one of four shapes:
 
@@ -24,20 +25,19 @@ unparsed region makes the repair not-fixable (appending after those would
 change failure semantics). Flag additions are always safe and are applied
 regardless of the chain shape.
 
-After every repair the rule's detection runs again on the affected RUN;
-if the same anchor still matches, the edits are reverted and the outcome
-reports a rollback, leaving the reprinted file byte-identical.
+After every repair the rule's check runs again for the repaired anchor;
+if it still smells, the edits are reverted and the outcome reports a
+rollback, leaving the reprinted file byte-identical.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from enum import Enum, unique
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import shell
-from .dockerfile import DockerfileAst
 from .enrich import UnifiedAst, command_words, enrich_node, enrich_statement
 from .model import (
     NodeKind,
@@ -45,17 +45,7 @@ from .model import (
     UnifiedNode,
     recompute_dirty,
 )
-from .query import (
-    Consequent,
-    Match,
-    NodePattern,
-    WordTest,
-    document_order,
-    find_all,
-    holds,
-    path_covers,
-    statement_of,
-)
+from .query import Anchor, RunIndex, checked_label, statement_has
 
 
 @unique
@@ -98,7 +88,7 @@ class SmellDiagnostic:
     rule: RuleId
     file: str
     span: SourceSpan
-    anchor: Match
+    anchor: Anchor
     message: str
     fixable: bool
     run: UnifiedNode | None = field(repr=False, default=None)  # enclosing DOCKER-RUN
@@ -213,9 +203,6 @@ def synthesize_word(text: str) -> UnifiedNode:
 # Chain shape analysis (decision: element insertion safety)
 # ---------------------------------------------------------------------------
 
-_INSERTABLE_ELEMENTS = (NodeKind.SC_SIMPLE_COMMAND, NodeKind.SC_PIPELINE)
-
-
 def run_script(run: UnifiedNode) -> UnifiedNode | None:
     for child in run.children:
         if child.kind is NodeKind.SC_SCRIPT:
@@ -268,38 +255,18 @@ def _not_fixable_reason(run: UnifiedNode) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _p(target, *consequents: Consequent, word: WordTest | None = None) -> NodePattern:
-    return NodePattern(target, word=word, consequent=tuple(consequents))
+@dataclass(frozen=True)
+class Scope:
+    """What a rule's check reads beyond the anchor's own statement: the
+    statements indexed in ``index``, and whether the file configures gem."""
+
+    index: RunIndex
+    gemrc_configured: Callable[[], bool]
 
 
-def _has(pattern: NodePattern) -> Consequent:
-    return Consequent("inNode", pattern, must_exist=True)
-
-
-def _lacks(pattern: NodePattern) -> Consequent:
-    return Consequent("inNode", pattern, must_exist=False)
-
-
-def _rm_pattern(target_path: str, recursive: bool) -> NodePattern:
-    consequents = [_has(_p("SC-RM-PATH", word=WordTest("glob", target_path)))]
-    if recursive:
-        consequents.insert(0, _has(_p("SC-RM-F-RECURSIVE")))
-    return _p("SC-RM", *consequents)
-
-
-def _rm_variable_pattern(name: str) -> NodePattern:
-    return _p(
-        "SC-RM",
-        _has(_p("SC-RM-F-RECURSIVE")),
-        _has(_p("SC-RM-PATH", word=WordTest("variable", name))),
-    )
-
-
-def _later(run: UnifiedNode, pattern: NodePattern, anchor: Match) -> bool:
-    return holds("after", pattern, anchor, run)
-
-
-Finder = Callable[[UnifiedAst, UnifiedNode], list[tuple[Match, dict]]]
+# The check answers whether one anchor smells: the repair's extras if so,
+# None if not.
+Check = Callable[[Scope, Anchor], "dict | None"]
 
 
 @dataclass(frozen=True)
@@ -307,42 +274,50 @@ class Rule:
     id: RuleId
     description: str
     kind: str  # flag | append | adjacent | before
-    finder: Finder
+    anchors: tuple[str, ...]  # labels of the nodes the check is asked about
+    check: Check
     repair_text: Callable[[dict], str] | None = None  # element insertions
     flag_text: str | None = None  # flag additions
 
+    def __post_init__(self) -> None:
+        for label in self.anchors:
+            checked_label(label)
 
-def _simple_anchor_finder(pattern: NodePattern) -> Finder:
-    def finder(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-        return [(m, {}) for m in find_all(run, pattern)]
+    def smells(self, scope: Scope) -> Iterator[tuple[Anchor, dict]]:
+        for label in self.anchors:
+            for anchor in scope.index.anchors(label):
+                extras = self.check(scope, anchor)
+                if extras is not None:
+                    yield anchor, extras
 
-    return finder
 
+def _flag_rule(
+    rule_id: RuleId, description: str, flag_text: str, flags: dict[str, str]
+) -> Rule:
+    """An anchor smells while its statement lacks the flag paired with the
+    anchor's label in ``flags``."""
+    for flag in flags.values():
+        checked_label(flag)
 
-# -- rule 1: pipUseNoCacheDir ------------------------------------------------
+    def check(scope: Scope, anchor: Anchor) -> dict | None:
+        return None if statement_has(anchor.statement, flags[anchor.label]) else {}
 
-_PIP_ANCHOR = _p("SC-PIP-INSTALL", _lacks(_p("SC-PIP-F-NO-CACHE-DIR")))
+    return Rule(rule_id, description, "flag", tuple(flags), check, flag_text=flag_text)
 
-# -- rule 2: npmCacheCleanUseForce --------------------------------------------
-
-_NPM_CLEAN_ANCHOR = _p("SC-NPM-CACHE-CLEAN", _lacks(_p("SC-NPM-F-FORCE")))
 
 # -- rule 3: mkdirUsrSrcThenRemove ---------------------------------------------
 
 
-def _find_mkdir_usr_src(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    for match in find_all(run, _p("SC-MKDIR-PATH")):
-        path = shell.word_text(match.node)
-        if shell.contains_variable(path):
-            continue  # unresolvable path: suppressed (conservative)
-        normalized = path.rstrip("/")
-        if normalized != "/usr/src" and not normalized.startswith("/usr/src/"):
-            continue
-        if _later(run, _rm_pattern(path, recursive=True), match):
-            continue
-        out.append((match, {"path": normalized}))
-    return out
+def _mkdir_usr_src(scope: Scope, anchor: Anchor) -> dict | None:
+    path = shell.word_text(anchor.node)
+    if shell.contains_variable(path):
+        return None  # unresolvable path: suppressed (conservative)
+    normalized = path.rstrip("/")
+    if normalized != "/usr/src" and not normalized.startswith("/usr/src/"):
+        return None
+    if scope.index.removed_after(anchor.statement_position, path, recursive=True):
+        return None
+    return {"path": normalized}
 
 
 # -- rule 4: rmRecursiveAfterMktempD -------------------------------------------
@@ -369,16 +344,18 @@ def _captured_variable(statement: UnifiedNode) -> str | None:
     return None
 
 
-def _find_mktemp_d(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    for match in find_all(run, _p("SC-MKTEMP", _has(_p("SC-MKTEMP-F-D")))):
-        var = _captured_variable(match.statement)
-        if var is None:
-            continue  # result not captured: nothing nameable to remove
-        if _later(run, _rm_variable_pattern(var), match):
-            continue
-        out.append((match, {"var": var}))
-    return out
+_MKTEMP_D = checked_label("SC-MKTEMP-F-D")
+
+
+def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
+    if not statement_has(anchor.statement, _MKTEMP_D):
+        return None
+    var = _captured_variable(anchor.statement)
+    if var is None:
+        return None  # result not captured: nothing nameable to remove
+    if scope.index.removed_variable_after(anchor.statement_position, var):
+        return None
+    return {"var": var}
 
 
 # -- rule 5: tarSomethingRmTheSomething ------------------------------------------
@@ -391,31 +368,15 @@ def _archive_of(statement: UnifiedNode) -> str | None:
     return None
 
 
-def _find_tar(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    for match in find_all(run, _p("SC-TAR-EXTRACT")):
-        archive = _archive_of(match.statement)
-        if archive is None or archive in ("-", "/dev/stdin"):
-            continue
-        if shell.contains_variable(archive):
-            continue
-        if _later(run, _rm_pattern(archive, recursive=False), match):
-            continue
-        out.append((match, {"archive": archive}))
-    return out
-
-
-# -- rules 6/7: flag rules -----------------------------------------------------
-
-_APK_ANCHOR = _p("SC-APK-ADD", _lacks(_p("SC-APK-F-NO-CACHE")))
-_APT_GET_NOREC = _p("SC-APT-GET-INSTALL", _lacks(_p("SC-APT-GET-F-NO-INSTALL-RECOMMENDS")))
-_APT_NOREC = _p("SC-APT-INSTALL", _lacks(_p("SC-APT-F-NO-INSTALL-RECOMMENDS")))
-
-
-def _find_apt_norec(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = [(m, {}) for m in find_all(run, _APT_GET_NOREC)]
-    out.extend((m, {}) for m in find_all(run, _APT_NOREC))
-    return out
+def _tar(scope: Scope, anchor: Anchor) -> dict | None:
+    archive = _archive_of(anchor.statement)
+    if archive is None or archive in ("-", "/dev/stdin"):
+        return None
+    if shell.contains_variable(archive):
+        return None
+    if scope.index.removed_after(anchor.statement_position, archive, recursive=False):
+        return None
+    return {"archive": archive}
 
 
 # -- rule 8: aptGetInstallThenRemoveAptLists --------------------------------------
@@ -423,69 +384,67 @@ def _find_apt_norec(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict
 _APT_LISTS = "/var/lib/apt/lists/*"
 
 
-def _find_apt_lists(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    anchors = find_all(run, _p("SC-APT-GET-INSTALL")) + find_all(run, _p("SC-APT-INSTALL"))
-    for match in anchors:
-        if _later(run, _rm_pattern(_APT_LISTS, recursive=True), match):
-            continue
-        out.append((match, {}))
-    return out
+def _apt_lists(scope: Scope, anchor: Anchor) -> dict | None:
+    if scope.index.removed_after(anchor.statement_position, _APT_LISTS, recursive=True):
+        return None
+    return {}
 
 
 # -- rule 9: gpgVerifyAscRmAsc ----------------------------------------------------
 
 
-def _find_gpg_asc(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    for match in find_all(run, _p("SC-GPG", _has(_p("SC-GPG-F-VERIFY")))):
-        asc = None
-        for node in match.statement.walk():
-            if node.kind is NodeKind.SC_WORD and node.has_annotation("SC-GPG-FILE"):
-                text = shell.word_text(node)
-                if text.endswith(".asc") and not shell.contains_variable(text):
-                    asc = text
-                    break
-        if asc is None:
-            continue
-        if _later(run, _rm_pattern(asc, recursive=False), match):
-            continue
-        out.append((match, {"asc": asc}))
-    return out
+_GPG_VERIFY = checked_label("SC-GPG-F-VERIFY")
 
 
-# -- rule 10: npmCacheCleanAfterInstall ---------------------------------------------
+def _gpg_asc(scope: Scope, anchor: Anchor) -> dict | None:
+    if not statement_has(anchor.statement, _GPG_VERIFY):
+        return None
+    asc = None
+    for node in anchor.statement.walk():
+        if node.kind is NodeKind.SC_WORD and node.has_annotation("SC-GPG-FILE"):
+            text = shell.word_text(node)
+            if text.endswith(".asc") and not shell.contains_variable(text):
+                asc = text
+                break
+    if asc is None:
+        return None
+    if scope.index.removed_after(anchor.statement_position, asc, recursive=False):
+        return None
+    return {"asc": asc}
 
 
-def _find_npm_install(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    for match in find_all(run, _p("SC-NPM-INSTALL")):
-        # any later `npm cache clean` counts: if it lacks --force,
+# -- rules 10/14: a cache clean after the install ------------------------------
+
+
+def _cleaned_by(label: str) -> Check:
+    checked_label(label)
+
+    def check(scope: Scope, anchor: Anchor) -> dict | None:
+        # any later clean counts: if `npm cache clean` lacks --force,
         # npmCacheCleanUseForce flags that command itself
-        if _later(run, _p("SC-NPM-CACHE-CLEAN"), match):
-            continue
-        out.append((match, {}))
-    return out
+        return None if scope.index.later(label, anchor.statement_position) else {}
+
+    return check
 
 
 # -- rules 11/12: gem update --system ------------------------------------------------
 
-_GEM_UPDATE_SYSTEM = _p("SC-GEM-UPDATE", _has(_p("SC-GEM-F-SYSTEM")))
 _ROOT_GEM = "/root/.gem"
+_GEM_SYSTEM = checked_label("SC-GEM-F-SYSTEM")
+_GEM_NO_DOCUMENT = checked_label("SC-GEM-F-NO-DOCUMENT")
 
 
-def _find_gem_rm_root(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    for match in find_all(run, _GEM_UPDATE_SYSTEM):
-        if _later(run, _rm_pattern(_ROOT_GEM, recursive=True), match):
-            continue
-        out.append((match, {}))
-    return out
+def _gem_rm_root(scope: Scope, anchor: Anchor) -> dict | None:
+    if not statement_has(anchor.statement, _GEM_SYSTEM):
+        return None
+    if scope.index.removed_after(anchor.statement_position, _ROOT_GEM, recursive=True):
+        return None
+    return {}
 
 
-def _writes_gemrc_no_document(ast: UnifiedAst) -> bool:
-    for run in ast.root.find_kind(NodeKind.DOCKER_RUN):
-        for node in run.walk():
+def _writes_gemrc_no_document(roots: list[UnifiedNode]) -> bool:
+    for root in roots:
+        for node in root.walk():
             if node.kind is not NodeKind.SC_SIMPLE_COMMAND:
                 continue
             if not _redirects_to_gemrc(node):
@@ -507,140 +466,134 @@ def _redirects_to_gemrc(cmd: UnifiedNode) -> bool:
     return False
 
 
-def _find_gem_no_document(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    for match in find_all(run, _GEM_UPDATE_SYSTEM):
-        if holds("inNode", _p("SC-GEM-F-NO-DOCUMENT"), match, run):
-            continue
-        if _writes_gemrc_no_document(ast):
-            continue
-        out.append((match, {}))
-    return out
+def _gem_no_document(scope: Scope, anchor: Anchor) -> dict | None:
+    if not statement_has(anchor.statement, _GEM_SYSTEM):
+        return None
+    if statement_has(anchor.statement, _GEM_NO_DOCUMENT):
+        return None
+    if scope.gemrc_configured():
+        return None
+    return {}
 
 
 # -- rule 13: yumInstallRmVarCacheYum ---------------------------------------------
 
 
-def _find_yum_install(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    for match in find_all(run, _p("SC-YUM-INSTALL")):
-        if _later(run, _rm_pattern("/var/cache/yum", recursive=True), match):
-            continue
-        if _later(run, _rm_pattern("/var/cache/dnf", recursive=True), match):
-            continue  # dnf spelling of the same cache
-        out.append((match, {}))
-    return out
+def _yum_install(scope: Scope, anchor: Anchor) -> dict | None:
+    for cache in ("/var/cache/yum", "/var/cache/dnf"):  # dnf spells the same cache
+        if scope.index.removed_after(anchor.statement_position, cache, recursive=True):
+            return None
+    return {}
 
 
-# -- rule 14: yarnCacheCleanAfterInstall ------------------------------------------
-
-
-def _find_yarn_install(ast: UnifiedAst, run: UnifiedNode) -> list[tuple[Match, dict]]:
-    out = []
-    for match in find_all(run, _p("SC-YARN-INSTALL")):
-        if _later(run, _p("SC-YARN-CACHE-CLEAN"), match):
-            continue
-        out.append((match, {}))
-    return out
-
+_APT_INSTALLS = ("SC-APT-GET-INSTALL", "SC-APT-INSTALL")
 
 RULES: list[Rule] = [
-    Rule(
+    _flag_rule(
         RuleId.pipUseNoCacheDir,
         "Clean cache after pip install.",
-        "flag",
-        _simple_anchor_finder(_PIP_ANCHOR),
-        flag_text="--no-cache-dir",
+        "--no-cache-dir",
+        {"SC-PIP-INSTALL": "SC-PIP-F-NO-CACHE-DIR"},
     ),
-    Rule(
+    _flag_rule(
         RuleId.npmCacheCleanUseForce,
         "Clean cache after npm install.",
-        "flag",
-        _simple_anchor_finder(_NPM_CLEAN_ANCHOR),
-        flag_text="--force",
+        "--force",
+        {"SC-NPM-CACHE-CLEAN": "SC-NPM-F-FORCE"},
     ),
     Rule(
         RuleId.mkdirUsrSrcThenRemove,
         "Remove /usr/src/* after usage.",
         "append",
-        _find_mkdir_usr_src,
+        ("SC-MKDIR-PATH",),
+        _mkdir_usr_src,
         repair_text=lambda extras: f"rm -rf {extras['path']}",
     ),
     Rule(
         RuleId.rmRecursiveAfterMktempD,
         "Remove temporary folders.",
         "append",
-        _find_mktemp_d,
+        ("SC-MKTEMP",),
+        _mktemp_d,
         repair_text=lambda extras: 'rm -rf "$' + extras["var"] + '"',
     ),
     Rule(
         RuleId.tarSomethingRmTheSomething,
         "Remove tar files after decompression.",
         "adjacent",
-        _find_tar,
+        ("SC-TAR-EXTRACT",),
+        _tar,
         repair_text=lambda extras: f"rm {extras['archive']}",
     ),
-    Rule(
+    _flag_rule(
         RuleId.apkAddUseNoCache,
         "Use --no-cache flag with apk add.",
-        "flag",
-        _simple_anchor_finder(_APK_ANCHOR),
-        flag_text="--no-cache",
+        "--no-cache",
+        {"SC-APK-ADD": "SC-APK-F-NO-CACHE"},
     ),
-    Rule(
+    _flag_rule(
         RuleId.aptGetInstallUseNoRec,
         "Use --no-install-recommends flag in apt-get install.",
-        "flag",
-        _find_apt_norec,
-        flag_text="--no-install-recommends",
+        "--no-install-recommends",
+        {
+            "SC-APT-GET-INSTALL": "SC-APT-GET-F-NO-INSTALL-RECOMMENDS",
+            "SC-APT-INSTALL": "SC-APT-F-NO-INSTALL-RECOMMENDS",
+        },
     ),
     Rule(
         RuleId.aptGetInstallThenRemoveAptLists,
         "Remove /var/lib/apt/lists/* after apt-get install.",
         "append",
-        _find_apt_lists,
+        _APT_INSTALLS,
+        _apt_lists,
         repair_text=lambda extras: f"rm -rf {_APT_LISTS}",
     ),
     Rule(
         RuleId.gpgVerifyAscRmAsc,
         "Remove .asc file after usage.",
         "adjacent",
-        _find_gpg_asc,
+        ("SC-GPG",),
+        _gpg_asc,
         repair_text=lambda extras: f"rm {extras['asc']}",
     ),
     Rule(
         RuleId.npmCacheCleanAfterInstall,
         "Force to clean cache after npm install.",
         "append",
-        _find_npm_install,
+        ("SC-NPM-INSTALL",),
+        _cleaned_by("SC-NPM-CACHE-CLEAN"),
         repair_text=lambda extras: "npm cache clean --force",
     ),
     Rule(
         RuleId.gemUpdateSystemRmRootGem,
         "Clean cache after gem update --system.",
         "append",
-        _find_gem_rm_root,
+        ("SC-GEM-UPDATE",),
+        _gem_rm_root,
         repair_text=lambda extras: f"rm -rf {_ROOT_GEM}",
     ),
     Rule(
         RuleId.gemUpdateNoDocument,
         "Add --no-document flag to the .gemrc config file.",
         "before",
-        _find_gem_no_document,
+        ("SC-GEM-UPDATE",),
+        _gem_no_document,
         repair_text=lambda extras: "echo 'gem: --no-document' >> /etc/gemrc",
     ),
     Rule(
         RuleId.yumInstallRmVarCacheYum,
         "Clean cache after yum install.",
         "append",
-        _find_yum_install,
+        ("SC-YUM-INSTALL",),
+        _yum_install,
         repair_text=lambda extras: "rm -rf /var/cache/yum",
     ),
     Rule(
         RuleId.yarnCacheCleanAfterInstall,
         "Clean cache after yarn install.",
         "append",
-        _find_yarn_install,
+        ("SC-YARN-INSTALL",),
+        _cleaned_by("SC-YARN-CACHE-CLEAN"),
         repair_text=lambda extras: "yarn cache clean",
     ),
 ]
@@ -658,54 +611,47 @@ def rule_for(rule_id: RuleId) -> Rule:
 # ---------------------------------------------------------------------------
 
 
-def _diagnostic_span(match: Match, run: UnifiedNode) -> SourceSpan:
-    if match.statement.span is not None:
-        return match.statement.span
-    if match.node.span is not None:
-        return match.node.span
+def _diagnostic_span(anchor: Anchor, run: UnifiedNode) -> SourceSpan:
+    if anchor.statement.span is not None:
+        return anchor.statement.span
+    if anchor.node.span is not None:
+        return anchor.node.span
     return run.span
 
 
-def _detect_in_run(
-    ast: UnifiedAst, run: UnifiedNode, rules: list[Rule]
-) -> list[SmellDiagnostic]:
-    out: list[SmellDiagnostic] = []
-    insertable = chain_shape(run)[0] in ("single", "chain")
-    for rule in rules:
-        for match, extras in rule.finder(ast, run):
-            fixable = rule.kind == "flag" or insertable
-            out.append(
-                SmellDiagnostic(
-                    rule=rule.id,
-                    file=ast.path,
-                    span=_diagnostic_span(match, run),
-                    anchor=match,
-                    message=rule.description,
-                    fixable=fixable,
-                    run=run,
-                    extras=extras,
-                )
-            )
-    return out
+def _runs(ast: UnifiedAst) -> list[UnifiedNode]:
+    return list(ast.root.find_kind(NodeKind.DOCKER_RUN))
 
 
 def detect(
     ast: UnifiedAst, rules: set[RuleId] | list[RuleId] | None = None
 ) -> list[SmellDiagnostic]:
     """All smell diagnostics for the file, in document order."""
-    selected = [r for r in RULES if rules is None or r.id in set(rules)]
-    diagnostics: list[SmellDiagnostic] = []
-    for run in ast.root.find_kind(NodeKind.DOCKER_RUN):
-        diagnostics.extend(_detect_in_run(ast, run, selected))
-    order = document_order(ast.root)
-    diagnostics.sort(
-        key=lambda d: (
-            order.get(id(d.anchor.statement), 0),
-            order.get(id(d.anchor.node), 0),
-            _RULE_INDEX[d.rule],
-        )
-    )
-    return diagnostics
+    wanted = None if rules is None else set(rules)
+    selected = [r for r in RULES if wanted is None or r.id in wanted]
+    runs = _runs(ast)
+    gemrc_configured = functools.cache(lambda: _writes_gemrc_no_document(runs))
+    keyed: list[tuple[tuple[int, int, int, int], SmellDiagnostic]] = []
+    for run_number, run in enumerate(runs):
+        scope = Scope(RunIndex(run), gemrc_configured)
+        insertable = chain_shape(run)[0] in ("single", "chain")
+        for rule in selected:
+            for anchor, extras in rule.smells(scope):
+                diagnostic = SmellDiagnostic(
+                    rule=rule.id,
+                    file=ast.path,
+                    span=_diagnostic_span(anchor, run),
+                    anchor=anchor,
+                    message=rule.description,
+                    fixable=rule.kind == "flag" or insertable,
+                    run=run,
+                    extras=extras,
+                )
+                key = (run_number, anchor.statement_position, anchor.position,
+                       _RULE_INDEX[rule.id])
+                keyed.append((key, diagnostic))
+    keyed.sort(key=lambda item: item[0])
+    return [diagnostic for _, diagnostic in keyed]
 
 
 # ---------------------------------------------------------------------------
@@ -759,15 +705,37 @@ def repair(ast: UnifiedAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
 def verify_or_rollback(
     ast: UnifiedAst, diagnostic: SmellDiagnostic, outcome: RepairOutcome
 ) -> RepairOutcome:
-    """Re-run the rule on the affected RUN; revert if the anchor persists."""
+    """Re-check the repaired anchor; revert the edits if it still smells."""
     if outcome.status != "applied":
         return outcome
-    rule = rule_for(diagnostic.rule)
-    still = _detect_in_run(ast, diagnostic.run, [rule])
-    for new_diag in still:
-        if new_diag.anchor.node is diagnostic.anchor.node:
-            revert_edits(ast, outcome.edits)
-            return RepairOutcome(
-                "rolled-back", diagnostic, outcome.edits, reason="still-detected"
-            )
+    if _still_smells(ast, rule_for(diagnostic.rule), diagnostic, outcome):
+        revert_edits(ast, outcome.edits)
+        return RepairOutcome(
+            "rolled-back", diagnostic, outcome.edits, reason="still-detected"
+        )
     return outcome
+
+
+def _still_smells(
+    ast: UnifiedAst, rule: Rule, diagnostic: SmellDiagnostic, outcome: RepairOutcome
+) -> bool:
+    """The rule's check for this one anchor, on the repaired tree.
+
+    A flag check reads only the anchor's statement. An inserted statement
+    is first checked alone, placed after the anchor (before it, for a
+    config insertion): cleanups only ever lift a smell, so if that
+    statement lifts it, the whole RUN does. Only otherwise is the anchor
+    checked against the whole repaired RUN.
+    """
+    anchor = diagnostic.anchor
+    if rule.kind != "flag":
+        inserted = outcome.edits[-1].node
+        local = Scope(RunIndex(inserted), lambda: _writes_gemrc_no_document([inserted]))
+        position = local.index.size if rule.kind == "before" else -1
+        if rule.check(local, replace(anchor, statement_position=position)) is None:
+            return False
+    root = anchor.statement if rule.kind == "flag" else diagnostic.run
+    scope = Scope(
+        RunIndex(root), functools.cache(lambda: _writes_gemrc_no_document(_runs(ast)))
+    )
+    return any(found.node is anchor.node for found, _ in rule.smells(scope))

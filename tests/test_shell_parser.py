@@ -233,3 +233,40 @@ class TestHelpers:
         assert contains_variable("a${X}b")
         assert contains_variable("`date`")
         assert not contains_variable("plain/path")
+
+
+class TestUnterminatedAtEof:
+    """An unterminated compound at the end of a Dockerfile: its span is
+    built from payload offsets, so it stays inside the file."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "RUN { cd /tmp",
+            "RUN if true; then echo",
+            "FROM x\nRUN { cd /tmp\n",
+            "FROM x\nRUN for x in a b; do pip install $x",
+            "FROM x\nRUN while true; do apt-get install -y x && tar -xzf a.tgz",
+        ],
+    )
+    def test_no_raise_and_byte_identical_reprint(self, text):
+        from slimdock.enrich import parse_and_enrich
+        from slimdock.model import validate_tree
+        from slimdock.printer import print_minimal
+        from slimdock.runner import analyze_text, fix_text
+
+        analyze_text(text, "<t>")
+        ast = parse_and_enrich(text)
+        validate_tree(ast.root)
+        assert print_minimal(ast, text) == text
+        again = fix_text(fix_text(text, "<t>").fixed, "<t>")
+        assert again.fixed == fix_text(text, "<t>").fixed
+
+    @pytest.mark.parametrize("tail", ["", "\n", " \\\n", "\n\n# c\n"])
+    def test_flag_repair_inside_keeps_the_tail(self, tail):
+        from slimdock.runner import fix_text
+
+        text = "FROM x\nRUN if true; then pip install x" + tail
+        assert fix_text(text, "<t>").fixed == (
+            "FROM x\nRUN if true; then pip install --no-cache-dir x" + tail
+        )
