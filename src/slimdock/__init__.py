@@ -6,13 +6,7 @@ actually touched. See README.md for the CLI.
 """
 
 from .dockerfile import DockerfileAst, parse_dockerfile
-from .enrich import (
-    UnifiedAst,
-    build_unified_ast,
-    enrich,
-    parse_and_enrich,
-    resolve_wrappers,
-)
+from .enrich import build_unified_ast, enrich, parse_and_enrich, resolve_wrappers
 from .model import NodeKind, SourceSpan, UnifiedNode, span_text
 from .printer import print_minimal, render_full, unified_diff
 from .rules import (
@@ -39,7 +33,6 @@ __all__ = [
     "RULES",
     "SmellDiagnostic",
     "SourceSpan",
-    "UnifiedAst",
     "UnifiedNode",
     "analyze_text",
     "build_unified_ast",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import NodeKind, SourceMap, SourceSpan, UnifiedNode
 
@@ -51,15 +51,6 @@ _HEREDOC_TOKEN_RE = re.compile(r"<<(-?)([\"']?)([A-Za-z_][A-Za-z0-9_]*)\2")
 
 
 @dataclass
-class Stage:
-    """One build stage: a FROM instruction and everything until the next."""
-
-    from_node: UnifiedNode
-    name: str | None
-    nodes: list[UnifiedNode] = field(default_factory=list)
-
-
-@dataclass
 class DockerfileAst:
     root: UnifiedNode
     source: str
@@ -72,26 +63,8 @@ class DockerfileAst:
     def instructions(self) -> list[UnifiedNode]:
         return list(self.root.children)
 
-    @property
-    def stages(self) -> list[Stage]:
-        stages: list[Stage] = []
-        for node in self.root.children:
-            if node.kind is NodeKind.DOCKER_FROM:
-                stages.append(Stage(node, node.prop("stage_name")))
-            elif stages:
-                stages[-1].nodes.append(node)
-        return stages
-
-    @property
-    def preamble(self) -> list[UnifiedNode]:
-        out: list[UnifiedNode] = []
-        for node in self.root.children:
-            if node.kind is NodeKind.DOCKER_FROM:
-                break
-            out.append(node)
-        return out
-
     def runs(self) -> list[UnifiedNode]:
+        """The RUN instructions; a DOCKER-RUN node is always a root child."""
         return [n for n in self.root.children if n.kind is NodeKind.DOCKER_RUN]
 
 
@@ -122,11 +95,8 @@ class SegmentedText:
         return self.segments[idx][0] + (offset - self._cum[idx])
 
     def span(self, start: int, end: int) -> SourceSpan:
-        if end > start:
-            s = self.to_source(start)
-            e = self.to_source(end - 1) + 1
-        else:
-            s = e = self.to_source(start)
+        s = self.to_source(start)
+        e = s if end <= start else self.to_source(end - 1) + 1
         return self.source_map.span(s, e)
 
 

@@ -29,17 +29,13 @@ from .schemas import (
     schema_for,
 )
 
-# The unified AST is the same object as the Dockerfile AST once the shell
-# trees are embedded; the alias marks the stage a value is in.
-UnifiedAst = DockerfileAst
-
 _ASSIGN_WORD_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 _OLD_STYLE_RE = re.compile(r"^[A-Za-z]+$")
 
 
-def build_unified_ast(ast: DockerfileAst) -> UnifiedAst:
+def build_unified_ast(ast: DockerfileAst) -> DockerfileAst:
     """Embed every RUN payload's shell tree; safe to call twice."""
-    for run in ast.root.find_kind(NodeKind.DOCKER_RUN):
+    for run in ast.runs():
         if run.children:
             continue
         _embed_run(ast, run)
@@ -286,11 +282,11 @@ def enrich_node(root: UnifiedNode) -> tuple[int, int]:
     return matched, total
 
 
-def enrich(ast: UnifiedAst) -> UnifiedAst:
+def enrich(ast: DockerfileAst) -> DockerfileAst:
     """Annotate every RUN subtree in the file; idempotent."""
     matched = 0
     total = 0
-    for run in ast.root.find_kind(NodeKind.DOCKER_RUN):
+    for run in ast.runs():
         m, t = enrich_node(run)
         matched += m
         total += t
@@ -298,7 +294,7 @@ def enrich(ast: UnifiedAst) -> UnifiedAst:
     return ast
 
 
-def parse_and_enrich(text: str, path: str = "<memory>") -> UnifiedAst:
+def parse_and_enrich(text: str, path: str = "<memory>") -> DockerfileAst:
     """Convenience pipeline: parse, embed shell trees, and annotate."""
     from .dockerfile import parse_dockerfile
 

@@ -12,7 +12,6 @@ never normalized.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Any, Iterator
 
@@ -93,25 +92,55 @@ STATEMENT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+_POSITIONS = ("start_line", "start_col", "end_line", "end_col")
+
+
 class SourceSpan:
     """Half-open [start, end) region of the source text.
 
     ``start``/``end`` are offsets into the decoded file text and are the
-    authoritative coordinates; line/column positions (1-based) are derived
-    from them and carried for reporting.
+    authoritative coordinates. The 1-based line/column positions used for
+    reporting (``start_line``, ``start_col``, ``end_line``, ``end_col``)
+    are derived on demand: on first read, from the SourceMap that built
+    the span. A span built without a map reports 1:1 for both ends.
     """
 
-    start: int
-    end: int
-    start_line: int = 1
-    start_col: int = 1
-    end_line: int = 1
-    end_col: int = 1
+    __slots__ = ("start", "end", "_map") + _POSITIONS
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise SpanError(f"invalid span [{self.start}, {self.end})")
+    def __init__(self, start: int, end: int, source_map: "SourceMap | None" = None):
+        if start < 0 or end < start:
+            raise SpanError(f"invalid span [{start}, {end})")
+        self.start = start
+        self.end = end
+        self._map = source_map
+
+    def __getattr__(self, name: str) -> int:
+        # reached only while the position slots are unset: fill all four
+        if name not in _POSITIONS:
+            raise AttributeError(name)
+        sm = self._map
+        values = (1, 1, 1, 1) if sm is None else sm.position(self.start) + sm.position(self.end)
+        for field, value in zip(_POSITIONS, values):
+            setattr(self, field, value)
+        return getattr(self, name)
+
+    def through(self, last: "SourceSpan") -> "SourceSpan":
+        """From this span's start to ``last``'s end, in the same source."""
+        return SourceSpan(self.start, last.end, self._map)
+
+    def _key(self) -> tuple[int, ...]:
+        return (self.start, self.end, self.start_line, self.start_col, self.end_line, self.end_col)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SourceSpan):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SourceSpan({self.start}, {self.end})"
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -126,9 +155,10 @@ class SourceMap:
     def __init__(self, text: str):
         self.text = text
         self._line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        nl = text.find("\n")
+        while nl >= 0:
+            self._line_starts.append(nl + 1)
+            nl = text.find("\n", nl + 1)
 
     def position(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) of ``offset``; offset may equal len(text)."""
@@ -138,9 +168,10 @@ class SourceMap:
         return line_idx + 1, offset - self._line_starts[line_idx] + 1
 
     def span(self, start: int, end: int) -> SourceSpan:
-        sl, sc = self.position(start)
-        el, ec = self.position(end)
-        return SourceSpan(start, end, sl, sc, el, ec)
+        """A span of this text; SpanError if it is inverted or out of range."""
+        if start < 0 or end > len(self.text):
+            raise SpanError(f"span [{start}, {end}) out of range 0..{len(self.text)}")
+        return SourceSpan(start, end, self)
 
 
 def span_text(source: str, span: SourceSpan) -> str:
@@ -291,11 +322,6 @@ class UnifiedNode:
         while node is not None:
             yield node
             node = node.parent
-
-    def find_kind(self, kind: NodeKind) -> Iterator["UnifiedNode"]:
-        for node in self.walk():
-            if node.kind is kind:
-                yield node
 
     def prop(self, key: str, default: Any = None) -> Any:
         return self.props.get(key, default)

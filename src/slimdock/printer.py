@@ -18,10 +18,7 @@ import re
 from .dockerfile import DockerfileAst
 from .model import NodeKind, RenderError, UnifiedNode, span_text
 
-_UnifiedAst = DockerfileAst
-
-
-def print_minimal(ast: _UnifiedAst | UnifiedNode, original: str | None = None) -> str:
+def print_minimal(ast: DockerfileAst | UnifiedNode, original: str | None = None) -> str:
     """Render the tree, reusing original bytes for unmodified regions."""
     root = ast.root if isinstance(ast, DockerfileAst) else ast
     if original is None:
@@ -198,16 +195,6 @@ def _child_text(child: UnifiedNode, src: str | None, escape: str) -> str:
     if src is not None:
         return _emit(child, src, escape)
     return _render(child, None, escape)
-
-
-_METACHAR_RE = re.compile(r"[\s&|;()<>*?$`'\"\\#~]")
-
-
-def quote_word(text: str) -> str:
-    """Single-quote a synthesized word only when it needs it."""
-    if text and not _METACHAR_RE.search(text):
-        return text
-    return "'" + text.replace("'", "'\\''") + "'"
 
 
 def unified_diff(original: str, repaired: str, path: str) -> str:

@@ -33,12 +33,14 @@ rollback, leaving the reprinted file byte-identical.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from typing import Callable, Iterator
 
 from . import shell
-from .enrich import UnifiedAst, command_words, enrich_node, enrich_statement
+from .dockerfile import DockerfileAst
+from .enrich import command_words, enrich_node, enrich_statement
 from .model import (
     NodeKind,
     SourceSpan,
@@ -160,7 +162,7 @@ class WrapInChain(Edit):
         self.script.add_child(self.statement, index)
 
 
-def revert_edits(ast: UnifiedAst, edits: list[Edit]) -> None:
+def revert_edits(ast: DockerfileAst, edits: list[Edit]) -> None:
     for edit in reversed(edits):
         edit.revert()
     recompute_dirty(ast.root)
@@ -190,6 +192,16 @@ def synthesize_statement(text: str) -> UnifiedNode:
         node._subtree_dirty = True
     enrich_node(stmt)
     return stmt
+
+
+# characters that make the shell read a word as more than its text
+_METACHAR_RE = re.compile(r"[\s&|;()<>*?$`'\"\\#~]")
+
+
+def _operand_source(word: UnifiedNode, text: str) -> str:
+    """An inserted operand that expands to ``text``, the logical text of
+    ``word``: ``text`` itself, or the word's source if it needs quoting."""
+    return word.literal if _METACHAR_RE.search(text) else text
 
 
 def synthesize_word(text: str) -> UnifiedNode:
@@ -317,7 +329,7 @@ def _mkdir_usr_src(scope: Scope, anchor: Anchor) -> dict | None:
         return None
     if scope.index.removed_after(anchor.statement_position, path, recursive=True):
         return None
-    return {"path": normalized}
+    return {"path": _operand_source(anchor.node, normalized)}
 
 
 # -- rule 4: rmRecursiveAfterMktempD -------------------------------------------
@@ -361,22 +373,23 @@ def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
 # -- rule 5: tarSomethingRmTheSomething ------------------------------------------
 
 
-def _archive_of(statement: UnifiedNode) -> str | None:
+def _archive_of(statement: UnifiedNode) -> UnifiedNode | None:
     for node in statement.walk():
         if node.kind is NodeKind.SC_WORD and node.has_annotation("SC-TAR-ARCHIVE"):
-            return shell.word_text(node)
+            return node
     return None
 
 
 def _tar(scope: Scope, anchor: Anchor) -> dict | None:
-    archive = _archive_of(anchor.statement)
-    if archive is None or archive in ("-", "/dev/stdin"):
+    word = _archive_of(anchor.statement)
+    if word is None:
         return None
-    if shell.contains_variable(archive):
+    archive = shell.word_text(word)
+    if archive in ("-", "/dev/stdin") or shell.contains_variable(archive):
         return None
     if scope.index.removed_after(anchor.statement_position, archive, recursive=False):
         return None
-    return {"archive": archive}
+    return {"archive": _operand_source(word, archive)}
 
 
 # -- rule 8: aptGetInstallThenRemoveAptLists --------------------------------------
@@ -399,18 +412,16 @@ _GPG_VERIFY = checked_label("SC-GPG-F-VERIFY")
 def _gpg_asc(scope: Scope, anchor: Anchor) -> dict | None:
     if not statement_has(anchor.statement, _GPG_VERIFY):
         return None
-    asc = None
     for node in anchor.statement.walk():
         if node.kind is NodeKind.SC_WORD and node.has_annotation("SC-GPG-FILE"):
-            text = shell.word_text(node)
-            if text.endswith(".asc") and not shell.contains_variable(text):
-                asc = text
+            asc = shell.word_text(node)
+            if asc.endswith(".asc") and not shell.contains_variable(asc):
                 break
-    if asc is None:
+    else:
         return None
     if scope.index.removed_after(anchor.statement_position, asc, recursive=False):
         return None
-    return {"asc": asc}
+    return {"asc": _operand_source(node, asc)}
 
 
 # -- rules 10/14: a cache clean after the install ------------------------------
@@ -619,17 +630,13 @@ def _diagnostic_span(anchor: Anchor, run: UnifiedNode) -> SourceSpan:
     return run.span
 
 
-def _runs(ast: UnifiedAst) -> list[UnifiedNode]:
-    return list(ast.root.find_kind(NodeKind.DOCKER_RUN))
-
-
 def detect(
-    ast: UnifiedAst, rules: set[RuleId] | list[RuleId] | None = None
+    ast: DockerfileAst, rules: set[RuleId] | list[RuleId] | None = None
 ) -> list[SmellDiagnostic]:
     """All smell diagnostics for the file, in document order."""
     wanted = None if rules is None else set(rules)
     selected = [r for r in RULES if wanted is None or r.id in wanted]
-    runs = _runs(ast)
+    runs = ast.runs()
     gemrc_configured = functools.cache(lambda: _writes_gemrc_no_document(runs))
     keyed: list[tuple[tuple[int, int, int, int], SmellDiagnostic]] = []
     for run_number, run in enumerate(runs):
@@ -659,7 +666,7 @@ def detect(
 # ---------------------------------------------------------------------------
 
 
-def repair(ast: UnifiedAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
+def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
     """Apply the rule's transformation; all inserted nodes are synthesized."""
     rule = rule_for(diagnostic.rule)
     run = diagnostic.run
@@ -677,6 +684,8 @@ def repair(ast: UnifiedAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
         return RepairOutcome(
             "not-fixable", diagnostic, reason=_not_fixable_reason(run)
         )
+    if rule.kind == "append" and shape == "chain" and _appended_lifts(rule, diagnostic.anchor, top):
+        return RepairOutcome("applied", diagnostic)  # an earlier repair's cleanup
     statement = synthesize_statement(rule.repair_text(diagnostic.extras))
     edits: list[Edit] = []
     if shape == "single":
@@ -702,11 +711,31 @@ def repair(ast: UnifiedAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
     return RepairOutcome("applied", diagnostic, edits)
 
 
+def _appended_lifts(rule: Rule, anchor: Anchor, chain: UnifiedNode) -> bool:
+    """Whether a cleanup that earlier repairs appended to the chain lifts
+    the smell. Appended statements are the chain's synthesized tail, after
+    every original element and so after the anchor."""
+    for element in reversed(chain.children):
+        if element.span is not None:
+            return False
+        if _lifts(rule, anchor, element):
+            return True
+    return False
+
+
+def _lifts(rule: Rule, anchor: Anchor, statement: UnifiedNode) -> bool:
+    """The rule's check for ``anchor`` with only ``statement`` in scope,
+    placed after the anchor (before it, for a config insertion), passes."""
+    local = Scope(RunIndex(statement), lambda: _writes_gemrc_no_document([statement]))
+    position = local.index.size if rule.kind == "before" else -1
+    return rule.check(local, replace(anchor, statement_position=position)) is None
+
+
 def verify_or_rollback(
-    ast: UnifiedAst, diagnostic: SmellDiagnostic, outcome: RepairOutcome
+    ast: DockerfileAst, diagnostic: SmellDiagnostic, outcome: RepairOutcome
 ) -> RepairOutcome:
     """Re-check the repaired anchor; revert the edits if it still smells."""
-    if outcome.status != "applied":
+    if outcome.status != "applied" or not outcome.edits:
         return outcome
     if _still_smells(ast, rule_for(diagnostic.rule), diagnostic, outcome):
         revert_edits(ast, outcome.edits)
@@ -717,7 +746,7 @@ def verify_or_rollback(
 
 
 def _still_smells(
-    ast: UnifiedAst, rule: Rule, diagnostic: SmellDiagnostic, outcome: RepairOutcome
+    ast: DockerfileAst, rule: Rule, diagnostic: SmellDiagnostic, outcome: RepairOutcome
 ) -> bool:
     """The rule's check for this one anchor, on the repaired tree.
 
@@ -728,14 +757,10 @@ def _still_smells(
     checked against the whole repaired RUN.
     """
     anchor = diagnostic.anchor
-    if rule.kind != "flag":
-        inserted = outcome.edits[-1].node
-        local = Scope(RunIndex(inserted), lambda: _writes_gemrc_no_document([inserted]))
-        position = local.index.size if rule.kind == "before" else -1
-        if rule.check(local, replace(anchor, statement_position=position)) is None:
-            return False
+    if rule.kind != "flag" and _lifts(rule, anchor, outcome.edits[-1].node):
+        return False
     root = anchor.statement if rule.kind == "flag" else diagnostic.run
     scope = Scope(
-        RunIndex(root), functools.cache(lambda: _writes_gemrc_no_document(_runs(ast)))
+        RunIndex(root), functools.cache(lambda: _writes_gemrc_no_document(ast.runs()))
     )
     return any(found.node is anchor.node for found, _ in rule.smells(scope))

@@ -18,8 +18,8 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 
-from .dockerfile import parse_dockerfile
-from .enrich import UnifiedAst, build_unified_ast, enrich
+from .dockerfile import DockerfileAst, parse_dockerfile
+from .enrich import build_unified_ast, enrich
 from .model import NodeKind
 from .printer import print_minimal, unified_diff
 from .rules import (
@@ -61,7 +61,7 @@ class FileReport:
         return unified_diff(self.original, self.fixed, self.path)
 
 
-def _parse_status(ast: UnifiedAst) -> str:
+def _parse_status(ast: DockerfileAst) -> str:
     instructions = [
         n
         for n in ast.root.children
@@ -76,7 +76,7 @@ def _parse_status(ast: UnifiedAst) -> str:
 
 def analyze_text(
     text: str, path: str, rules: list[RuleId] | None = None
-) -> tuple[UnifiedAst, FileReport]:
+) -> tuple[DockerfileAst, FileReport]:
     """Parse + unify + enrich + detect; the lint pipeline for one file."""
     ast = enrich(build_unified_ast(parse_dockerfile(text, path)))
     report = FileReport(path=path, original=text)

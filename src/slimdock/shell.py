@@ -47,6 +47,10 @@ _SPECIAL_PARAMS = "@*#?$!-0123456789"
 _ASSIGN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\+?=")
 _FD_RE = re.compile(r"\d+")
 _DUP_TARGET_RE = re.compile(r"\d+|-")
+# maximal runs of characters that stand for themselves, in a word and
+# inside double quotes
+_BARE_RUN_RE = re.compile(r"[^ \t\r\n&|;()<>'\"$`\\]+")
+_DOUBLE_RUN_RE = re.compile(r'[^"\\$`]+')
 
 _RESERVED_OPENERS = {"if", "while", "until", "for", "case", "{"}
 _STRUCT_WORDS = {
@@ -129,14 +133,16 @@ class _Lexer:
             self.i += 1
             return Tok("op", start, self.i, "\n")
 
-        redir = self._try_redirection()
-        if redir is not None:
-            return redir
+        if ch in "<>&" or ch.isdecimal():  # what _FD_RE or a redirection starts with
+            redir = self._try_redirection()
+            if redir is not None:
+                return redir
 
-        for op in ("&&", "||", ";;", "|&"):
-            if self.text.startswith(op, self.i):
-                self.i += 2
-                return Tok("op", start, self.i, op)
+        if ch in "&|;":
+            for op in ("&&", "||", ";;", "|&"):
+                if self.text.startswith(op, self.i):
+                    self.i += 2
+                    return Tok("op", start, self.i, op)
         if ch in "&|;()":
             self.i += 1
             return Tok("op", start, self.i, ch)
@@ -163,9 +169,7 @@ class _Lexer:
                         self.i += len(m2.group(0))
                         return Tok("redir", start, self.i, op + m2.group(0), fd=fd)
                 return Tok("redir", start, self.i, op, fd=fd)
-        if fd is not None:
-            return None  # plain digits: an ordinary word
-        return None
+        return None  # not a redirection; bare digits are an ordinary word
 
     # -- word scanning ----------------------------------------------------
 
@@ -185,6 +189,12 @@ class _Lexer:
             bare_start = self.i
 
         while self.i < self.end:
+            run = _BARE_RUN_RE.match(self.text, self.i, self.end)
+            if run is not None:
+                bare_logical.append(run.group())
+                self.i = run.end()
+                if self.i >= self.end:
+                    break
             ch = self.text[self.i]
             if ch in _WS or ch == "\n" or ch in _METACHARS:
                 break
@@ -214,9 +224,6 @@ class _Lexer:
                 else:
                     bare_logical.append(nxt)
                     self.i += 2
-            else:
-                bare_logical.append(ch)
-                self.i += 1
         flush_bare()
         logical = "".join(s.logical for s in segs)
         return Tok("word", start, self.i, logical, segments=segs)
@@ -246,6 +253,10 @@ class _Lexer:
             chunk_start = self.i
 
         while True:
+            run = _DOUBLE_RUN_RE.match(self.text, self.i, self.end)
+            if run is not None:
+                logical.append(run.group())
+                self.i = run.end()
             if self.i >= self.end:
                 raise ShellUnterminated("double quote", start)
             ch = self.text[self.i]
@@ -273,9 +284,6 @@ class _Lexer:
                 flush()
                 segs.append(self._backtick())
                 chunk_start = self.i
-            else:
-                logical.append(ch)
-                self.i += 1
 
     def _dollar(self) -> Seg:
         start = self.i
@@ -394,17 +402,6 @@ class _Lexer:
 # ---------------------------------------------------------------------------
 
 
-def _merge_spans(first: SourceSpan, last: SourceSpan) -> SourceSpan:
-    return SourceSpan(
-        first.start,
-        last.end,
-        first.start_line,
-        first.start_col,
-        last.end_line,
-        last.end_col,
-    )
-
-
 class _Parser:
     def __init__(
         self,
@@ -481,9 +478,9 @@ class _Parser:
             kind = NodeKind.SC_AND if op.value == "&&" else NodeKind.SC_OR
             if left.kind is kind:
                 left.add_child(right)
-                left.span = _merge_spans(left.span, right.span)
+                left.span = left.span.through(right.span)
             else:
-                node = UnifiedNode(kind, _merge_spans(left.span, right.span))
+                node = UnifiedNode(kind, left.span.through(right.span))
                 node.add_child(left)
                 node.add_child(right)
                 left = node
@@ -505,7 +502,7 @@ class _Parser:
                 self.warnings.append("dangling '|' in shell payload")
                 break
             node.add_child(self.parse_command(stop_ops, stop_words))
-        node.span = _merge_spans(node.children[0].span, node.children[-1].span)
+        node.span = node.children[0].span.through(node.children[-1].span)
         return node
 
     # -- commands -----------------------------------------------------------
@@ -737,7 +734,7 @@ class _Parser:
             return UnifiedNode(NodeKind.SC_UNPARSED, self.spans(tok.start, tok.end))
         node = UnifiedNode(
             NodeKind.SC_SIMPLE_COMMAND,
-            _merge_spans(children[0].span, children[-1].span),
+            children[0].span.through(children[-1].span),
         )
         for child in children:
             node.add_child(child)
@@ -806,7 +803,7 @@ class _Parser:
             if nxt.kind == "word":
                 self._take()
                 node.add_child(self._word_node(nxt))
-                node.span = _merge_spans(node.span, node.children[-1].span)
+                node.span = node.span.through(node.children[-1].span)
             else:
                 self.warnings.append(f"redirection {tok.value!r} without target")
         return node
@@ -897,7 +894,7 @@ def _attach_sequence(
     if len(stmts) == 1:
         parent.add_child(stmts[0])
     elif len(stmts) > 1:
-        seq = UnifiedNode(NodeKind.SC_SEQ, _merge_spans(stmts[0].span, stmts[-1].span))
+        seq = UnifiedNode(NodeKind.SC_SEQ, stmts[0].span.through(stmts[-1].span))
         for stmt in stmts:
             seq.add_child(stmt)
         parent.add_child(seq)

@@ -50,6 +50,36 @@ class TestSourceMap:
         span = sm.span(9, 13)
         assert span_text(text, span) == "café"
 
+    @pytest.mark.parametrize("start, end", [(1, 9), (4, 4), (2, 1), (-1, 1)])
+    def test_bad_span_raises_when_built(self, start, end):
+        with pytest.raises(SpanError):
+            SourceMap("abc").span(start, end)
+
+
+class TestLazyPositions:
+    def test_every_node_position_matches_source_map(self, roundtrip_paths):
+        """Line/column read from a parsed, unified and enriched tree equal
+        SourceMap.position of the node's offsets, over every data file;
+        those cover CRLF, continuations, heredocs and `# escape=`."""
+        from conftest import read_text
+        from slimdock.enrich import parse_and_enrich
+
+        texts = [read_text(path) for path in roundtrip_paths]
+        for feature in ("\r\n", "\\\n", "<<EOF", "# escape=`"):
+            assert any(feature in text for text in texts), feature
+        for path, text in zip(roundtrip_paths, texts):
+            sm = SourceMap(text)
+            for node in parse_and_enrich(text, path).root.walk():
+                span = node.span
+                assert (span.start_line, span.start_col) == sm.position(span.start), path
+                assert (span.end_line, span.end_col) == sm.position(span.end), path
+
+    def test_span_without_map_reports_first_line(self):
+        span = SourceSpan(3, 5)
+        assert (span.start_line, span.start_col, span.end_line, span.end_col) == (1, 1, 1, 1)
+        assert span == SourceSpan(3, 5) and hash(span) == hash(SourceSpan(3, 5))
+        assert span != SourceMap("ab\ncd").span(3, 5)
+
 
 class TestTreeSurgery:
     def test_add_child_sets_parent(self):

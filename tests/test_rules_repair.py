@@ -65,6 +65,48 @@ class TestAppendRepairs:
             "RUN npm install --production && npm cache clean --force\n"
         )
 
+    def test_each_cleanup_appended_once_per_run(self):
+        report = fix_text(
+            "RUN apt-get install -y a && apt-get install -y b && npm install && npm install\n",
+            "<t>",
+        )
+        assert report.fixed == (
+            "RUN apt-get install --no-install-recommends -y a"
+            " && apt-get install --no-install-recommends -y b && npm install && npm install"
+            " && rm -rf /var/lib/apt/lists/* && npm cache clean --force\n"
+        )
+        assert [o.status for o in report.repairs] == ["applied"] * 6
+        # the second apt-get and npm install anchors are lifted by the first cleanups
+        assert [len(o.edits) > 0 for o in report.repairs] == [True, True, True, False, True, False]
+        assert report.residual == []
+
+
+class TestOperandQuoting:
+    """An inserted rm operand expands to what the anchor's operand expanded
+    to: an operand with a shell metacharacter is copied from the source."""
+
+    @pytest.mark.parametrize(
+        "command, fixed",
+        [
+            ("tar -xzf '*;x'", "tar -xzf '*;x' && rm '*;x' && {apt}"),
+            ('tar -xzf "my file.tgz"', 'tar -xzf "my file.tgz" && rm "my file.tgz" && {apt}'),
+            ("tar -xzf 'a;b.tgz'", "tar -xzf 'a;b.tgz' && rm 'a;b.tgz' && {apt}"),
+            ('gpg --verify "x y.asc"', 'gpg --verify "x y.asc" && rm "x y.asc" && {apt}'),
+            ('mkdir -p "/usr/src/a b"', 'mkdir -p "/usr/src/a b" && {apt_install} && rm -rf "/usr/src/a b" && {lists}'),
+        ],
+    )
+    def test_operand_with_metacharacter_copied_from_source(self, command, fixed):
+        parts = {
+            "apt_install": "apt-get install --no-install-recommends -y p",
+            "lists": "rm -rf /var/lib/apt/lists/*",
+        }
+        parts["apt"] = "{apt_install} && {lists}".format(**parts)
+        report = fix_text(f"RUN {command} && apt-get install -y p\n", "<t>")
+        assert report.fixed == "RUN " + fixed.format(**parts) + "\n"
+        assert {o.status for o in report.repairs} == {"applied"}
+        assert report.residual == []
+        assert fix(report.fixed) == report.fixed
+
 
 class TestAdjacentRepairs:
     def test_rm_lands_before_cd(self):

@@ -1,15 +1,19 @@
-"""Fix cost stays linear in RUN length.
+"""Lint and fix cost stays linear in RUN length.
 
 A single RUN of 400 `&&`-chained commands, alternating `apt-get install`
-and `tar -xzf`, raises 600 smells. Fixing it takes about 0.3 s of CPU on
+and `tar -xzf`, raises 600 smells. Fixing it takes about 0.15 s of CPU on
 a 2-vCPU x86 container (Python 3.11); a rule check or verification that
 rescans the RUN per anchor makes it take minutes. The bound is generous so
-that only such a regression trips it.
+that only such a regression trips it. Lint of twice as long a RUN must
+cost less than three times as much (lint of 400 commands takes about
+25 ms): a lexer or parser step that rescans the tokens so far for every
+token makes it cost four times as much.
 """
 
+import gc
 import time
 
-from slimdock.runner import fix_text
+from slimdock.runner import analyze_text, fix_text
 
 COMMANDS = 400
 BOUND_S = 3.0
@@ -33,3 +37,26 @@ def test_long_run_fixes_fast_and_completely():
     assert {o.status for o in report.repairs} == {"applied"}
     assert report.residual == []
     assert fix_text(report.fixed, "Dockerfile").fixed == report.fixed
+
+
+def lint_cpu(text):
+    """CPU time of one lint, from a collected heap with the collector held off."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.process_time()
+        analyze_text(text, "Dockerfile")
+        return time.process_time() - start
+    finally:
+        gc.enable()
+
+
+def test_lint_cost_linear_in_run_length():
+    # Interleave the two sizes and keep the least time of each, so that a
+    # burst of load on the host weighs on both alike.
+    texts = chain(COMMANDS), chain(2 * COMMANDS)
+    small = large = float("inf")
+    for _ in range(5):
+        small = min(small, lint_cpu(texts[0]))
+        large = min(large, lint_cpu(texts[1]))
+    assert large < 3 * small, f"{2 * COMMANDS} commands: {large:.3f} s, {COMMANDS}: {small:.3f} s"

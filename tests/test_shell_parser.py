@@ -136,6 +136,42 @@ class TestWords:
         assert words[1].children == []  # no substitution child
 
 
+class TestWordLexing:
+    """Words that mix bare runs with quoting, expansions and escapes lex to
+    one token with the shell's logical text, and reprint byte-identically."""
+
+    @pytest.mark.parametrize(
+        "src, logical, segment_kinds",
+        [
+            ("a'b c'd", "ab cd", ["bare", "single", "bare"]),
+            ('pre"x $V y"post', "prex $V ypost", ["bare", "double", "var", "double", "bare"]),
+            ("x$V.tgz", "x$V.tgz", ["bare", "var", "bare"]),
+            ("${V}/bin", "${V}/bin", ["var", "bare"]),
+            ("a$(echo b)c", "a$(echo b)c", ["bare", "subst", "bare"]),
+            ("a`date`b", "a`date`b", ["bare", "subst", "bare"]),
+            ("a\\ b\\$c", "a b$c", ["bare"]),
+            ("ab\\\ncd", "abcd", ["bare"]),
+            ('"a\\"b\\\\c\\x"', 'a"b\\c\\x', ["double"]),
+            ("'it'\\''s'", "it's", ["single", "bare", "single"]),
+            ("x\\", "x\\", ["bare"]),
+            ("--opt=\"$HOME/a b\"'c'd", "--opt=$HOME/a bcd", ["bare", "var", "double", "single", "bare"]),
+            ('p"q\\\nr"s', "pqrs", ["bare", "double", "bare"]),
+        ],
+    )
+    def test_mixed_word(self, src, logical, segment_kinds):
+        from slimdock.printer import print_minimal
+        from slimdock.shell import _Lexer
+
+        word, eof = _Lexer(src, 0, len(src)).tokens()
+        assert (word.kind, word.start, word.end, eof.kind) == ("word", 0, len(src), "eof")
+        assert word.value == logical
+        assert [seg.kind for seg in word.segments] == segment_kinds
+        root, warnings = parse(src)
+        assert not warnings
+        assert word_text(root.children[0].children[0]) == logical
+        assert print_minimal(root, src) == src
+
+
 class TestDegradation:
     def test_unterminated_quote_makes_whole_script_unparsed(self):
         src = "echo ok && echo 'oops"
