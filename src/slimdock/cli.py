@@ -78,7 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument(
         "--diff", action="store_true", help="print unified diffs to stdout (default)"
     )
-    output.add_argument("--output-dir", metavar="DIR", help="write repaired copies here")
+    output.add_argument(
+        "--output-dir",
+        metavar="DIR",
+        help="write repaired copies here, at their paths below the inputs' common directory",
+    )
     _add_common(fix)
 
     stats = sub.add_parser("stats", help="per-rule smell counts over a corpus")
@@ -176,6 +180,9 @@ def _cmd_lint(args, rules, globs) -> int:
 def _cmd_fix(args, rules, globs) -> int:
     paths = discover(args.paths, globs)
     reports = process_files(paths, rules, fix=True)
+    if args.output_dir and paths:
+        # each copy keeps its path below the directory common to the batch
+        base = os.path.commonpath([os.path.dirname(os.path.abspath(p)) for p in paths])
     write_failures = []
     for report in reports:
         if report.fixed is None or not report.changed:
@@ -187,9 +194,9 @@ def _cmd_fix(args, rules, globs) -> int:
             except OSError as exc:
                 write_failures.append(f"{report.path}: {exc}")
         elif args.output_dir:
-            dest = os.path.join(args.output_dir, os.path.basename(report.path))
-            os.makedirs(args.output_dir, exist_ok=True)
+            dest = os.path.join(args.output_dir, os.path.relpath(report.path, base))
             try:
+                os.makedirs(os.path.dirname(dest), exist_ok=True)
                 with open(dest, "w", encoding="utf-8") as fh:
                     fh.write(report.fixed)
             except OSError as exc:

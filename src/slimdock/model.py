@@ -332,21 +332,6 @@ class UnifiedNode:
         return f"<{self.kind.value} {where}{lit}>"
 
 
-def recompute_dirty(root: UnifiedNode) -> bool:
-    """Recompute the whole tree's dirty state from its ``modified`` flags.
-
-    Needed after a rollback removed modified nodes: the incremental flags
-    only ever turn on, so reverting edits requires a fresh bottom-up pass.
-    Returns the root's resulting dirty state.
-    """
-    dirty = root.modified
-    for child in root.children:
-        if recompute_dirty(child):
-            dirty = True
-    root._subtree_dirty = dirty
-    return dirty
-
-
 def validate_tree(root: UnifiedNode) -> None:
     """Assert structural invariants; used by tests, not production paths.
 

@@ -84,13 +84,19 @@ def statement_has(statement: UnifiedNode, label: str) -> bool:
 
 @dataclass(frozen=True)
 class Anchor:
-    """A labelled node, its enclosing statement and their walk positions."""
+    """A labelled node, its enclosing statement and their walk positions.
+
+    ``ordinal`` counts the nodes before this one that carry the same label.
+    Repairs never insert a labelled node ahead of an original one, so
+    ``(label, ordinal)`` names the same node in a reprinted and reparsed RUN.
+    """
 
     node: UnifiedNode
     statement: UnifiedNode
     label: str
     position: int
     statement_position: int
+    ordinal: int
 
 
 class RunIndex:
@@ -108,10 +114,9 @@ class RunIndex:
             if node.kind in STATEMENT_KINDS:
                 statement, statement_position = node, position
             for label in node.annotations:
-                self._anchors.setdefault(label, []).append(
-                    Anchor(node, statement or node, label, position,
-                           statement_position if statement else position)
-                )
+                same = self._anchors.setdefault(label, [])
+                same.append(Anchor(node, statement or node, label, position,
+                                   statement_position if statement else position, len(same)))
             position += 1
             if node.kind is not NodeKind.SC_UNPARSED:
                 stack.extend((child, statement, statement_position)

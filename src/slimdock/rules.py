@@ -2,10 +2,10 @@
 
 Each rule pairs a check, asked about every node of a RUN that carries one
 of its anchor labels (see ``query.RunIndex``), with a repair
-transformation and the verify-or-rollback protocol. Detection scope for
-"later cleanup" checks is the enclosing RUN instruction only: container
-layering means a cleanup in a later RUN cannot shrink the earlier layer,
-so cross-RUN cleanup does not remove the size smell.
+transformation. Detection scope for "later cleanup" checks is the
+enclosing RUN instruction only: container layering means a cleanup in a
+later RUN cannot shrink the earlier layer, so cross-RUN cleanup does not
+remove the size smell.
 
 Repairs are one of four shapes:
 
@@ -25,9 +25,10 @@ unparsed region makes the repair not-fixable (appending after those would
 change failure semantics). Flag additions are always safe and are applied
 regardless of the chain shape.
 
-After every repair the rule's check runs again for the repaired anchor;
-if it still smells, the edits are reverted and the outcome reports a
-rollback, leaving the reprinted file byte-identical.
+A repair is checked where its effect is seen: ``runner.fix_text`` prints
+the repaired file, parses it again, and rolls back each repair whose smell
+is still detected there or whose inserted text changed how the RUN's
+original words read.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from typing import Callable, Iterator
 from . import shell
 from .dockerfile import DockerfileAst
 from .enrich import command_words, enrich_node, enrich_statement
-from .model import (
-    NodeKind,
-    SourceSpan,
-    UnifiedNode,
-    recompute_dirty,
-)
+from .model import NodeKind, SourceSpan, UnifiedNode
 from .query import Anchor, RunIndex, checked_label, statement_has
 
 
@@ -109,63 +105,8 @@ class SmellDiagnostic:
 class RepairOutcome:
     status: str  # applied | rolled-back | not-fixable
     diagnostic: SmellDiagnostic
-    edits: list["Edit"] = field(default_factory=list)
+    edits: list[UnifiedNode] = field(default_factory=list)  # the nodes it inserted
     reason: str | None = None
-
-
-# ---------------------------------------------------------------------------
-# Edits (undoable tree operations)
-# ---------------------------------------------------------------------------
-
-
-class Edit:
-    def apply(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def revert(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-@dataclass
-class InsertChild(Edit):
-    parent: UnifiedNode
-    index: int
-    node: UnifiedNode
-
-    def apply(self) -> None:
-        self.parent.add_child(self.node, self.index)
-
-    def revert(self) -> None:
-        self.parent.remove_child(self.node)
-
-
-@dataclass
-class WrapInChain(Edit):
-    """Replace a single top-level statement with a synthesized AND-chain
-    containing it, so a cleanup element can be attached."""
-
-    script: UnifiedNode
-    statement: UnifiedNode
-    chain: UnifiedNode = field(default=None)
-
-    def apply(self) -> None:
-        index = self.script.child_index(self.statement)
-        self.chain = UnifiedNode.synthesized(NodeKind.SC_AND)
-        self.script.remove_child(self.statement)
-        self.chain.add_child(self.statement)
-        self.script.add_child(self.chain, index)
-
-    def revert(self) -> None:
-        index = self.script.child_index(self.chain)
-        self.script.remove_child(self.chain)
-        self.chain.remove_child(self.statement)
-        self.script.add_child(self.statement, index)
-
-
-def revert_edits(ast: DockerfileAst, edits: list[Edit]) -> None:
-    for edit in reversed(edits):
-        edit.revert()
-    recompute_dirty(ast.root)
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +171,17 @@ def _element_ok(node: UnifiedNode) -> bool:
     return False
 
 
-def chain_shape(run: UnifiedNode) -> tuple[str, UnifiedNode | None, UnifiedNode | None]:
-    """(shape, script, chain): shape is 'single', 'chain', or 'other'.
-
-    'single' and 'chain' are the shapes safe for element insertion: one
-    statement, or a pure AND-chain of simple commands/pipelines.
-    """
+def chain_shape(run: UnifiedNode) -> bool:
+    """Whether element insertion is safe: the RUN's script is one statement,
+    or a pure AND-chain of simple commands/pipelines. Every inserted
+    statement is a simple command, so repairs keep the shape."""
     script = run_script(run)
-    if script is None:
-        return "other", None, None  # exec-array form has no editable chain
-    if len(script.children) != 1:
-        return "other", script, None  # empty, or a `;` sequence at top level
+    if script is None or len(script.children) != 1:
+        return False  # exec-array form; empty, or a `;` sequence at top level
     top = script.children[0]
-    if _element_ok(top):
-        return "single", script, top
-    if top.kind is NodeKind.SC_AND and all(_element_ok(c) for c in top.children):
-        return "chain", script, top
-    return "other", script, top
+    return _element_ok(top) or (
+        top.kind is NodeKind.SC_AND and all(_element_ok(c) for c in top.children)
+    )
 
 
 def chain_element_of(chain: UnifiedNode, statement: UnifiedNode) -> UnifiedNode:
@@ -641,7 +576,7 @@ def detect(
     keyed: list[tuple[tuple[int, int, int, int], SmellDiagnostic]] = []
     for run_number, run in enumerate(runs):
         scope = Scope(RunIndex(run), gemrc_configured)
-        insertable = chain_shape(run)[0] in ("single", "chain")
+        insertable = chain_shape(run)
         for rule in selected:
             for anchor, extras in rule.smells(scope):
                 diagnostic = SmellDiagnostic(
@@ -667,34 +602,36 @@ def detect(
 
 
 def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
-    """Apply the rule's transformation; all inserted nodes are synthesized."""
+    """Apply the rule's transformation; all inserted nodes are synthesized.
+
+    Element insertions go into the RUN's top-level AND-chain; a single
+    statement is first wrapped in one. Whether the RUN has that shape was
+    decided once, by ``detect`` (``diagnostic.fixable``)."""
     rule = rule_for(diagnostic.rule)
     run = diagnostic.run
     if rule.kind == "flag":
         word = synthesize_word(rule.flag_text)
         cmd = diagnostic.anchor.statement
-        index = cmd.child_index(diagnostic.anchor.node) + 1
-        edit = InsertChild(cmd, index, word)
-        edit.apply()
+        cmd.add_child(word, cmd.child_index(diagnostic.anchor.node) + 1)
         enrich_statement(cmd)
-        return RepairOutcome("applied", diagnostic, [edit])
+        return RepairOutcome("applied", diagnostic, [word])
 
-    shape, script, top = chain_shape(run)
-    if shape == "other":
+    if not diagnostic.fixable:
         return RepairOutcome(
             "not-fixable", diagnostic, reason=_not_fixable_reason(run)
         )
-    if rule.kind == "append" and shape == "chain" and _appended_lifts(rule, diagnostic.anchor, top):
+    script = run_script(run)
+    chain = script.children[0]
+    if chain.kind is not NodeKind.SC_AND:  # a single statement: wrap it
+        single, chain = chain, UnifiedNode.synthesized(NodeKind.SC_AND)
+        chain.add_child(single)  # moves it out of the script
+        script.add_child(chain, 0)
+        edits = [chain]
+    elif rule.kind == "append" and _appended_lifts(rule, diagnostic.anchor, chain):
         return RepairOutcome("applied", diagnostic)  # an earlier repair's cleanup
-    statement = synthesize_statement(rule.repair_text(diagnostic.extras))
-    edits: list[Edit] = []
-    if shape == "single":
-        wrap = WrapInChain(script, top)
-        wrap.apply()
-        edits.append(wrap)
-        chain = wrap.chain
     else:
-        chain = top
+        edits = []
+    statement = synthesize_statement(rule.repair_text(diagnostic.extras))
     if rule.kind == "append":
         index = len(chain.children)
     elif rule.kind == "adjacent":
@@ -705,10 +642,8 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
         index = chain.child_index(element)
     else:  # pragma: no cover - registry is closed
         raise ValueError(f"unknown repair kind {rule.kind!r}")
-    insert = InsertChild(chain, index, statement)
-    insert.apply()
-    edits.append(insert)
-    return RepairOutcome("applied", diagnostic, edits)
+    chain.add_child(statement, index)
+    return RepairOutcome("applied", diagnostic, edits + [statement])
 
 
 def _appended_lifts(rule: Rule, anchor: Anchor, chain: UnifiedNode) -> bool:
@@ -734,33 +669,7 @@ def _lifts(rule: Rule, anchor: Anchor, statement: UnifiedNode) -> bool:
 def verify_or_rollback(
     ast: DockerfileAst, diagnostic: SmellDiagnostic, outcome: RepairOutcome
 ) -> RepairOutcome:
-    """Re-check the repaired anchor; revert the edits if it still smells."""
-    if outcome.status != "applied" or not outcome.edits:
-        return outcome
-    if _still_smells(ast, rule_for(diagnostic.rule), diagnostic, outcome):
-        revert_edits(ast, outcome.edits)
-        return RepairOutcome(
-            "rolled-back", diagnostic, outcome.edits, reason="still-detected"
-        )
+    """``outcome`` unchanged: ``runner.fix_text`` verifies every repair on
+    the reparse of the printed file, and rolls back by rebuilding without
+    the repairs whose smell is still detected there."""
     return outcome
-
-
-def _still_smells(
-    ast: DockerfileAst, rule: Rule, diagnostic: SmellDiagnostic, outcome: RepairOutcome
-) -> bool:
-    """The rule's check for this one anchor, on the repaired tree.
-
-    A flag check reads only the anchor's statement. An inserted statement
-    is first checked alone, placed after the anchor (before it, for a
-    config insertion): cleanups only ever lift a smell, so if that
-    statement lifts it, the whole RUN does. Only otherwise is the anchor
-    checked against the whole repaired RUN.
-    """
-    anchor = diagnostic.anchor
-    if rule.kind != "flag" and _lifts(rule, anchor, outcome.edits[-1].node):
-        return False
-    root = anchor.statement if rule.kind == "flag" else diagnostic.run
-    scope = Scope(
-        RunIndex(root), functools.cache(lambda: _writes_gemrc_no_document(ast.runs()))
-    )
-    return any(found.node is anchor.node for found, _ in rule.smells(scope))

@@ -3,7 +3,9 @@
 One FileReport per input file: parse status, warnings, diagnostics, and in
 fix mode the repair outcomes plus the residual diagnostics re-detected on
 the repaired output (reparsed from the printed text, never copied from the
-pre-fix list).
+pre-fix list). That reparse is also where every repair is verified: one
+whose smell is still detected there is rolled back by repairing the file
+again without it.
 
 Files are independent and processed one after another (the work is
 pure-Python and CPU-bound, so threads would only contend for the GIL);
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .dockerfile import DockerfileAst, parse_dockerfile
 from .enrich import build_unified_ast, enrich
-from .model import NodeKind
+from .model import NodeKind, UnifiedNode
 from .printer import print_minimal, unified_diff
 from .rules import (
     RULES,
@@ -29,8 +31,8 @@ from .rules import (
     SmellDiagnostic,
     detect,
     repair,
-    verify_or_rollback,
 )
+from .shell import word_text
 
 PARSE_OK = "ok"
 PARSE_PARTIAL = "partial"
@@ -93,23 +95,79 @@ def analyze_text(
 def fix_text(
     text: str, path: str, rules: list[RuleId] | None = None
 ) -> FileReport:
-    """Detect, repair in document order, verify each repair, and reprint.
+    """Detect, repair in document order, reprint, and verify on the reparse.
 
     The residual list comes from re-analyzing the printed output, so it
-    reflects exactly what a subsequent lint of the file would report.
+    reflects exactly what a subsequent lint of the file would report. The
+    same analysis verifies the repairs (``_unverified``). If one fails, the
+    file is repaired again from the original text without the failed ones,
+    which are reported rolled back, and verified again; every round rolls
+    back at least one more repair, so the loop ends. A file whose repairs
+    all roll back reprints byte-identically.
     """
-    ast, report = analyze_text(text, path, rules)
-    if report.status == PARSE_FAILED:
-        report.fixed = text
-        return report
-    for diagnostic in report.diagnostics:
-        outcome = repair(ast, diagnostic)
-        outcome = verify_or_rollback(ast, diagnostic, outcome)
-        report.repairs.append(outcome)
-    report.fixed = print_minimal(ast, text)
-    _, recheck = analyze_text(report.fixed, path, rules)
-    report.residual = recheck.diagnostics
-    return report
+    failed: set[tuple] = set()
+    while True:
+        ast, report = analyze_text(text, path, rules)
+        if report.status == PARSE_FAILED:
+            report.fixed = text
+            return report
+        ordinals = _run_ordinals(ast)
+        for diagnostic in report.diagnostics:
+            if _smell_key(ordinals, diagnostic) in failed:
+                outcome = RepairOutcome("rolled-back", diagnostic, reason="still-detected")
+            else:
+                outcome = repair(ast, diagnostic)
+            report.repairs.append(outcome)
+        report.fixed = print_minimal(ast, text)
+        reparsed, recheck = analyze_text(report.fixed, path, rules)
+        report.residual = recheck.diagnostics
+        unverified = _unverified(ast, ordinals, report, reparsed)
+        if not unverified:
+            return report
+        failed |= unverified
+
+
+def _run_ordinals(ast: DockerfileAst) -> dict[int, int]:
+    return {id(run): i for i, run in enumerate(ast.runs())}
+
+
+def _smell_key(ordinals: dict[int, int], diagnostic: SmellDiagnostic) -> tuple:
+    """Names a smell in both the repaired tree and its reparse: repairs
+    never insert an instruction, nor a labelled node ahead of an original
+    one (see ``query.Anchor``)."""
+    anchor = diagnostic.anchor
+    return ordinals[id(diagnostic.run)], diagnostic.rule, anchor.label, anchor.ordinal
+
+
+def _unverified(
+    ast: DockerfileAst, ordinals: dict[int, int], report: FileReport, reparsed: DockerfileAst
+) -> set[tuple]:
+    """Keys of the applied repairs that the reparse of ``report.fixed``
+    does not confirm: all of them if the instructions changed; those whose
+    smell is in the residual; and those of a RUN whose original words are
+    not all found, in order, among its reparsed words (an inserted word
+    that changed how the original text reads)."""
+    applied = [o for o in report.repairs if o.status == "applied"]
+    keys = {_smell_key(ordinals, o.diagnostic) for o in applied}
+    if [n.kind for n in ast.root.children] != [n.kind for n in reparsed.root.children]:
+        return keys
+    reparsed_ordinals = _run_ordinals(reparsed)
+    remaining = {_smell_key(reparsed_ordinals, d) for d in report.residual}
+    runs, reparsed_runs = ast.runs(), reparsed.runs()
+    edited = {ordinals[id(o.diagnostic.run)] for o in applied if o.edits}
+    garbled = {i for i in edited if not _words_kept(runs[i], reparsed_runs[i])}
+    return {key for key in keys if key in remaining or key[0] in garbled}
+
+
+def _words_kept(run: UnifiedNode, reparsed: UnifiedNode) -> bool:
+    """The source words of the repaired ``run`` (repairs insert words
+    without spans) are a subsequence of the words of ``reparsed``."""
+    words = (word_text(n) for n in reparsed.walk() if n.kind is NodeKind.SC_WORD)
+    return all(
+        word_text(n) in words
+        for n in run.walk()
+        if n.kind is NodeKind.SC_WORD and n.span is not None
+    )
 
 
 def process_file(

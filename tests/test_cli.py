@@ -106,6 +106,17 @@ class TestFix:
         assert main(["fix", "--output-dir", str(out_dir), path]) == 0
         assert "--no-cache-dir" in (out_dir / "Dockerfile").read_text()
 
+    def test_output_dir_keeps_same_named_files_apart(self, tmp_path):
+        write(tmp_path / "in" / "a", "Dockerfile", SMELLY)
+        write(tmp_path / "in" / "b", "Dockerfile", "FROM node\nRUN yarn install\n")
+        out_dir = tmp_path / "fixed"
+        assert main(["fix", "--output-dir", str(out_dir), str(tmp_path / "in")]) == 0
+        assert (out_dir / "a" / "Dockerfile").read_text() == CLEAN
+        assert (out_dir / "b" / "Dockerfile").read_text() == (
+            "FROM node\nRUN yarn install && yarn cache clean\n"
+        )
+        assert sorted(p.name for p in out_dir.iterdir()) == ["a", "b"]
+
     def test_already_clean_no_changes_exit_0(self, tmp_path, capsys):
         path = write(tmp_path, "Dockerfile", CLEAN)
         code = main(["fix", "--in-place", path])

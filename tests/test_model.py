@@ -7,7 +7,6 @@ from slimdock.model import (
     SourceSpan,
     SpanError,
     UnifiedNode,
-    recompute_dirty,
     span_text,
 )
 
@@ -132,15 +131,6 @@ class TestDirtyPropagation:
         child = UnifiedNode.synthesized(NodeKind.SC_WORD, literal="x")
         parent.add_child(child)
         assert parent.subtree_dirty
-
-    def test_recompute_after_removal(self):
-        nodes = self._chain()
-        leaf = UnifiedNode.synthesized(NodeKind.SC_WORD, literal="x")
-        nodes[-1].add_child(leaf)
-        assert nodes[0].subtree_dirty
-        nodes[-1].remove_child(leaf)
-        recompute_dirty(nodes[0])
-        assert not nodes[0].subtree_dirty
 
     def test_synthesized_nodes_have_no_span_and_modified(self):
         node = UnifiedNode.synthesized(NodeKind.SC_WORD, literal="--force")

@@ -1,4 +1,6 @@
-"""Property tests: round-trip identity, dirty propagation, fix idempotence."""
+"""Property tests: round-trip identity, dirty propagation, fix idempotence,
+and that every repair reported applied is gone when the fixed file is
+parsed again."""
 
 import random
 
@@ -62,6 +64,57 @@ def dockerfiles(draw):
     return text
 
 
+# Files whose RUNs hold the rule anchors, with operands that are quoted,
+# globbed, hold a `;` or end in a backslash, under either escape character,
+# with LF or CRLF line endings and with or without a final newline.
+_operands = st.sampled_from(
+    ["a.tgz", "'my file.tgz'", '"x y.tgz"', "*.tgz", "'a;b.tgz'", "a\\", "'a\\'",
+     "a\\ b", "\\ \\", '"q\\"', "$V"]
+)
+
+
+@st.composite
+def anchored_commands(draw, nested=False):
+    if not nested and draw(st.integers(0, 5)) == 0:
+        inner = draw(st.lists(anchored_commands(nested=True), min_size=1, max_size=2))
+        return "{ " + "; ".join(inner) + "; }"
+    template = draw(st.sampled_from([
+        "apt-get install -y {}", "tar -xzf {}", "gpg --verify {}.asc",
+        "mkdir -p /usr/src/{}", "npm install", "gem update --system",
+        "pip install {}", "cd {}", "make", "rm -rf {}",
+    ]))
+    return template.format(draw(_operands))
+
+
+@st.composite
+def anchored_dockerfiles(draw):
+    escape = draw(st.sampled_from(["\\", "`"]))
+    lines = ["# escape=`"] if escape == "`" else []
+    lines.append("FROM debian")
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["ENV X=1", "# note", "COPY . /app"])))
+            continue
+        commands = draw(st.lists(anchored_commands(), min_size=1, max_size=4))
+        body = commands[0]
+        for command in commands[1:]:
+            body += draw(st.sampled_from([" && ", " && ", " || ", "; ", f" {escape}\n    && "]))
+            body += command
+        lines.append("RUN " + body)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "\n".join(lines).replace("\n", newline)
+    return text + newline if draw(st.booleans()) else text
+
+
+def smell(diagnostic):
+    """RUN ordinal, rule, anchor label, and the anchor's ordinal among the
+    RUN's nodes with that label: one smell, before and after a reprint."""
+    run, label = diagnostic.run, diagnostic.anchor.label
+    runs = [n for n in run.parent.children if n.kind is NodeKind.DOCKER_RUN]
+    same = [n for n in run.walk() if label in n.annotations]
+    return runs.index(run), diagnostic.rule, label, same.index(diagnostic.anchor.node)
+
+
 # -- properties ----------------------------------------------------------------
 
 
@@ -76,11 +129,24 @@ def test_roundtrip_identity(text):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dockerfiles())
+@given(st.one_of(dockerfiles(), anchored_dockerfiles()))
 def test_fix_is_idempotent(text):
     report = fix_text(text, "<gen>")
     again = fix_text(report.fixed, "<gen>")
     assert again.fixed == report.fixed
+
+
+@settings(max_examples=200, deadline=None)
+@given(anchored_dockerfiles())
+def test_applied_repairs_are_gone_on_reparse(text):
+    assert print_minimal(parse_and_enrich(text), text) == text
+    report = fix_text(text, "<gen>")
+    left = {smell(d) for d in report.residual}
+    applied = [o for o in report.repairs if o.status == "applied"]
+    assert [o.diagnostic.rule for o in applied if smell(o.diagnostic) in left] == []
+    if not applied:
+        assert report.fixed == text
+    assert fix_text(report.fixed, "<gen>").fixed == report.fixed
 
 
 @settings(max_examples=60, deadline=None)

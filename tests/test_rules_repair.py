@@ -1,4 +1,5 @@
-"""Repair transformations, placement decisions, and verify-or-rollback."""
+"""Repair transformations, placement decisions, and the verification of
+every repair on the reparse of the fixed file."""
 
 import dataclasses
 
@@ -6,6 +7,7 @@ import pytest
 
 import slimdock.rules as rules_mod
 from slimdock.enrich import parse_and_enrich
+from slimdock.model import NodeKind
 from slimdock.printer import print_minimal
 from slimdock.rules import (
     RuleId,
@@ -212,17 +214,33 @@ class TestVerifyOrRollback:
 
     def test_broken_repair_rolls_back_byte_identical(self, monkeypatch):
         src = "RUN npm cache clean\n"
-        ast = parse_and_enrich(src)
-        before = print_minimal(ast, src)
-        (diag,) = detect(ast)
         broken = dataclasses.replace(
             rule_for(RuleId.npmCacheCleanUseForce), flag_text="--loglevel"
         )
         monkeypatch.setitem(rules_mod._RULE_BY_ID, RuleId.npmCacheCleanUseForce, broken)
-        outcome = verify_or_rollback(ast, diag, repair(ast, diag))
-        assert outcome.status == "rolled-back"
-        assert outcome.reason == "still-detected"
-        assert print_minimal(ast, src) == before == src
+        report = fix_text(src, "<t>")
+        assert [(o.status, o.reason) for o in report.repairs] == [("rolled-back", "still-detected")]
+        assert report.fixed == src
+        assert [d.rule for d in report.residual] == [RuleId.npmCacheCleanUseForce]
+
+    def test_rollback_keeps_the_other_repairs(self, monkeypatch):
+        broken = dataclasses.replace(
+            rule_for(RuleId.npmCacheCleanUseForce), flag_text="--loglevel"
+        )
+        monkeypatch.setitem(rules_mod._RULE_BY_ID, RuleId.npmCacheCleanUseForce, broken)
+        report = fix_text("RUN npm cache clean && pip install flask\n", "<t>")
+        assert [o.status for o in report.repairs] == ["rolled-back", "applied"]
+        assert report.fixed == "RUN npm cache clean && pip install --no-cache-dir flask\n"
+
+    def test_broken_insertion_rolls_back(self, monkeypatch):
+        broken = dataclasses.replace(
+            rule_for(RuleId.tarSomethingRmTheSomething), repair_text=lambda extras: "rm other.tgz"
+        )
+        monkeypatch.setitem(rules_mod._RULE_BY_ID, RuleId.tarSomethingRmTheSomething, broken)
+        src = "RUN tar -xzf a.tgz && make\n"
+        report = fix_text(src, "<t>")
+        assert [o.status for o in report.repairs] == ["rolled-back"]
+        assert report.fixed == src
 
     def test_two_diagnostics_one_run_sequential(self):
         src = "RUN apt-get update && apt-get install -y wget\n"
@@ -266,3 +284,56 @@ class TestInvariants:
         report = fix_text(text, "<t>")
         assert report.repairs == []
         assert report.fixed == text
+
+
+def run_words(text):
+    """Per RUN, the logical texts of its words, in document order."""
+    return [
+        [n.prop("text", n.literal or "") for n in run.walk() if n.kind is NodeKind.SC_WORD]
+        for run in parse_and_enrich(text).runs()
+    ]
+
+
+def source_words_kept(before, after):
+    """Each RUN's words in ``before`` appear, in order, among the words of
+    the same RUN in ``after``."""
+    def kept(words, reparsed):
+        rest = iter(reparsed)
+        return all(word in rest for word in words)
+
+    old, new = run_words(before), run_words(after)
+    return len(old) == len(new) and all(map(kept, old, new))
+
+
+class TestReparseVerification:
+    """Repairs whose inserted text changes how the original text reads: an
+    operand that ends in a backslash, where the escape directive or the
+    line ending gives that backslash a meaning. Each is rolled back with
+    the file unchanged, or applied with the smell gone and the original
+    words intact; a second fix changes nothing."""
+
+    @pytest.mark.parametrize(
+        "src, fixed",
+        [
+            # ` && rm a\` turns tar's archive `a\` into `a `
+            ("# escape=`\nRUN tar -xzf a\\\n", None),
+            ("# escape=`\nRUN tar -xzf \\ \\\n", None),
+            ("# escape=`\nRUN apt-get install -y x && tar -xzf a\\\n", None),
+            # an appended `rm -rf /usr/src/a\\` ends the line in a backslash,
+            # which continues it into the next instruction
+            ("RUN mkdir -p /usr/src/a\\\\ && make\nRUN apt-get install -y x\n", None),
+            ("RUN mkdir -p /usr/src/a\\\\ && make\nENV X=1\n", None),
+            ("RUN tar -xzf 'a\\' && make\n", "RUN tar -xzf 'a\\' && rm 'a\\' && make\n"),
+        ],
+    )
+    def test_rolled_back_or_verified(self, src, fixed):
+        report = fix_text(src, "<t>")
+        if fixed is None:  # every repair rolled back
+            assert {(o.status, o.reason) for o in report.repairs} == {("rolled-back", "still-detected")}
+            assert report.fixed == src
+        else:
+            assert {o.status for o in report.repairs} == {"applied"}
+            assert report.fixed == fixed
+            assert report.residual == []
+            assert source_words_kept(src, report.fixed)
+        assert fix(report.fixed) == report.fixed

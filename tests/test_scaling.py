@@ -1,9 +1,9 @@
 """Lint and fix cost stays linear in RUN length.
 
 A single RUN of 400 `&&`-chained commands, alternating `apt-get install`
-and `tar -xzf`, raises 600 smells. Fixing it takes about 0.15 s of CPU on
-a 2-vCPU x86 container (Python 3.11); a rule check or verification that
-rescans the RUN per anchor makes it take minutes. The bound is generous so
+and `tar -xzf`, raises 600 smells. Fixing it takes 0.07-0.12 s of CPU on
+a 2-vCPU x86 container (Python 3.11); a rule check, repair or verification
+that rescans the RUN per anchor makes it take seconds to minutes. The bound is generous so
 that only such a regression trips it. Lint of twice as long a RUN must
 cost less than three times as much (lint of 400 commands takes about
 25 ms): a lexer or parser step that rescans the tokens so far for every
