@@ -8,7 +8,7 @@ actually touched. See README.md for the CLI.
 from .dockerfile import DockerfileAst, parse_dockerfile
 from .enrich import build_unified_ast, enrich, parse_and_enrich, resolve_wrappers
 from .model import NodeKind, SourceSpan, UnifiedNode, span_text
-from .printer import print_minimal, render_full, unified_diff
+from .printer import print_minimal, unified_diff
 from .rules import (
     RULES,
     RepairOutcome,
@@ -44,7 +44,6 @@ __all__ = [
     "parse_dockerfile",
     "parse_shell",
     "print_minimal",
-    "render_full",
     "repair",
     "resolve_wrappers",
     "span_text",

@@ -187,6 +187,10 @@ def _cmd_fix(args, rules, globs) -> int:
     for report in reports:
         if report.fixed is None or not report.changed:
             continue
+        if report.lossy_decode and (args.in_place or args.output_dir):
+            # writing the replaced text would change bytes no repair touched
+            write_failures.append(f"{report.path}: not valid UTF-8, not written")
+            continue
         if args.in_place:
             try:
                 with open(report.path, "w", encoding="utf-8") as fh:
@@ -201,6 +205,8 @@ def _cmd_fix(args, rules, globs) -> int:
                     fh.write(report.fixed)
             except OSError as exc:
                 write_failures.append(f"{dest}: {exc}")
+    for failure in write_failures:
+        print(f"error: {failure}", file=sys.stderr)
 
     code = 0
     if any(r.error or r.status == PARSE_FAILED for r in reports) or write_failures:
@@ -268,8 +274,6 @@ def _cmd_fix(args, rules, globs) -> int:
         if args.verbose:
             for w in report.warnings:
                 print(f"warning: {w}", file=sys.stderr)
-    for failure in write_failures:
-        print(f"error: {failure}", file=sys.stderr)
     residual = sum(len(r.residual) for r in reports)
     print(
         f"applied {applied}, rolled back {rolled_back}, not fixable {not_fixable}, "

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 from .model import NodeKind, SourceMap, SourceSpan, UnifiedNode
 
@@ -55,13 +56,15 @@ class DockerfileAst:
     root: UnifiedNode
     source: str
     path: str
-    source_map: SourceMap
     warnings: list[str]
     escape_char: str
-
-    @property
-    def instructions(self) -> list[UnifiedNode]:
-        return list(self.root.children)
+    #: The text repairs insert, as ``(offset, rank, order, text)``; sorted,
+    #: it is the order in which ``printer.print_minimal`` splices it into
+    #: ``source`` (see ``rules.repair``).
+    insertions: list[tuple[int, int, int, str]] = field(default_factory=list)
+    #: What repairs keep per RUN they extend (``rules.Chain``), by the
+    #: RUN node's id.
+    chains: dict[int, Any] = field(default_factory=dict)
 
     def runs(self) -> list[UnifiedNode]:
         """The RUN instructions; a DOCKER-RUN node is always a root child."""
@@ -286,7 +289,6 @@ class _FileParser:
             root=root,
             source=text,
             path=self.path,
-            source_map=self.sm,
             warnings=self.warnings,
             escape_char=self.escape,
         )
@@ -489,7 +491,7 @@ def parse_dockerfile(text: str, path: str = "<memory>") -> DockerfileAst:
     """Parse Dockerfile text into a DOCKER-FILE tree.
 
     The input must already be decoded text; the CLI layer handles bytes
-    and emits a warning when invalid UTF-8 had to be replaced. Re-rendering
-    the unmodified result reproduces ``text`` exactly.
+    and emits a warning when invalid UTF-8 had to be replaced. Every node's
+    span locates it in ``text``; repairs insert text at those offsets.
     """
     return _FileParser(text, path).parse()

@@ -10,8 +10,8 @@ whose effective command (after looking through wrappers like sudo/env)
 matches a registered schema, the command word, subcommand word, recognized
 flags, and positional arguments get role labels. Unknown commands receive
 no annotations, and a variable-valued command name is never enriched.
-Enrichment is idempotent and touches only annotations, never text, spans,
-or modification flags.
+Enrichment is idempotent and touches only annotations, never text or
+spans. It is the last step that changes the tree: repairs only read it.
 """
 
 from __future__ import annotations

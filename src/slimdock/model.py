@@ -1,8 +1,9 @@
 """Core source model shared by every other module.
 
 Defines source spans, the unified node type that mixes Dockerfile-level and
-shell-level constructs in one tree, the annotation label registry, and the
-modification tracking that the minimal-diff printer relies on.
+shell-level constructs in one tree, and the annotation label registry.
+The tree is built by the parsers and annotated by enrichment; after that it
+is only read: repairs record text insertions on the ``DockerfileAst``.
 
 Offsets are indices into the decoded source text (the text is decoded from
 UTF-8 once, at ingestion); slicing ``text[start:end]`` is always exact and
@@ -26,10 +27,6 @@ class SpanError(SlimdockError):
 
 class AnnotationError(SlimdockError):
     """An annotation label that is not in the registry."""
-
-
-class RenderError(SlimdockError):
-    """A modified node that the printer does not know how to render."""
 
 
 @unique
@@ -207,66 +204,33 @@ def is_registered_label(label: str) -> bool:
 class UnifiedNode:
     """One AST node spanning both the Dockerfile and shell grammars.
 
-    A node either originates from the source (it has a span) or was
-    synthesized by a repair (span is None and ``modified`` is True).
-    ``literal`` carries the verbatim token text for leaves, which is what
-    the printer emits for synthesized leaves. Semantic extras (a word's
-    unquoted text, a RUN's form, ...) live in ``props``.
+    Every node the parsers build covers a span of the source. ``literal``
+    carries the verbatim token text for leaves. Semantic extras (a word's unquoted
+    text, a RUN's form, ...) live in ``props``.
     """
 
-    __slots__ = (
-        "kind",
-        "children",
-        "parent",
-        "span",
-        "annotations",
-        "modified",
-        "literal",
-        "props",
-        "_subtree_dirty",
-    )
+    __slots__ = ("kind", "children", "parent", "span", "annotations", "literal", "props")
 
     def __init__(
         self,
         kind: NodeKind,
         span: SourceSpan | None = None,
         literal: str | None = None,
-        modified: bool = False,
     ):
         self.kind = kind
         self.children: list[UnifiedNode] = []
         self.parent: UnifiedNode | None = None
         self.span = span
         self.annotations: set[str] = set()
-        self.modified = modified
         self.literal = literal
         self.props: dict[str, Any] = {}
-        self._subtree_dirty = modified
 
-    # -- construction -------------------------------------------------
+    # -- construction ---------------------------------------------------
 
-    @classmethod
-    def synthesized(cls, kind: NodeKind, literal: str | None = None) -> "UnifiedNode":
-        return cls(kind, span=None, literal=literal, modified=True)
-
-    # -- tree surgery ---------------------------------------------------
-
-    def add_child(self, child: "UnifiedNode", index: int | None = None) -> "UnifiedNode":
-        """Attach ``child``, removing it from any previous parent first."""
-        if child.parent is not None:
-            child.parent.children.remove(child)
+    def add_child(self, child: "UnifiedNode") -> "UnifiedNode":
+        """Append ``child``, which has no parent yet."""
         child.parent = self
-        if index is None:
-            self.children.append(child)
-        else:
-            self.children.insert(index, child)
-        if child._subtree_dirty or child.modified:
-            self._propagate_dirty()
-        return child
-
-    def remove_child(self, child: "UnifiedNode") -> "UnifiedNode":
-        self.children.remove(child)
-        child.parent = None
+        self.children.append(child)
         return child
 
     def child_index(self, child: "UnifiedNode") -> int:
@@ -274,28 +238,6 @@ class UnifiedNode:
             return self.children.index(child)  # nodes compare by identity
         except ValueError:
             raise ValueError("node is not a child of this parent") from None
-
-    # -- modification tracking -----------------------------------------
-
-    def mark_modified(self) -> None:
-        """Flag this node as changed and dirty every ancestor's subtree state."""
-        self.modified = True
-        self._subtree_dirty = True
-        self._propagate_dirty()
-
-    def _propagate_dirty(self) -> None:
-        node = self.parent
-        while node is not None:
-            if node._subtree_dirty:
-                break
-            node._subtree_dirty = True
-            node = node.parent
-        self._subtree_dirty = True
-
-    @property
-    def subtree_dirty(self) -> bool:
-        """True when this node or anything below it was modified."""
-        return self._subtree_dirty or self.modified
 
     # -- annotations -----------------------------------------------------
 
@@ -327,7 +269,7 @@ class UnifiedNode:
         return self.props.get(key, default)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = f"{self.span.start}:{self.span.end}" if self.span else "synth"
+        where = f"{self.span.start}:{self.span.end}" if self.span else "?"
         lit = f" {self.literal!r}" if self.literal is not None else ""
         return f"<{self.kind.value} {where}{lit}>"
 
@@ -335,8 +277,7 @@ class UnifiedNode:
 def validate_tree(root: UnifiedNode) -> None:
     """Assert structural invariants; used by tests, not production paths.
 
-    Checks parent links, span containment, and the synthesized-node rule
-    (no span implies modified).
+    Checks parent links and span containment.
     """
     for node in root.walk():
         for child in node.children:
@@ -348,5 +289,3 @@ def validate_tree(root: UnifiedNode) -> None:
                 and not node.span.contains(child.span)
             ):
                 raise SpanError(f"child span {child!r} escapes parent {node!r}")
-        if node.span is None and not node.modified:
-            raise SlimdockError(f"synthesized node without modified flag: {node!r}")

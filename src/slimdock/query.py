@@ -3,8 +3,7 @@
 One pre-order walk over a RUN records, per annotation label, the labelled
 nodes together with their enclosing command statement. Positions count
 the nodes of that walk, so comparing two statements' positions compares
-their document order; that also holds for statements synthesized by
-repairs, which have no spans. Nodes inside SC-UNPARSED regions are never
+their document order. Nodes inside SC-UNPARSED regions are never
 indexed. "Is there a cleanup after this statement?" is answered from the
 last position at which each label, and each rm operand, occurs; those
 tables are built on first use.

@@ -7,7 +7,9 @@ enclosing RUN instruction only: container layering means a cleanup in a
 later RUN cannot shrink the earlier layer, so cross-RUN cleanup does not
 remove the size smell.
 
-Repairs are one of four shapes:
+Repairs are text insertions, recorded on the ``DockerfileAst`` (the tree is
+not changed) and spliced into the source by ``printer.print_minimal``.
+They are one of four shapes:
 
 * flag addition - the canonical long flag inserted right after the
   subcommand word (`pip install --no-cache-dir ...`);
@@ -34,6 +36,7 @@ original words read.
 from __future__ import annotations
 
 import functools
+import json
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
@@ -41,7 +44,7 @@ from typing import Callable, Iterator
 
 from . import shell
 from .dockerfile import DockerfileAst
-from .enrich import command_words, enrich_node, enrich_statement
+from .enrich import command_words, enrich_node
 from .model import NodeKind, SourceSpan, UnifiedNode
 from .query import Anchor, RunIndex, checked_label, statement_has
 
@@ -105,34 +108,13 @@ class SmellDiagnostic:
 class RepairOutcome:
     status: str  # applied | rolled-back | not-fixable
     diagnostic: SmellDiagnostic
-    edits: list[UnifiedNode] = field(default_factory=list)  # the nodes it inserted
+    edits: list[tuple[int, str]] = field(default_factory=list)  # (offset, text) it inserted
     reason: str | None = None
 
 
 # ---------------------------------------------------------------------------
-# Synthesized node construction
+# Inserted operands
 # ---------------------------------------------------------------------------
-
-
-def synthesize_statement(text: str) -> UnifiedNode:
-    """Build a synthesized statement by parsing its canonical text.
-
-    Parsing guarantees reparse stability (the node tree is exactly what
-    parse_shell would produce) and gives every node a `synth_text` for the
-    printer. Spans are stripped and the subtree is marked modified.
-    """
-    script = shell.parse_shell(text)
-    if len(script.children) != 1:
-        raise ValueError(f"not a single statement: {text!r}")
-    stmt = script.children[0]
-    script.remove_child(stmt)
-    for node in stmt.walk():
-        node.props["synth_text"] = text[node.span.start : node.span.end]
-        node.span = None
-        node.modified = True
-        node._subtree_dirty = True
-    enrich_node(stmt)
-    return stmt
 
 
 # characters that make the shell read a word as more than its text
@@ -143,13 +125,6 @@ def _operand_source(word: UnifiedNode, text: str) -> str:
     """An inserted operand that expands to ``text``, the logical text of
     ``word``: ``text`` itself, or the word's source if it needs quoting."""
     return word.literal if _METACHAR_RE.search(text) else text
-
-
-def synthesize_word(text: str) -> UnifiedNode:
-    word = UnifiedNode.synthesized(NodeKind.SC_WORD, literal=text)
-    word.props["text"] = text
-    word.props["quoting"] = "bare"
-    return word
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +157,6 @@ def chain_shape(run: UnifiedNode) -> bool:
     return _element_ok(top) or (
         top.kind is NodeKind.SC_AND and all(_element_ok(c) for c in top.children)
     )
-
-
-def chain_element_of(chain: UnifiedNode, statement: UnifiedNode) -> UnifiedNode:
-    node = statement
-    while node.parent is not None and node.parent is not chain:
-        node = node.parent
-    return node
 
 
 def _not_fixable_reason(run: UnifiedNode) -> str:
@@ -557,14 +525,6 @@ def rule_for(rule_id: RuleId) -> Rule:
 # ---------------------------------------------------------------------------
 
 
-def _diagnostic_span(anchor: Anchor, run: UnifiedNode) -> SourceSpan:
-    if anchor.statement.span is not None:
-        return anchor.statement.span
-    if anchor.node.span is not None:
-        return anchor.node.span
-    return run.span
-
-
 def detect(
     ast: DockerfileAst, rules: set[RuleId] | list[RuleId] | None = None
 ) -> list[SmellDiagnostic]:
@@ -582,7 +542,7 @@ def detect(
                 diagnostic = SmellDiagnostic(
                     rule=rule.id,
                     file=ast.path,
-                    span=_diagnostic_span(anchor, run),
+                    span=anchor.statement.span,
                     anchor=anchor,
                     message=rule.description,
                     fixable=rule.kind == "flag" or insertable,
@@ -601,61 +561,135 @@ def detect(
 # ---------------------------------------------------------------------------
 
 
-def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
-    """Apply the rule's transformation; all inserted nodes are synthesized.
+# Insertions at one offset are printed by rank, then order: a flag first
+# (it ends its element's text), then the cleanups inserted right after that
+# element, the latest first, then appended and config statements, the
+# earliest first. That is where each stands among the chain's elements.
+_FLAG, _ADJACENT, _QUEUED = 0, 1, 2
 
-    Element insertions go into the RUN's top-level AND-chain; a single
-    statement is first wrapped in one. Whether the RUN has that shape was
-    decided once, by ``detect`` (``diagnostic.fixable``)."""
+
+@dataclass
+class Chain:
+    """The top statement of a fixable RUN, as the repairs extending it see it."""
+
+    top: UnifiedNode  # an AND-chain, or a single statement: a chain of one
+    joiner: str  # the text that joins a new element to an element
+    end: int  # the offset after the last element
+    tail: list[UnifiedNode] = field(default_factory=list)  # parsed, of insertions at ``end``
+
+
+def _chain(ast: DockerfileAst, run: UnifiedNode) -> Chain:
+    """``run``'s Chain, made on the first repair that extends it."""
+    chain = ast.chains.get(id(run))
+    if chain is None:
+        top = run_script(run).children[0]
+        if top.kind is NodeKind.SC_AND:
+            joiner = _chain_joiner(top, run, ast.source, ast.escape_char)
+            chain = Chain(top, joiner, top.children[-1].span.end)
+        else:
+            chain = Chain(top, " && ", top.span.end)
+        ast.chains[id(run)] = chain
+    return chain
+
+
+def _chain_joiner(chain: UnifiedNode, run: UnifiedNode, src: str, escape: str) -> str:
+    """Inline `` && `` or, when at least half of the chain's elements start
+    on a continued line, a continuation in the chain's dominant style with
+    the last element's line indentation."""
+    if run.prop("run_form") == "exec-shell":
+        return " && "  # a raw newline would corrupt the JSON string
+    elements = chain.children
+    gaps = [src[prev.span.end : cur.span.start] for prev, cur in zip(elements, elements[1:])]
+    continued = [g for g in gaps if "\n" in g]
+    if not continued or 2 * len(continued) < len(gaps):
+        return " && "
+    leading = sum(1 for g in continued if "&&" in g.rsplit("\n", 1)[1])
+    indent = _line_indent(src, elements[-1].span.start)
+    if 2 * leading >= len(continued):
+        return " " + escape + "\n" + indent + "&& "
+    return " && " + escape + "\n" + indent
+
+
+def _line_indent(src: str, offset: int) -> str:
+    line_start = src.rfind("\n", 0, offset) + 1
+    m = re.match(r"[ \t]*", src[line_start:offset])
+    return m.group(0) if m else ""
+
+
+def _element(chain: Chain, statement: UnifiedNode) -> UnifiedNode:
+    """The element of ``chain`` that holds ``statement``."""
+    if chain.top.kind is not NodeKind.SC_AND:
+        return chain.top
+    node = statement
+    while node.parent is not chain.top:
+        node = node.parent
+    return node
+
+
+def _flag_text(flag: str, anchor: Anchor) -> str:
+    """``flag`` as inserted after the anchor word: an element of an exec
+    array, or a word one space away (and one space from a next word or
+    redirection that touched the anchor)."""
+    cmd, word = anchor.statement, anchor.node
+    if cmd.prop("exec_array"):
+        return ", " + json.dumps(flag)
+    after = cmd.child_index(word) + 1
+    touching = after < len(cmd.children) and cmd.children[after].span.start == word.span.end
+    return " " + flag + " " if touching else " " + flag
+
+
+def _parsed(statement_text: str) -> UnifiedNode:
+    """The enriched statement an inserted text reads as."""
+    statement = shell.parse_shell(statement_text).children[0]
+    enrich_node(statement)
+    return statement
+
+
+def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
+    """Record the rule's insertion in ``ast.insertions``; the tree is not
+    changed, so ``detect`` sees the original file until it is printed and
+    parsed again.
+
+    A statement becomes a new element of the RUN's top-level AND-chain, or
+    of a new chain of two with the RUN's single statement. Whether the RUN
+    has that shape was decided once, by ``detect`` (``diagnostic.fixable``)."""
     rule = rule_for(diagnostic.rule)
-    run = diagnostic.run
+    anchor = diagnostic.anchor
     if rule.kind == "flag":
-        word = synthesize_word(rule.flag_text)
-        cmd = diagnostic.anchor.statement
-        cmd.add_child(word, cmd.child_index(diagnostic.anchor.node) + 1)
-        enrich_statement(cmd)
-        return RepairOutcome("applied", diagnostic, [word])
+        text = _flag_text(rule.flag_text, anchor)
+        return _insert(ast, diagnostic, anchor.node.span.end, _FLAG, text)
 
     if not diagnostic.fixable:
         return RepairOutcome(
-            "not-fixable", diagnostic, reason=_not_fixable_reason(run)
+            "not-fixable", diagnostic, reason=_not_fixable_reason(diagnostic.run)
         )
-    script = run_script(run)
-    chain = script.children[0]
-    if chain.kind is not NodeKind.SC_AND:  # a single statement: wrap it
-        single, chain = chain, UnifiedNode.synthesized(NodeKind.SC_AND)
-        chain.add_child(single)  # moves it out of the script
-        script.add_child(chain, 0)
-        edits = [chain]
-    elif rule.kind == "append" and _appended_lifts(rule, diagnostic.anchor, chain):
+    chain = _chain(ast, diagnostic.run)
+    if rule.kind == "append" and any(_lifts(rule, anchor, s) for s in chain.tail):
         return RepairOutcome("applied", diagnostic)  # an earlier repair's cleanup
-    else:
-        edits = []
-    statement = synthesize_statement(rule.repair_text(diagnostic.extras))
+    statement = rule.repair_text(diagnostic.extras)
+    if rule.kind == "before":
+        element = _element(chain, anchor.statement)
+        index = 0 if element is chain.top else chain.top.child_index(element)
+        if index == 0:
+            text = statement + chain.joiner
+            return _insert(ast, diagnostic, element.span.start, _QUEUED, text)
+        offset = chain.top.children[index - 1].span.end
+        return _insert(ast, diagnostic, offset, _QUEUED, chain.joiner + statement)
     if rule.kind == "append":
-        index = len(chain.children)
-    elif rule.kind == "adjacent":
-        element = chain_element_of(chain, diagnostic.anchor.statement)
-        index = chain.child_index(element) + 1
-    elif rule.kind == "before":
-        element = chain_element_of(chain, diagnostic.anchor.statement)
-        index = chain.child_index(element)
-    else:  # pragma: no cover - registry is closed
-        raise ValueError(f"unknown repair kind {rule.kind!r}")
-    chain.add_child(statement, index)
-    return RepairOutcome("applied", diagnostic, edits + [statement])
+        offset, rank = chain.end, _QUEUED
+    else:  # adjacent
+        offset, rank = _element(chain, anchor.statement).span.end, _ADJACENT
+    if offset == chain.end:
+        chain.tail.append(_parsed(statement))
+    return _insert(ast, diagnostic, offset, rank, chain.joiner + statement)
 
 
-def _appended_lifts(rule: Rule, anchor: Anchor, chain: UnifiedNode) -> bool:
-    """Whether a cleanup that earlier repairs appended to the chain lifts
-    the smell. Appended statements are the chain's synthesized tail, after
-    every original element and so after the anchor."""
-    for element in reversed(chain.children):
-        if element.span is not None:
-            return False
-        if _lifts(rule, anchor, element):
-            return True
-    return False
+def _insert(
+    ast: DockerfileAst, diagnostic: SmellDiagnostic, offset: int, rank: int, text: str
+) -> RepairOutcome:
+    order = len(ast.insertions)
+    ast.insertions.append((offset, rank, -order if rank == _ADJACENT else order, text))
+    return RepairOutcome("applied", diagnostic, [(offset, text)])
 
 
 def _lifts(rule: Rule, anchor: Anchor, statement: UnifiedNode) -> bool:

@@ -3,9 +3,13 @@
 One FileReport per input file: parse status, warnings, diagnostics, and in
 fix mode the repair outcomes plus the residual diagnostics re-detected on
 the repaired output (reparsed from the printed text, never copied from the
-pre-fix list). That reparse is also where every repair is verified: one
-whose smell is still detected there is rolled back by repairing the file
-again without it.
+pre-fix list). Repairs record text insertions and leave the tree as it
+was; the repaired text is the original with them spliced in
+(``printer.print_minimal``). That reparse is also where every repair is
+verified: one whose smell is still detected there is rolled back by
+repairing the file again without it. A file that is not valid UTF-8 is
+analysed with U+FFFD in place of its bad bytes, and marked
+``lossy_decode`` so that the CLI does not write that text back.
 
 Files are independent and processed one after another (the work is
 pure-Python and CPU-bound, so threads would only contend for the GIL);
@@ -52,6 +56,7 @@ class FileReport:
     error: str | None = None
     enriched_commands: int = 0
     total_commands: int = 0
+    lossy_decode: bool = False  # not UTF-8: ``original`` has U+FFFD for bad bytes
 
     @property
     def changed(self) -> bool:
@@ -132,9 +137,9 @@ def _run_ordinals(ast: DockerfileAst) -> dict[int, int]:
 
 
 def _smell_key(ordinals: dict[int, int], diagnostic: SmellDiagnostic) -> tuple:
-    """Names a smell in both the repaired tree and its reparse: repairs
-    never insert an instruction, nor a labelled node ahead of an original
-    one (see ``query.Anchor``)."""
+    """Names a smell in both the original tree and the reparse of the
+    repaired text: repairs never insert an instruction, nor a labelled node
+    ahead of an original one (see ``query.Anchor``)."""
     anchor = diagnostic.anchor
     return ordinals[id(diagnostic.run)], diagnostic.rule, anchor.label, anchor.ordinal
 
@@ -160,14 +165,10 @@ def _unverified(
 
 
 def _words_kept(run: UnifiedNode, reparsed: UnifiedNode) -> bool:
-    """The source words of the repaired ``run`` (repairs insert words
-    without spans) are a subsequence of the words of ``reparsed``."""
+    """The words of the original ``run`` are a subsequence of the words of
+    ``reparsed``."""
     words = (word_text(n) for n in reparsed.walk() if n.kind is NodeKind.SC_WORD)
-    return all(
-        word_text(n) in words
-        for n in run.walk()
-        if n.kind is NodeKind.SC_WORD and n.span is not None
-    )
+    return all(word_text(n) in words for n in run.walk() if n.kind is NodeKind.SC_WORD)
 
 
 def process_file(
@@ -190,6 +191,7 @@ def process_file(
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
         report.warnings.append(f"{path}: invalid UTF-8 replaced")
+        report.lossy_decode = True
         text = raw.decode("utf-8", errors="replace")
     pre_warnings = list(report.warnings)
     try:
@@ -202,6 +204,7 @@ def process_file(
         report.status = PARSE_FAILED
         return report
     result.warnings = pre_warnings + result.warnings
+    result.lossy_decode = report.lossy_decode
     if pre_warnings and result.status == PARSE_OK:
         result.status = PARSE_PARTIAL
     return result

@@ -10,14 +10,13 @@ statement for local constructs (heredocs, process substitution, arrays),
 the whole script for pathological input (unterminated quotes).
 
 AND/OR/SEQ lists are flattened (n-ary), so "a && b && c" is one SC-AND
-with three children; inserting a cleanup step is a single child insertion
-and before/after queries are index comparisons.
+with three children; a cleanup step is inserted at the end of one of them.
 
-Round-trip guarantee: every parsed node carries a span into the payload
-text and sibling spans tile it, so re-rendering an unmodified tree from
-spans plus the inter-token gaps reproduces the payload byte-for-byte,
-including backslash-newline continuations (they are whitespace to the
-lexer and live in the gaps).
+Span guarantee: every parsed node carries a span into the payload text,
+and sibling spans are in order and disjoint, with the text between them
+(whitespace, operators, and backslash-newline continuations, which the
+lexer reads as whitespace) in the gaps. Repairs insert text at the ends
+of these spans.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from slimdock.enrich import parse_and_enrich
+from slimdock.model import NodeKind, validate_tree
 from slimdock.printer import print_minimal
 from slimdock.rules import RULES, detect
 from slimdock.runner import (
@@ -138,8 +139,12 @@ class TestAcceptance:
         _report("gsl placement (rm before cd)")
 
     def test_roundtrip_identity(self, roundtrip_paths):
-        """print_minimal(parse(x), x) == x byte-for-byte for every corpus
-        file that parses without failed-soft status."""
+        """Every corpus file that parses without failed-soft status prints
+        byte-identically, and its tree places repairs where its text is:
+        parent links and span containment hold, sibling spans are in order
+        and disjoint, every node with a literal covers exactly that text
+        (a redirection's literal is its operator, which starts its span),
+        and every shell-form RUN with a non-blank script has a shell tree."""
         assert len(roundtrip_paths) >= 100, "round-trip corpus must be >= 100 files"
         checked = 0
         for path in roundtrip_paths:
@@ -148,9 +153,24 @@ class TestAcceptance:
             if report.status == PARSE_FAILED:
                 continue
             assert print_minimal(ast, text) == text, f"round-trip failed: {path}"
+            validate_tree(ast.root)
+            for node in ast.root.walk():
+                for prev, cur in zip(node.children, node.children[1:]):
+                    assert prev.span.end <= cur.span.start, f"{path}: {prev!r} overlaps {cur!r}"
+                if node.literal is not None:
+                    covered = text[node.span.start : node.span.end]
+                    if node.kind is NodeKind.SC_REDIRECTION:
+                        covered = covered[: len(node.literal)]
+                    assert covered == node.literal, f"{path}: {node!r} covers {covered!r}"
+            for run in ast.runs():
+                if run.prop("run_form") != "shell":
+                    continue
+                (script,) = [c for c in run.children if c.kind is NodeKind.SC_SCRIPT]
+                if text[script.span.start : script.span.end].strip():
+                    assert script.children, f"{path}: {run!r} has no shell tree"
             checked += 1
         assert checked >= 100
-        _report(f"round-trip identity ({checked} files byte-identical)")
+        _report(f"round-trip identity ({checked} files byte-identical, spans exact)")
 
     def test_fix_idempotence(self, fixture_paths):
         """fix(fix(f)) == fix(f) byte-for-byte over the fixture corpus."""

@@ -117,6 +117,39 @@ class TestFix:
         )
         assert sorted(p.name for p in out_dir.iterdir()) == ["a", "b"]
 
+    @pytest.mark.parametrize("mode", ["--in-place", "--output-dir"])
+    def test_invalid_utf8_file_is_not_written(self, tmp_path, capsys, mode):
+        raw = b"FROM x\n# caf\xe9\nRUN pip install x\n"
+        path = tmp_path / "in" / "Dockerfile"
+        path.parent.mkdir()
+        path.write_bytes(raw)
+        out_dir = tmp_path / "out"
+        args = [mode] if mode == "--in-place" else [mode, str(out_dir)]
+        assert main(["fix", "--format", "json", *args, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["summary"]["exit_code"] == 2
+        assert f"{path}: not valid UTF-8, not written" in err
+        assert path.read_bytes() == raw
+        assert not out_dir.exists()
+
+    def test_invalid_utf8_file_still_diffed(self, tmp_path, capsys):
+        raw = b"FROM x\n# caf\xe9\nRUN pip install x\n"
+        path = tmp_path / "Dockerfile"
+        path.write_bytes(raw)
+        assert main(["fix", "--diff", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "+RUN pip install --no-cache-dir x\n" in out
+        assert "not written" not in err
+        assert path.read_bytes() == raw
+
+    def test_write_failure_named_on_stderr_in_text_format(self, tmp_path, capsys):
+        raw = b"FROM x\n# caf\xe9\nRUN pip install x\n"
+        path = tmp_path / "Dockerfile"
+        path.write_bytes(raw)
+        assert main(["fix", "--in-place", str(path)]) == 2
+        assert f"{path}: not valid UTF-8, not written" in capsys.readouterr().err
+        assert path.read_bytes() == raw
+
     def test_already_clean_no_changes_exit_0(self, tmp_path, capsys):
         path = write(tmp_path, "Dockerfile", CLEAN)
         code = main(["fix", "--in-place", path])

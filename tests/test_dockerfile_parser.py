@@ -8,7 +8,7 @@ from slimdock.model import NodeKind, span_text
 
 
 def instruction_kinds(ast):
-    return [n.kind for n in ast.instructions]
+    return [n.kind for n in ast.root.children]
 
 
 class TestBasicParsing:
@@ -18,13 +18,13 @@ class TestBasicParsing:
 
     def test_empty_input_warns(self):
         ast = parse_dockerfile("")
-        assert ast.instructions == []
+        assert ast.root.children == []
         assert any("no instructions" in w for w in ast.warnings)
 
     def test_continuation_folds_into_one_instruction(self):
         src = "RUN apt-get update \\\n && apt-get install -y wget"
         ast = parse_dockerfile(src)
-        (run,) = ast.instructions
+        (run,) = ast.root.children
         assert run.kind is NodeKind.DOCKER_RUN
         assert span_text(src, run.span) == src
         assert run.prop("payload") == "apt-get update  && apt-get install -y wget"
@@ -32,17 +32,17 @@ class TestBasicParsing:
     def test_exec_form_flagged_with_elements(self):
         src = 'RUN ["sh", "-c", "npm install"]'
         ast = parse_dockerfile(src)
-        (run,) = ast.instructions
+        (run,) = ast.root.children
         assert run.prop("run_form") == "exec-shell"
 
     def test_exec_array_non_shell(self):
         ast = parse_dockerfile('RUN ["./entrypoint", "--serve"]')
-        (run,) = ast.instructions
+        (run,) = ast.root.children
         assert run.prop("run_form") == "exec-array"
 
     def test_invalid_json_array_falls_back_to_shell(self):
         ast = parse_dockerfile("RUN [ -f /x ] && echo present")
-        (run,) = ast.instructions
+        (run,) = ast.root.children
         assert run.prop("run_form") == "shell"
 
     def test_unknown_keyword_becomes_unknown_node(self):
@@ -54,7 +54,7 @@ class TestBasicParsing:
         src = "from Alpine\nRuN echo hi"
         ast = parse_dockerfile(src)
         assert instruction_kinds(ast) == [NodeKind.DOCKER_FROM, NodeKind.DOCKER_RUN]
-        assert span_text(src, ast.instructions[1].span).startswith("RuN")
+        assert span_text(src, ast.root.children[1].span).startswith("RuN")
 
     def test_comments_are_nodes(self):
         ast = parse_dockerfile("# header\nFROM x\n# trailing")
@@ -68,7 +68,7 @@ class TestBasicParsing:
 class TestStages:
     def test_from_props(self):
         ast = parse_dockerfile("FROM --platform=linux/amd64 python:3.11 AS base")
-        (node,) = ast.instructions
+        (node,) = ast.root.children
         assert node.prop("image") == "python:3.11"
         assert node.prop("stage_name") == "base"
 
@@ -78,7 +78,7 @@ class TestDirectives:
         src = "# escape=`\nFROM w\nRUN echo a `\n  b"
         ast = parse_dockerfile(src)
         assert ast.escape_char == "`"
-        run = ast.instructions[-1]
+        run = ast.root.children[-1]
         assert span_text(src, run.span) == "RUN echo a `\n  b"
 
     def test_directive_window_closes_after_comment(self):
@@ -96,20 +96,20 @@ class TestContinuations:
     def test_comment_lines_inside_continuation_elided(self):
         src = "RUN apt-get update && \\\n  # install\n  apt-get install -y x"
         ast = parse_dockerfile(src)
-        (run,) = ast.instructions
+        (run,) = ast.root.children
         assert run.prop("payload") == "apt-get update &&   apt-get install -y x"
 
     def test_crlf_continuation(self):
         src = "RUN echo a \\\r\n  b\r\n"
         ast = parse_dockerfile(src)
-        (run,) = ast.instructions
+        (run,) = ast.root.children
         assert run.prop("payload") == "echo a   b"
 
     def test_every_noncomment_line_in_some_instruction(self):
         src = "FROM x\nRUN a \\\n  b \\\n  c\nENV K=v\n"
         ast = parse_dockerfile(src)
         covered = set()
-        for node in ast.instructions:
+        for node in ast.root.children:
             text = span_text(src, node.span)
             first = src[: node.span.start].count("\n") + 1
             covered.update(range(first, first + text.count("\n") + 1))
@@ -125,7 +125,7 @@ class TestHeredocs:
     def test_leading_heredoc_body_is_shell_payload(self):
         src = "RUN <<EOF\napk add git\necho done\nEOF\nCMD [\"x\"]\n"
         ast = build_unified_ast(parse_dockerfile(src))
-        run = ast.instructions[0]
+        run = ast.root.children[0]
         assert span_text(src, run.span).endswith("EOF")
         script = run.children[0]
         assert script.kind is NodeKind.SC_SCRIPT

@@ -155,7 +155,7 @@ class TestEnrichment:
     def test_never_mutates_text_or_flags(self):
         src = "RUN apt-get install -y wget\n"
         ast = parse_and_enrich(src)
-        assert not ast.root.subtree_dirty
+        assert ast.insertions == []
         assert print_minimal(ast, src) == src
 
     def test_coverage_stats_reported(self):

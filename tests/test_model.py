@@ -87,55 +87,7 @@ class TestTreeSurgery:
         a.add_child(b)
         assert b.parent is a
         assert a.children == [b]
-
-    def test_reparenting_removes_from_prior_parent(self):
-        a = UnifiedNode(NodeKind.SC_AND)
-        b = UnifiedNode(NodeKind.SC_AND)
-        child = UnifiedNode(NodeKind.SC_WORD)
-        a.add_child(child)
-        b.add_child(child)
-        assert child.parent is b
-        assert child not in a.children
-
-    def test_insert_at_index(self):
-        parent = UnifiedNode(NodeKind.SC_AND)
-        first = parent.add_child(UnifiedNode(NodeKind.SC_WORD, literal="a"))
-        parent.add_child(UnifiedNode(NodeKind.SC_WORD, literal="c"))
-        mid = UnifiedNode(NodeKind.SC_WORD, literal="b")
-        parent.add_child(mid, index=1)
-        assert [c.literal for c in parent.children] == ["a", "b", "c"]
-        assert parent.child_index(mid) == 1
-        assert parent.child_index(first) == 0
-
-
-class TestDirtyPropagation:
-    def _chain(self, depth=4):
-        nodes = [UnifiedNode(NodeKind.SC_SCRIPT)]
-        for _ in range(depth):
-            nodes.append(nodes[-1].add_child(UnifiedNode(NodeKind.SC_AND)))
-        return nodes
-
-    def test_mark_modified_dirties_every_ancestor(self):
-        nodes = self._chain()
-        nodes[-1].mark_modified()
-        assert all(n.subtree_dirty for n in nodes)
-        assert nodes[-1].modified
-        assert not any(n.modified for n in nodes[:-1])
-
-    def test_clean_tree_is_not_dirty(self):
-        nodes = self._chain()
-        assert not any(n.subtree_dirty for n in nodes)
-
-    def test_adding_dirty_child_propagates(self):
-        parent = UnifiedNode(NodeKind.SC_SCRIPT)
-        child = UnifiedNode.synthesized(NodeKind.SC_WORD, literal="x")
-        parent.add_child(child)
-        assert parent.subtree_dirty
-
-    def test_synthesized_nodes_have_no_span_and_modified(self):
-        node = UnifiedNode.synthesized(NodeKind.SC_WORD, literal="--force")
-        assert node.span is None
-        assert node.modified
+        assert a.child_index(b) == 0
 
 
 class TestAnnotations:

@@ -1,11 +1,9 @@
-"""Minimal-diff reprinting: identity, locality, and canonical rendering."""
+"""Minimal-diff reprinting: identity, the splice of insertions, locality,
+and the joiner's style."""
 
 from slimdock.enrich import parse_and_enrich
-from slimdock.model import NodeKind
-from slimdock.printer import print_minimal, render_full, unified_diff
-from slimdock.rules import synthesize_statement
+from slimdock.printer import print_minimal, unified_diff
 from slimdock.runner import fix_text
-from slimdock.shell import parse_shell, word_text
 
 
 class TestIdentity:
@@ -18,6 +16,35 @@ class TestIdentity:
         src = "FROM a\nRUN echo 'never closed\n"
         ast = parse_and_enrich(src)
         assert print_minimal(ast, src) == src
+
+
+class TestSplice:
+    """``print_minimal`` splices the recorded ``(offset, rank, order, text)``
+    insertions into the source text; it reads nothing else of the tree."""
+
+    def test_insertions_spliced_in_offset_rank_order(self):
+        src = "RUN a && b\n"
+        ast = parse_and_enrich(src)
+        ast.insertions += [
+            (10, 1, 3, " && d"),
+            (5, 0, 0, " -x"),
+            (10, 1, 2, " && c"),
+            (10, 0, 9, " -y"),
+        ]
+        assert print_minimal(ast, src) == "RUN a -x && b -y && c && d\n"
+
+    def test_insertions_at_both_ends(self):
+        src = "RUN a"
+        ast = parse_and_enrich(src)
+        ast.insertions += [(len(src), 1, 1, " && z"), (0, 1, 0, "# head\n")]
+        assert print_minimal(ast, src) == "# head\nRUN a && z"
+
+    def test_original_defaults_to_parsed_source(self):
+        src = "FROM a\nRUN yarn install\n"
+        report = fix_text(src, "<t>")
+        ast = parse_and_enrich(src)
+        ast.insertions.append((len(src) - 1, 1, 0, " && yarn cache clean"))
+        assert print_minimal(ast) == print_minimal(ast, src) == report.fixed
 
 
 class TestDiffShape:
@@ -112,45 +139,3 @@ class TestDiffLocality:
         ]
         for line in changed:
             assert "FROM" not in line and "ENV" not in line and "CMD" not in line
-
-
-class TestRenderFull:
-    def test_simple_command(self):
-        stmt = synthesize_statement("rm -rf /var/cache/yum")
-        assert render_full(stmt) == "rm -rf /var/cache/yum"
-
-    def test_gemrc_echo_statement(self):
-        stmt = synthesize_statement("echo 'gem: --no-document' >> /etc/gemrc")
-        assert render_full(stmt) == "echo 'gem: --no-document' >> /etc/gemrc"
-
-    def test_and_chain(self):
-        script = parse_shell("a && b")
-        (chain,) = script.children
-        for node in chain.walk():
-            node.props.pop("synth_text", None)
-            node.span = None
-            node.modified = True
-        assert render_full(chain) == "a && b"
-
-    def test_reparse_stability(self):
-        text = "echo 'gem: --no-document' >> /etc/gemrc"
-        stmt = synthesize_statement(text)
-        reparsed = parse_shell(render_full(stmt)).children[0]
-
-        def shape(node):
-            return (
-                node.kind,
-                word_text(node) if node.kind is NodeKind.SC_WORD else node.prop("op"),
-                [shape(c) for c in node.children],
-            )
-
-        assert shape(stmt) == shape(reparsed)
-
-    def test_unrenderable_modified_node_is_internal_error(self):
-        import pytest
-
-        from slimdock.model import RenderError, UnifiedNode
-
-        bogus = UnifiedNode.synthesized(NodeKind.SC_VARIABLE)  # no literal
-        with pytest.raises(RenderError):
-            render_full(bogus)

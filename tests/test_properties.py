@@ -1,8 +1,7 @@
-"""Property tests: round-trip identity, dirty propagation, fix idempotence,
-and that every repair reported applied is gone when the fixed file is
-parsed again."""
+"""Property tests: round-trip identity, fix idempotence, and that every
+repair reported applied is gone when the fixed file is parsed again."""
 
-import random
+import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -65,12 +64,17 @@ def dockerfiles(draw):
 
 
 # Files whose RUNs hold the rule anchors, with operands that are quoted,
-# globbed, hold a `;` or end in a backslash, under either escape character,
-# with LF or CRLF line endings and with or without a final newline.
+# globbed, hold a `;` or a NUL or end in a backslash, in shell form or exec
+# form, after a `--mount` flag or not, under either escape character, with
+# LF or CRLF line endings, with or without a leading BOM and a final newline.
 _operands = st.sampled_from(
     ["a.tgz", "'my file.tgz'", '"x y.tgz"', "*.tgz", "'a;b.tgz'", "a\\", "'a\\'",
-     "a\\ b", "\\ \\", '"q\\"', "$V"]
+     "a\\ b", "\\ \\", '"q\\"', "$V", "a\x00b.tgz"]
 )
+_exec_commands = st.sampled_from([
+    ["pip", "install", "flask"], ["pip", "install"], ["npm", "cache", "clean"],
+    ["apk", "add", "curl"], ["apt-get", "install", "-y", "x"], ["yarn", "install"],
+])
 
 
 @st.composite
@@ -87,22 +91,39 @@ def anchored_commands(draw, nested=False):
 
 
 @st.composite
+def exec_payloads(draw):
+    """``["pip", "install", ...]`` or ``["sh", "-c", "<anchored commands>"]``."""
+    if draw(st.booleans()):
+        words = draw(_exec_commands)
+    else:
+        commands = draw(st.lists(anchored_commands(nested=True), min_size=1, max_size=3))
+        words = ["sh", "-c", " && ".join(commands)]
+    return "[" + ", ".join(json.dumps(word) for word in words) + "]"
+
+
+@st.composite
 def anchored_dockerfiles(draw):
     escape = draw(st.sampled_from(["\\", "`"]))
     lines = ["# escape=`"] if escape == "`" else []
     lines.append("FROM debian")
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.integers(0, 4)) == 0:
-            lines.append(draw(st.sampled_from(["ENV X=1", "# note", "COPY . /app"])))
+            lines.append(draw(st.sampled_from(["ENV X=1", "# note", "COPY . /app", "# \x00"])))
+            continue
+        mount = draw(st.sampled_from(["", "", "--mount=type=cache,target=/var/cache/apt "]))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append("RUN " + mount + draw(exec_payloads()))
             continue
         commands = draw(st.lists(anchored_commands(), min_size=1, max_size=4))
         body = commands[0]
         for command in commands[1:]:
             body += draw(st.sampled_from([" && ", " && ", " || ", "; ", f" {escape}\n    && "]))
             body += command
-        lines.append("RUN " + body)
+        lines.append("RUN " + mount + body)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = "\n".join(lines).replace("\n", newline)
+    if draw(st.integers(0, 4)) == 0:
+        text = "\ufeff" + text
     return text + newline if draw(st.booleans()) else text
 
 
@@ -147,17 +168,6 @@ def test_applied_repairs_are_gone_on_reparse(text):
     if not applied:
         assert report.fixed == text
     assert fix_text(report.fixed, "<gen>").fixed == report.fixed
-
-
-@settings(max_examples=60, deadline=None)
-@given(dockerfiles(), st.randoms())
-def test_dirty_propagation_on_random_node(text, rnd):
-    ast = parse_and_enrich(text)
-    nodes = list(ast.root.walk())
-    node = rnd.choice(nodes)
-    node.mark_modified()
-    for ancestor in node.ancestors():
-        assert ancestor.subtree_dirty
 
 
 @settings(max_examples=60, deadline=None)

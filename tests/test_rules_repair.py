@@ -167,6 +167,34 @@ class TestBeforeRepairs:
         assert out.index("echo 'gem: --no-document'") < out.index("gem update")
 
 
+class TestInsertionOrder:
+    """Text inserted at one offset reads as the chain it extends: a flag
+    ends its element, cleanups right after an element come next (the
+    latest nearest the element), then config and appended statements."""
+
+    @pytest.mark.parametrize(
+        "src, fixed",
+        [
+            ("RUN pip install>log x\n", "RUN pip install --no-cache-dir >log x\n"),
+            ("RUN tar -xzf a.tgz | pip install\n",
+             "RUN tar -xzf a.tgz | pip install --no-cache-dir && rm a.tgz\n"),
+            ("RUN gpg --verify x.asc | tar -xzf a.tgz && make\n",
+             "RUN gpg --verify x.asc | tar -xzf a.tgz && rm a.tgz && rm x.asc && make\n"),
+            ("RUN apt-get install -y x && tar -xzf a.tgz\n",
+             "RUN apt-get install --no-install-recommends -y x && tar -xzf a.tgz && rm a.tgz"
+             " && rm -rf /var/lib/apt/lists/*\n"),
+            ("RUN tar -xzf a.tgz && gem update --system\n",
+             "RUN tar -xzf a.tgz && rm a.tgz && echo 'gem: --no-document' >> /etc/gemrc"
+             " && gem update --system && rm -rf /root/.gem\n"),
+        ],
+    )
+    def test_insertions_at_one_offset(self, src, fixed):
+        report = fix_text(src, "<t>")
+        assert report.fixed == fixed
+        assert {o.status for o in report.repairs} == {"applied"}
+        assert report.residual == []
+
+
 class TestNotFixable:
     def test_semicolon_chain_blocks_append(self):
         text = "RUN apt-get update; apt-get install -y curl\n"
@@ -200,6 +228,15 @@ class TestNotFixable:
         import json
 
         assert json.loads(out[4:]) == ["pip", "install", "--no-cache-dir", "flask"]
+
+    def test_exec_array_flag_insert_after_mount_flag(self):
+        mount = "RUN --mount=type=cache,target=/root/.cache "
+        out = fix(mount + '["pip", "install", "flask"]\n')
+        assert out == mount + '["pip", "install", "--no-cache-dir", "flask"]\n'
+
+    def test_exec_shell_flag_insert_stays_in_payload(self):
+        out = fix('RUN ["sh", "-c", "pip install flask"]\n')
+        assert out == 'RUN ["sh", "-c", "pip install --no-cache-dir flask"]\n'
 
 
 class TestVerifyOrRollback:
@@ -250,7 +287,7 @@ class TestVerifyOrRollback:
         for diag in diags:
             outcome = verify_or_rollback(ast, diag, repair(ast, diag))
             assert outcome.status == "applied"
-        assert detect(ast) == []
+        assert detect(parse_and_enrich(print_minimal(ast, src))) == []
 
 
 class TestInvariants:
@@ -278,6 +315,36 @@ class TestInvariants:
         report = fix_text(text, "<t>")
         assert len(report.residual) <= len(report.diagnostics)
         assert report.residual == []
+
+    def test_repair_leaves_the_tree_as_it_was(self):
+        src = "RUN apt-get install -y x && tar -xzf a.tgz\nRUN pip install y\nRUN gem update --system\n"
+        ast = parse_and_enrich(src)
+
+        def snapshot():
+            return [
+                (id(n), n.kind, n.span, [id(c) for c in n.children], set(n.annotations), dict(n.props))
+                for n in ast.root.walk()
+            ]
+
+        before = snapshot()
+        outcomes = [repair(ast, d) for d in detect(ast)]
+        assert [o.status for o in outcomes] == ["applied"] * 6
+        assert snapshot() == before
+        assert len(detect(ast)) == 6  # the tree still reads as the original file
+        assert detect(parse_and_enrich(print_minimal(ast, src))) == []
+
+    def test_repair_records_what_it_inserts(self):
+        # each outcome's edits are the (offset, text) pairs it inserted
+        cases = [
+            ("RUN pip install y\n", [[(15, " --no-cache-dir")]]),
+            ("RUN yarn install\n", [[(16, " && yarn cache clean")]]),
+            ("RUN gem update --system\n",
+             [[(23, " && rm -rf /root/.gem")], [(4, "echo 'gem: --no-document' >> /etc/gemrc && ")]]),
+        ]
+        for src, edits in cases:
+            ast = parse_and_enrich(src)
+            assert [repair(ast, d).edits for d in detect(ast)] == edits
+            assert [(offset, text) for offset, _, _, text in ast.insertions] == sum(edits, [])
 
     def test_repair_on_clean_tree_yields_nothing(self):
         text = "RUN apk add --no-cache curl\n"

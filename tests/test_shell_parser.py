@@ -159,7 +159,6 @@ class TestWordLexing:
         ],
     )
     def test_mixed_word(self, src, logical, segment_kinds):
-        from slimdock.printer import print_minimal
         from slimdock.shell import _Lexer
 
         word, eof = _Lexer(src, 0, len(src)).tokens()
@@ -168,8 +167,9 @@ class TestWordLexing:
         assert [seg.kind for seg in word.segments] == segment_kinds
         root, warnings = parse(src)
         assert not warnings
-        assert word_text(root.children[0].children[0]) == logical
-        assert print_minimal(root, src) == src
+        (node,) = root.children[0].children
+        assert word_text(node) == logical
+        assert (node.span.start, node.span.end, node.literal) == (0, len(src), src)
 
 
 class TestDegradation:
