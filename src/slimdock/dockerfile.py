@@ -65,6 +65,8 @@ class DockerfileAst:
     #: What repairs keep per RUN they extend (``rules.Chain``), by the
     #: RUN node's id.
     chains: dict[int, Any] = field(default_factory=dict)
+    #: Whether a RUN configures gem (``rules.detect`` sets it when asked).
+    gemrc: bool | None = None
 
     def runs(self) -> list[UnifiedNode]:
         """The RUN instructions; a DOCKER-RUN node is always a root child."""

@@ -1,9 +1,9 @@
 """Unified-AST construction and semantic enrichment.
 
 ``build_unified_ast`` embeds each RUN payload's shell tree under its
-DOCKER-RUN node (shell form and exec ``sh -c`` form get an SC-SCRIPT;
-other exec forms get one SC-SIMPLE-COMMAND built from the array), with
-all spans rebased into file coordinates.
+DOCKER-RUN node (``embed_run`` does one RUN; shell form and exec ``sh -c``
+form get an SC-SCRIPT; other exec forms get one SC-SIMPLE-COMMAND built
+from the array), with all spans rebased into file coordinates.
 
 ``enrich`` then attaches semantic annotations: for every simple command
 whose effective command (after looking through wrappers like sudo/env)
@@ -36,16 +36,15 @@ _OLD_STYLE_RE = re.compile(r"^[A-Za-z]+$")
 def build_unified_ast(ast: DockerfileAst) -> DockerfileAst:
     """Embed every RUN payload's shell tree; safe to call twice."""
     for run in ast.runs():
-        if run.children:
-            continue
-        _embed_run(ast, run)
+        embed_run(ast, run)
     return ast
 
 
-def _embed_run(ast: DockerfileAst, run: UnifiedNode) -> None:
+def embed_run(ast: DockerfileAst, run: UnifiedNode) -> None:
+    """Embed the shell tree of one RUN of ``ast``, unless it has one."""
     form = run.prop("run_form")
     src = run.prop("_script_src")
-    if src is None:
+    if src is None or run.children:
         return
     line = run.prop("_line", 1)
     shell_warnings: list[str] = []

@@ -125,6 +125,10 @@ class SourceSpan:
         """From this span's start to ``last``'s end, in the same source."""
         return SourceSpan(self.start, last.end, self._map)
 
+    def moved(self, delta: int, into: "SourceSpan") -> "SourceSpan":
+        """This span ``delta`` characters later, in the source of ``into``."""
+        return SourceSpan(self.start + delta, self.end + delta, into._map)
+
     def _key(self) -> tuple[int, ...]:
         return (self.start, self.end, self.start_line, self.start_col, self.end_line, self.end_col)
 

@@ -28,14 +28,13 @@ change failure semantics). Flag additions are always safe and are applied
 regardless of the chain shape.
 
 A repair is checked where its effect is seen: ``runner.fix_text`` prints
-the repaired file, parses it again, and rolls back each repair whose smell
-is still detected there or whose inserted text changed how the RUN's
-original words read.
+the repaired file, detects again in each RUN whose text changed
+(``detect_run``), and rolls back each repair whose smell is still there
+or whose inserted text changed how the RUN's original words read.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -356,7 +355,9 @@ def _gem_rm_root(scope: Scope, anchor: Anchor) -> dict | None:
     return {}
 
 
-def _writes_gemrc_no_document(roots: list[UnifiedNode]) -> bool:
+def writes_gemrc_no_document(roots: list[UnifiedNode]) -> bool:
+    """Whether a command in ``roots`` writes `gem: --no-document` to a
+    gemrc: the one fact a check reads beyond its own RUN."""
     for root in roots:
         for node in root.walk():
             if node.kind is not NodeKind.SC_SIMPLE_COMMAND:
@@ -528,30 +529,43 @@ def rule_for(rule_id: RuleId) -> Rule:
 def detect(
     ast: DockerfileAst, rules: set[RuleId] | list[RuleId] | None = None
 ) -> list[SmellDiagnostic]:
-    """All smell diagnostics for the file, in document order."""
-    wanted = None if rules is None else set(rules)
-    selected = [r for r in RULES if wanted is None or r.id in wanted]
+    """All smell diagnostics for the file, in document order: ``detect_run``
+    of each RUN. The gemrc fact is computed into ``ast.gemrc`` when asked."""
     runs = ast.runs()
-    gemrc_configured = functools.cache(lambda: _writes_gemrc_no_document(runs))
-    keyed: list[tuple[tuple[int, int, int, int], SmellDiagnostic]] = []
-    for run_number, run in enumerate(runs):
-        scope = Scope(RunIndex(run), gemrc_configured)
-        insertable = chain_shape(run)
-        for rule in selected:
-            for anchor, extras in rule.smells(scope):
-                diagnostic = SmellDiagnostic(
-                    rule=rule.id,
-                    file=ast.path,
-                    span=anchor.statement.span,
-                    anchor=anchor,
-                    message=rule.description,
-                    fixable=rule.kind == "flag" or insertable,
-                    run=run,
-                    extras=extras,
-                )
-                key = (run_number, anchor.statement_position, anchor.position,
-                       _RULE_INDEX[rule.id])
-                keyed.append((key, diagnostic))
+
+    def gemrc_configured() -> bool:
+        if ast.gemrc is None:
+            ast.gemrc = writes_gemrc_no_document(runs)
+        return ast.gemrc
+
+    return [d for run in runs for d in detect_run(ast.path, run, rules, gemrc_configured)]
+
+
+def detect_run(
+    path: str, run: UnifiedNode, rules: set[RuleId] | list[RuleId] | None,
+    gemrc_configured: Callable[[], bool],
+) -> list[SmellDiagnostic]:
+    """The diagnostics of one RUN, in document order. Each check reads only
+    ``run``, but for gemUpdateNoDocument, which asks ``gemrc_configured()``."""
+    scope = Scope(RunIndex(run), gemrc_configured)
+    insertable = chain_shape(run)
+    keyed: list[tuple[tuple[int, int, int], SmellDiagnostic]] = []
+    for rule in RULES:
+        if rules is not None and rule.id not in rules:
+            continue
+        for anchor, extras in rule.smells(scope):
+            diagnostic = SmellDiagnostic(
+                rule=rule.id,
+                file=path,
+                span=anchor.statement.span,
+                anchor=anchor,
+                message=rule.description,
+                fixable=rule.kind == "flag" or insertable,
+                run=run,
+                extras=extras,
+            )
+            key = (anchor.statement_position, anchor.position, _RULE_INDEX[rule.id])
+            keyed.append((key, diagnostic))
     keyed.sort(key=lambda item: item[0])
     return [diagnostic for _, diagnostic in keyed]
 
@@ -695,7 +709,7 @@ def _insert(
 def _lifts(rule: Rule, anchor: Anchor, statement: UnifiedNode) -> bool:
     """The rule's check for ``anchor`` with only ``statement`` in scope,
     placed after the anchor (before it, for a config insertion), passes."""
-    local = Scope(RunIndex(statement), lambda: _writes_gemrc_no_document([statement]))
+    local = Scope(RunIndex(statement), lambda: writes_gemrc_no_document([statement]))
     position = local.index.size if rule.kind == "before" else -1
     return rule.check(local, replace(anchor, statement_position=position)) is None
 

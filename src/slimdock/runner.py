@@ -1,11 +1,11 @@
 """Per-file pipeline and corpus aggregation.
 
 One FileReport per input file: parse status, warnings, diagnostics, and in
-fix mode the repair outcomes plus the residual diagnostics re-detected on
-the repaired output (reparsed from the printed text, never copied from the
-pre-fix list). Repairs record text insertions and leave the tree as it
-was; the repaired text is the original with them spliced in
-(``printer.print_minimal``). That reparse is also where every repair is
+fix mode the repair outcomes plus the residual diagnostics, exactly what a
+lint of the repaired output reports. Repairs record text insertions and
+leave the tree as it was; the repaired text is the original with them
+spliced in (``printer.print_minimal``). Of that text, only the RUNs whose
+text changed are analysed again, and that is where every repair is
 verified: one whose smell is still detected there is rolled back by
 repairing the file again without it. A file that is not valid UTF-8 is
 analysed with U+FFFD in place of its bad bytes, and marked
@@ -20,13 +20,15 @@ failed-soft and excluded from smell statistics.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 from .dockerfile import DockerfileAst, parse_dockerfile
-from .enrich import build_unified_ast, enrich
-from .model import NodeKind, UnifiedNode
+from .enrich import build_unified_ast, embed_run, enrich, enrich_node
+from .model import NodeKind, UnifiedNode, span_text
 from .printer import print_minimal, unified_diff
 from .rules import (
     RULES,
@@ -34,7 +36,9 @@ from .rules import (
     RuleId,
     SmellDiagnostic,
     detect,
+    detect_run,
     repair,
+    writes_gemrc_no_document,
 )
 from .shell import word_text
 
@@ -102,21 +106,23 @@ def fix_text(
 ) -> FileReport:
     """Detect, repair in document order, reprint, and verify on the reparse.
 
-    The residual list comes from re-analyzing the printed output, so it
-    reflects exactly what a subsequent lint of the file would report. The
-    same analysis verifies the repairs (``_unverified``). If one fails, the
-    file is repaired again from the original text without the failed ones,
-    which are reported rolled back, and verified again; every round rolls
+    The text is analysed once; of the printed output, only the RUNs whose
+    text the repairs changed are analysed again (``_reanalyze``). That gives
+    the residual list, exactly what a lint of the output reports, and
+    verifies the repairs (``_unverified``). A failed one is rolled back by
+    repairing again, from the same analysis, without it; every round rolls
     back at least one more repair, so the loop ends. A file whose repairs
     all roll back reprints byte-identically.
     """
+    ast, first = analyze_text(text, path, rules)
+    if first.status == PARSE_FAILED:
+        first.fixed = text
+        return first
+    ordinals = _run_ordinals(ast.runs())
     failed: set[tuple] = set()
     while True:
-        ast, report = analyze_text(text, path, rules)
-        if report.status == PARSE_FAILED:
-            report.fixed = text
-            return report
-        ordinals = _run_ordinals(ast)
+        ast.insertions, ast.chains = [], {}
+        report = replace(first, repairs=[])
         for diagnostic in report.diagnostics:
             if _smell_key(ordinals, diagnostic) in failed:
                 outcome = RepairOutcome("rolled-back", diagnostic, reason="still-detected")
@@ -124,16 +130,52 @@ def fix_text(
                 outcome = repair(ast, diagnostic)
             report.repairs.append(outcome)
         report.fixed = print_minimal(ast, text)
-        reparsed, recheck = analyze_text(report.fixed, path, rules)
-        report.residual = recheck.diagnostics
-        unverified = _unverified(ast, ordinals, report, reparsed)
+        read_as, report.residual = _reanalyze(ast, first.diagnostics, report.fixed, rules)
+        unverified = _unverified(ordinals, report, read_as)
         if not unverified:
             return report
         failed |= unverified
 
 
-def _run_ordinals(ast: DockerfileAst) -> dict[int, int]:
-    return {id(run): i for i, run in enumerate(ast.runs())}
+def _reanalyze(
+    ast: DockerfileAst, diagnostics: list[SmellDiagnostic], fixed: str, rules: list[RuleId] | None
+) -> tuple[list[UnifiedNode] | None, list[SmellDiagnostic]]:
+    """What ``analyze_text(fixed)`` finds, given ``ast`` and its ``diagnostics``:
+    per RUN, the tree it reads as (None if the instructions changed: then
+    every applied repair fails), and the diagnostics, spans in ``fixed``. A
+    RUN with the same text and escape keeps its tree and diagnostics, moved
+    by the text inserted before it (detected again if the gemrc fact
+    changed); any other RUN is embedded, enriched and detected anew."""
+    if not ast.insertions:
+        return ast.runs(), list(diagnostics)
+    reparsed = parse_dockerfile(fixed, ast.path)
+    if [n.kind for n in ast.root.children] != [n.kind for n in reparsed.root.children]:
+        return None, []
+    same_escape = reparsed.escape_char == ast.escape_char
+    pairs = list(zip(ast.runs(), reparsed.runs()))
+    read_as = []
+    for run, new in pairs:
+        edited = not same_escape or span_text(ast.source, run.span) != span_text(fixed, new.span)
+        if edited:
+            embed_run(reparsed, new)
+            enrich_node(new)
+        read_as.append(new if edited else run)
+    fact = functools.cache(lambda: writes_gemrc_no_document(read_as))
+    redetect = ast.gemrc is not None and ast.gemrc != fact()
+    kept = {id(run): list(found) for run, found in groupby(diagnostics, lambda d: d.run)}
+    residual = []
+    for (run, new), tree in zip(pairs, read_as):
+        if tree is new:
+            residual += detect_run(ast.path, new, rules, fact)
+            continue
+        found = detect_run(ast.path, run, rules, fact) if redetect else kept.get(id(run), ())
+        delta = new.span.start - run.span.start
+        residual += [replace(d, span=d.span.moved(delta, new.span)) for d in found]
+    return read_as, residual
+
+
+def _run_ordinals(runs: list[UnifiedNode]) -> dict[int, int]:
+    return {id(run): i for i, run in enumerate(runs)}
 
 
 def _smell_key(ordinals: dict[int, int], diagnostic: SmellDiagnostic) -> tuple:
@@ -145,22 +187,21 @@ def _smell_key(ordinals: dict[int, int], diagnostic: SmellDiagnostic) -> tuple:
 
 
 def _unverified(
-    ast: DockerfileAst, ordinals: dict[int, int], report: FileReport, reparsed: DockerfileAst
+    ordinals: dict[int, int], report: FileReport, read_as: list[UnifiedNode] | None
 ) -> set[tuple]:
-    """Keys of the applied repairs that the reparse of ``report.fixed``
-    does not confirm: all of them if the instructions changed; those whose
-    smell is in the residual; and those of a RUN whose original words are
-    not all found, in order, among its reparsed words (an inserted word
-    that changed how the original text reads)."""
+    """Keys of the applied repairs that ``read_as``, the tree each RUN reads
+    as in ``report.fixed``, does not confirm: all of them if the
+    instructions changed; those whose smell is in the residual; and those
+    of a RUN whose original words are not all found, in order, among its
+    reparsed words (an inserted word that changed how the text reads)."""
     applied = [o for o in report.repairs if o.status == "applied"]
     keys = {_smell_key(ordinals, o.diagnostic) for o in applied}
-    if [n.kind for n in ast.root.children] != [n.kind for n in reparsed.root.children]:
+    if read_as is None:
         return keys
-    reparsed_ordinals = _run_ordinals(reparsed)
-    remaining = {_smell_key(reparsed_ordinals, d) for d in report.residual}
-    runs, reparsed_runs = ast.runs(), reparsed.runs()
-    edited = {ordinals[id(o.diagnostic.run)] for o in applied if o.edits}
-    garbled = {i for i in edited if not _words_kept(runs[i], reparsed_runs[i])}
+    read_ordinals = _run_ordinals(read_as)
+    remaining = {_smell_key(read_ordinals, d) for d in report.residual}
+    edited = {ordinals[id(o.diagnostic.run)]: o.diagnostic.run for o in applied if o.edits}
+    garbled = {i for i, run in edited.items() if not _words_kept(run, read_as[i])}
     return {key for key in keys if key in remaining or key[0] in garbled}
 
 

@@ -1,14 +1,16 @@
-"""Property tests: round-trip identity, fix idempotence, and that every
-repair reported applied is gone when the fixed file is parsed again."""
+"""Property tests: round-trip identity, fix idempotence, that every
+repair reported applied is gone when the fixed file is parsed again, and
+that the residual of a fix is what a lint of the fixed file reports."""
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slimdock.enrich import parse_and_enrich
 from slimdock.model import NodeKind
 from slimdock.printer import print_minimal
-from slimdock.runner import fix_text
+from slimdock.runner import analyze_text, fix_text
+from conftest import read_text
 
 # -- generators ---------------------------------------------------------------
 
@@ -168,6 +170,34 @@ def test_applied_repairs_are_gone_on_reparse(text):
     if not applied:
         assert report.fixed == text
     assert fix_text(report.fixed, "<gen>").fixed == report.fixed
+
+
+def seen(diagnostics):
+    """What a report shows of each diagnostic: rule, position, fixability,
+    message, and the span's offsets and line/column positions."""
+    return [(d.rule, d.line, d.column, d.fixable, d.message, d.span) for d in diagnostics]
+
+
+def assert_residual_is_lint_of_fixed(text):
+    """``fix_text`` re-analyses only the RUNs its repairs changed; its
+    residual must still be what a fresh lint of the fixed text reports."""
+    report = fix_text(text, "<gen>")
+    assert seen(report.residual) == seen(analyze_text(report.fixed, "<gen>")[1].diagnostics)
+
+
+def test_residual_is_lint_of_fixed_on_data(roundtrip_paths):
+    for path in roundtrip_paths:
+        assert_residual_is_lint_of_fixed(read_text(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dockerfiles(), anchored_dockerfiles()))
+# an unedited RUN after an insertion, and one whose smell the gemrc line
+# inserted into another RUN removes
+@example("FROM debian\nRUN apt-get install -y x\nRUN yarn install || true\n")
+@example("FROM ruby\nRUN gem update --system\nRUN gem update --system; true\n")
+def test_residual_is_lint_of_fixed(text):
+    assert_residual_is_lint_of_fixed(text)
 
 
 @settings(max_examples=60, deadline=None)

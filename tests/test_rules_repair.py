@@ -166,6 +166,16 @@ class TestBeforeRepairs:
         )
         assert out.index("echo 'gem: --no-document'") < out.index("gem update")
 
+    def test_gemrc_written_in_one_run_counts_in_an_unedited_one(self):
+        # the second RUN (a `;` list) gets no insertion, but the gemrc line
+        # inserted into the first configures gem for the whole file
+        report = fix_text("FROM ruby\nRUN gem update --system\nRUN gem update --system; true\n", "<t>")
+        assert [(d.rule, d.line) for d in report.diagnostics] == [
+            (RuleId.gemUpdateSystemRmRootGem, 2), (RuleId.gemUpdateNoDocument, 2),
+            (RuleId.gemUpdateSystemRmRootGem, 3), (RuleId.gemUpdateNoDocument, 3),
+        ]
+        assert [(d.rule, d.line) for d in report.residual] == [(RuleId.gemUpdateSystemRmRootGem, 3)]
+
 
 class TestInsertionOrder:
     """Text inserted at one offset reads as the chain it extends: a flag
