@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Iterator
 
+from . import schemas  # noqa: F401  registers the labels checked below
 from .model import (
     STATEMENT_KINDS,
     NodeKind,
@@ -37,6 +38,11 @@ def checked_label(label: str) -> str:
     if not is_registered_label(label):
         raise PatternConfigError(f"unknown annotation label {label!r}")
     return label
+
+
+_RM = checked_label("SC-RM")
+_RM_RECURSIVE = checked_label("SC-RM-F-RECURSIVE")
+_RM_PATH = checked_label("SC-RM-PATH")
 
 
 def _normalize_path(p: str) -> str:
@@ -152,13 +158,13 @@ class RunIndex:
         if self._removals is None:
             operands: dict[str, list[int]] = {}
             variables: dict[str, int] = {}
-            for anchor in self.anchors("SC-RM"):
+            for anchor in self.anchors(_RM):
                 where = anchor.statement_position
                 nodes = list(_walk_matchable(anchor.statement))
-                recursive = any("SC-RM-F-RECURSIVE" in n.annotations for n in nodes)
+                recursive = any(_RM_RECURSIVE in n.annotations for n in nodes)
                 for node in nodes:
                     text = node.prop("text")
-                    if "SC-RM-PATH" not in node.annotations or text is None:
+                    if _RM_PATH not in node.annotations or text is None:
                         continue
                     last = operands.setdefault(text, [-1, -1])
                     last[0] = max(last[0], where)

@@ -274,10 +274,12 @@ def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
 
 # -- rule 5: tarSomethingRmTheSomething ------------------------------------------
 
+_TAR_ARCHIVE = checked_label("SC-TAR-ARCHIVE")
+
 
 def _archive_of(statement: UnifiedNode) -> UnifiedNode | None:
     for node in statement.walk():
-        if node.kind is NodeKind.SC_WORD and node.has_annotation("SC-TAR-ARCHIVE"):
+        if node.kind is NodeKind.SC_WORD and node.has_annotation(_TAR_ARCHIVE):
             return node
     return None
 
@@ -309,13 +311,14 @@ def _apt_lists(scope: Scope, anchor: Anchor) -> dict | None:
 
 
 _GPG_VERIFY = checked_label("SC-GPG-F-VERIFY")
+_GPG_FILE = checked_label("SC-GPG-FILE")
 
 
 def _gpg_asc(scope: Scope, anchor: Anchor) -> dict | None:
     if not statement_has(anchor.statement, _GPG_VERIFY):
         return None
     for node in anchor.statement.walk():
-        if node.kind is NodeKind.SC_WORD and node.has_annotation("SC-GPG-FILE"):
+        if node.kind is NodeKind.SC_WORD and node.has_annotation(_GPG_FILE):
             asc = shell.word_text(node)
             if asc.endswith(".asc") and not shell.contains_variable(asc):
                 break
