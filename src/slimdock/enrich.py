@@ -7,9 +7,10 @@ from the array), with all spans rebased into file coordinates.
 
 ``enrich`` then attaches semantic annotations: for every simple command
 whose effective command (after looking through wrappers like sudo/env)
-matches a registered schema, the command word, subcommand word, recognized
-flags, and positional arguments get role labels. Unknown commands receive
-no annotations, and a variable-valued command name is never enriched.
+matches a registered schema, the command word, subcommand word, the flags
+the schema lists, and positional arguments with a role get labels. The
+wrapper words themselves get none. Unknown commands receive no
+annotations, and a variable-valued command name is never enriched.
 Enrichment is idempotent and touches only annotations, never text or
 spans. It is the last step that changes the tree: repairs only read it.
 """
@@ -96,17 +97,15 @@ def command_words(cmd: UnifiedNode) -> list[UnifiedNode]:
     return [c for c in cmd.children if c.kind is NodeKind.SC_WORD]
 
 
-def _resolve(words: list[UnifiedNode]) -> tuple[int | None, list[tuple[int, str]]]:
-    """Effective command index plus (index, label) pairs for wrapper words."""
-    marks: list[tuple[int, str]] = []
+def resolve_wrappers(cmd: UnifiedNode) -> int | None:
+    """Index of the first word that is the effective command, or None when
+    every word is consumed by wrappers and their options."""
+    words = command_words(cmd)
     i = 0
     while i < len(words):
-        text = shell.word_text(words[i])
-        policy = WRAPPERS.get(text)
+        policy = WRAPPERS.get(shell.word_text(words[i]))
         if policy is None:
-            return i, marks
-        if policy.label:
-            marks.append((i, policy.label))
+            return i
         i += 1
         while i < len(words):
             t = shell.word_text(words[i])
@@ -122,17 +121,10 @@ def _resolve(words: list[UnifiedNode]) -> tuple[int | None, list[tuple[int, str]
             if t in policy.flags_no_value:
                 i += 1
                 if t == "--":
-                    return (i, marks) if i < len(words) else (None, marks)
+                    return i if i < len(words) else None
                 continue
             break
-    return None, marks
-
-
-def resolve_wrappers(cmd: UnifiedNode) -> int | None:
-    """Index of the first word that is the effective command, or None when
-    every word is consumed by wrappers and their options."""
-    index, _ = _resolve(command_words(cmd))
-    return index
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +145,17 @@ def _short_flag_lookup(schema: CommandSchema, letter: str) -> FlagSpec | None:
 
 def enrich_statement(cmd: UnifiedNode) -> bool:
     """Annotate one simple command. Returns True when a schema matched."""
-    words = command_words(cmd)
-    if not words:
-        return False
-    eff, marks = _resolve(words)
-    for idx, label in marks:
-        words[idx].annotate(label)
+    eff = resolve_wrappers(cmd)
     if eff is None:
         return False
+    words = command_words(cmd)
     name_word = words[eff]
     text = shell.word_text(name_word)
     if not text or shell.contains_variable(text):
         return False
     name = text.rsplit("/", 1)[-1] if "/" in text else text
     schema = schema_for(name)
-    if schema is None or not schema.enrich:
+    if schema is None:
         return False
     name_word.annotate(schema.command_label())
     _walk_args(schema, name_word, words[eff + 1 :])
@@ -178,7 +166,6 @@ def _walk_args(
     schema: CommandSchema, command_word: UnifiedNode, args: list[UnifiedNode]
 ) -> None:
     sub_level = schema.subcommands
-    sub_spec = None
     matched_sub = False
     pending: FlagSpec | None = None
     saw_help_like = False
@@ -229,15 +216,11 @@ def _walk_args(
         if sub_level and t in sub_level:
             spec = sub_level[t]
             word.annotate(schema.sub_label(spec.canon))
-            sub_spec = spec
             sub_level = spec.children
             matched_sub = True
             continue
-        role = sub_spec.positional_role if sub_spec else None
-        if role is None and not schema.subcommands:
-            role = schema.positional_role
-        if role:
-            word.annotate(schema.role_label(role))
+        if schema.positional_role:
+            word.annotate(schema.role_label(schema.positional_role))
 
     # bare `yarn` (flags only) means `yarn install`
     if schema.label == "YARN" and not matched_sub and not saw_help_like:

@@ -2,13 +2,24 @@
 
 Each schema describes one tool: its name aliases, subcommand table, flag
 table (short/long forms and whether a flag consumes a value), and the role
-of positional arguments. The tables are data, not logic: registering a new
-schema automatically extends the annotation vocabulary, and rules never
-need to change.
+of positional arguments. The tables are data, not logic: registering a
+schema extends the annotation vocabulary, and ``query.checked_label``
+makes a rule that reads a label no schema registers fail at import.
 
-The set shipped here is the vocabulary the smell rules query, plus the
-wrapper commands needed to look through `sudo apt-get install ...` and
-friends. It is deliberately small; see ``register_schema`` to extend it.
+A schema lists what a rule reads and no more: the command and subcommand
+names (the command names make the enrichment coverage figure, and a
+subcommand name ends the walk into the words after it), the flags and
+roles a rule reads, and every flag that takes a value, so that the value
+is never mistaken for a positional (``mkdir -m 0755 /usr/src/app``).
+Two more kinds of flag stay because the walk reads them:
+
+* every ``tar`` flag with a short letter: ``tar xzvpf a.tgz`` is read as
+  an old-style bundle only when every letter is a known short flag;
+* ``yarn``'s ``--version`` and ``--help``, which mean a bare ``yarn`` is
+  not ``yarn install``.
+
+``WRAPPERS`` tells the walk how to look through `sudo apt-get install ...`
+and friends; see ``register_schema`` to add a tool.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ class FlagSpec:
 @dataclass(frozen=True)
 class SubSpec:
     canon: str  # label fragment, e.g. "INSTALL" or "CACHE-CLEAN"
-    positional_role: str | None = None
     children: dict[str, "SubSpec"] = field(default_factory=dict)
 
 
@@ -40,10 +50,9 @@ class CommandSchema:
     label: str  # e.g. "APT-GET" -> command label SC-APT-GET
     subcommands: dict[str, SubSpec] = field(default_factory=dict)
     flags: tuple[FlagSpec, ...] = ()
-    positional_role: str | None = None  # role when no subcommand applies
+    positional_role: str | None = None  # role of positionals; no subcommands
     bundled_shorts: bool = False  # -xzf contains -x, -z, -f
     old_style_first_word: bool = False  # tar's "tar xzf file"
-    enrich: bool = True  # npx: recognized but never annotated
 
     def command_label(self) -> str:
         return f"SC-{self.label}"
@@ -62,15 +71,13 @@ class CommandSchema:
 class WrapperPolicy:
     """How a wrapper command hands off to its embedded command."""
 
-    name: str
-    label: str | None  # annotation for the wrapper word itself
     flags_no_value: frozenset[str] = frozenset()
     flags_with_value: frozenset[str] = frozenset()
     consumes_assignments: bool = False  # env A=1 cmd ...
 
 
-def _sub(canon: str, positional_role: str | None = None, **children: SubSpec) -> SubSpec:
-    return SubSpec(canon, positional_role, {k.replace("_", "-"): v for k, v in children.items()})
+def _sub(canon: str, **children: SubSpec) -> SubSpec:
+    return SubSpec(canon, {k.replace("_", "-"): v for k, v in children.items()})
 
 
 _F = FlagSpec
@@ -80,54 +87,42 @@ SCHEMAS: list[CommandSchema] = [
         names=("apt-get",),
         label="APT-GET",
         subcommands={
-            "install": _sub("INSTALL", "PACKAGE"),
+            "install": _sub("INSTALL"),
             "update": _sub("UPDATE"),
             "upgrade": _sub("UPGRADE"),
             "dist-upgrade": _sub("DIST-UPGRADE"),
-            "remove": _sub("REMOVE", "PACKAGE"),
-            "purge": _sub("PURGE", "PACKAGE"),
+            "remove": _sub("REMOVE"),
+            "purge": _sub("PURGE"),
             "autoremove": _sub("AUTOREMOVE"),
             "clean": _sub("CLEAN"),
             "autoclean": _sub("AUTOCLEAN"),
-            "build-dep": _sub("BUILD-DEP", "PACKAGE"),
-            "source": _sub("SOURCE", "PACKAGE"),
+            "build-dep": _sub("BUILD-DEP"),
+            "source": _sub("SOURCE"),
         },
         flags=(
-            _F(("-y", "--yes", "--assume-yes"), "YES"),
             _F(("--no-install-recommends",), "NO-INSTALL-RECOMMENDS"),
-            _F(("--install-recommends",), "INSTALL-RECOMMENDS"),
-            _F(("-q", "--quiet"), "QUIET"),
-            _F(("-qq",), "QUIET"),
-            _F(("--no-upgrade",), "NO-UPGRADE"),
-            _F(("--fix-missing",), "FIX-MISSING"),
-            _F(("-f", "--fix-broken"), "FIX-BROKEN"),
             _F(("-t", "--target-release"), "TARGET-RELEASE", takes_value=True),
             _F(("-o", "--option"), "OPTION", takes_value=True),
             _F(("-c", "--config-file"), "CONFIG-FILE", takes_value=True),
-            _F(("--allow-unauthenticated",), "ALLOW-UNAUTHENTICATED"),
-            _F(("--allow-downgrades",), "ALLOW-DOWNGRADES"),
         ),
     ),
     CommandSchema(
         names=("apt",),
         label="APT",
         subcommands={
-            "install": _sub("INSTALL", "PACKAGE"),
+            "install": _sub("INSTALL"),
             "update": _sub("UPDATE"),
             "upgrade": _sub("UPGRADE"),
             "full-upgrade": _sub("FULL-UPGRADE"),
-            "remove": _sub("REMOVE", "PACKAGE"),
-            "purge": _sub("PURGE", "PACKAGE"),
+            "remove": _sub("REMOVE"),
+            "purge": _sub("PURGE"),
             "autoremove": _sub("AUTOREMOVE"),
             "clean": _sub("CLEAN"),
             "list": _sub("LIST"),
             "search": _sub("SEARCH"),
         },
         flags=(
-            _F(("-y", "--yes", "--assume-yes"), "YES"),
             _F(("--no-install-recommends",), "NO-INSTALL-RECOMMENDS"),
-            _F(("-q", "--quiet"), "QUIET"),
-            _F(("-qq",), "QUIET"),
             _F(("-o", "--option"), "OPTION", takes_value=True),
         ),
     ),
@@ -135,8 +130,8 @@ SCHEMAS: list[CommandSchema] = [
         names=("apk",),
         label="APK",
         subcommands={
-            "add": _sub("ADD", "PACKAGE"),
-            "del": _sub("DEL", "PACKAGE"),
+            "add": _sub("ADD"),
+            "del": _sub("DEL"),
             "update": _sub("UPDATE"),
             "upgrade": _sub("UPGRADE"),
             "info": _sub("INFO"),
@@ -144,24 +139,18 @@ SCHEMAS: list[CommandSchema] = [
         },
         flags=(
             _F(("--no-cache",), "NO-CACHE"),
-            _F(("-U", "--update-cache"), "UPDATE-CACHE"),
-            _F(("-u", "--upgrade"), "UPGRADE"),
             _F(("-t", "--virtual"), "VIRTUAL", takes_value=True),
-            _F(("-q", "--quiet"), "QUIET"),
             _F(("--repository", "-X"), "REPOSITORY", takes_value=True),
-            _F(("--no-scripts",), "NO-SCRIPTS"),
-            _F(("--allow-untrusted",), "ALLOW-UNTRUSTED"),
-            _F(("--available",), "AVAILABLE"),
         ),
     ),
     CommandSchema(
         names=("pip", "pip2", "pip3"),
         label="PIP",
         subcommands={
-            "install": _sub("INSTALL", "PACKAGE"),
-            "download": _sub("DOWNLOAD", "PACKAGE"),
-            "uninstall": _sub("UNINSTALL", "PACKAGE"),
-            "wheel": _sub("WHEEL", "PACKAGE"),
+            "install": _sub("INSTALL"),
+            "download": _sub("DOWNLOAD"),
+            "uninstall": _sub("UNINSTALL"),
+            "wheel": _sub("WHEEL"),
             "freeze": _sub("FREEZE"),
             "list": _sub("LIST"),
         },
@@ -171,68 +160,45 @@ SCHEMAS: list[CommandSchema] = [
             _F(("-r", "--requirement"), "REQUIREMENT", takes_value=True),
             _F(("-c", "--constraint"), "CONSTRAINT", takes_value=True),
             _F(("-e", "--editable"), "EDITABLE", takes_value=True),
-            _F(("-U", "--upgrade"), "UPGRADE"),
-            _F(("--user",), "USER"),
-            _F(("-q", "--quiet"), "QUIET"),
             _F(("-i", "--index-url"), "INDEX-URL", takes_value=True),
             _F(("--extra-index-url",), "EXTRA-INDEX-URL", takes_value=True),
             _F(("--trusted-host",), "TRUSTED-HOST", takes_value=True),
-            _F(("--no-deps",), "NO-DEPS"),
-            _F(("--no-build-isolation",), "NO-BUILD-ISOLATION"),
             _F(("-t", "--target"), "TARGET", takes_value=True),
             _F(("--upgrade-strategy",), "UPGRADE-STRATEGY", takes_value=True),
-            _F(("--break-system-packages",), "BREAK-SYSTEM-PACKAGES"),
         ),
     ),
     CommandSchema(
         names=("npm",),
         label="NPM",
         subcommands={
-            "install": _sub("INSTALL", "PACKAGE"),
-            "i": _sub("INSTALL", "PACKAGE"),
-            "add": _sub("INSTALL", "PACKAGE"),
+            "install": _sub("INSTALL"),
+            "i": _sub("INSTALL"),
+            "add": _sub("INSTALL"),
             "ci": _sub("CI"),
-            "cache": SubSpec(
-                "CACHE",
-                None,
-                {"clean": SubSpec("CACHE-CLEAN"), "verify": SubSpec("CACHE-VERIFY")},
-            ),
+            "cache": _sub("CACHE", clean=_sub("CACHE-CLEAN"), verify=_sub("CACHE-VERIFY")),
             "run": _sub("RUN"),
             "prune": _sub("PRUNE"),
             "rebuild": _sub("REBUILD"),
-            "update": _sub("UPDATE", "PACKAGE"),
+            "update": _sub("UPDATE"),
         },
         flags=(
             _F(("-f", "--force"), "FORCE"),
-            _F(("-g", "--global"), "GLOBAL"),
-            _F(("--production",), "PRODUCTION"),
             _F(("--omit",), "OMIT", takes_value=True),
-            _F(("-D", "--save-dev"), "SAVE-DEV"),
-            _F(("--no-optional",), "NO-OPTIONAL"),
-            _F(("--quiet", "--silent"), "QUIET"),
             _F(("--registry",), "REGISTRY", takes_value=True),
-            _F(("--unsafe-perm",), "UNSAFE-PERM"),
-            _F(("--legacy-peer-deps",), "LEGACY-PEER-DEPS"),
         ),
     ),
-    CommandSchema(names=("npx",), label="NPX", enrich=False),
     CommandSchema(
         names=("yarn",),
         label="YARN",
         subcommands={
             "install": _sub("INSTALL"),
-            "add": _sub("ADD", "PACKAGE"),
+            "add": _sub("ADD"),
             "global": _sub("GLOBAL"),
             "run": _sub("RUN"),
             "build": _sub("BUILD"),
-            "cache": SubSpec("CACHE", None, {"clean": SubSpec("CACHE-CLEAN")}),
+            "cache": _sub("CACHE", clean=_sub("CACHE-CLEAN")),
         },
         flags=(
-            _F(("--frozen-lockfile",), "FROZEN-LOCKFILE"),
-            _F(("--pure-lockfile",), "PURE-LOCKFILE"),
-            _F(("--production",), "PRODUCTION"),
-            _F(("--silent",), "SILENT"),
-            _F(("--non-interactive",), "NON-INTERACTIVE"),
             _F(("--network-timeout",), "NETWORK-TIMEOUT", takes_value=True),
             _F(("--cache-folder",), "CACHE-FOLDER", takes_value=True),
             _F(("--version",), "VERSION"),
@@ -243,43 +209,35 @@ SCHEMAS: list[CommandSchema] = [
         names=("gem",),
         label="GEM",
         subcommands={
-            "update": _sub("UPDATE", "PACKAGE"),
-            "install": _sub("INSTALL", "PACKAGE"),
-            "uninstall": _sub("UNINSTALL", "PACKAGE"),
+            "update": _sub("UPDATE"),
+            "install": _sub("INSTALL"),
+            "uninstall": _sub("UNINSTALL"),
             "cleanup": _sub("CLEANUP"),
             "build": _sub("BUILD"),
         },
         flags=(
             _F(("--system",), "SYSTEM"),
             _F(("-N", "--no-document"), "NO-DOCUMENT"),
-            _F(("--no-rdoc",), "NO-RDOC"),
-            _F(("--no-ri",), "NO-RI"),
-            _F(("-q", "--quiet"), "QUIET"),
-            _F(("--force",), "FORCE"),
         ),
     ),
     CommandSchema(
         names=("yum", "dnf", "microdnf"),
         label="YUM",
         subcommands={
-            "install": _sub("INSTALL", "PACKAGE"),
-            "localinstall": _sub("LOCALINSTALL", "PACKAGE"),
-            "groupinstall": _sub("GROUPINSTALL", "PACKAGE"),
-            "update": _sub("UPDATE", "PACKAGE"),
-            "upgrade": _sub("UPGRADE", "PACKAGE"),
-            "remove": _sub("REMOVE", "PACKAGE"),
-            "erase": _sub("REMOVE", "PACKAGE"),
-            "clean": _sub("CLEAN", "TARGET"),
+            "install": _sub("INSTALL"),
+            "localinstall": _sub("LOCALINSTALL"),
+            "groupinstall": _sub("GROUPINSTALL"),
+            "update": _sub("UPDATE"),
+            "upgrade": _sub("UPGRADE"),
+            "remove": _sub("REMOVE"),
+            "erase": _sub("REMOVE"),
+            "clean": _sub("CLEAN"),
             "makecache": _sub("MAKECACHE"),
         },
         flags=(
-            _F(("-y", "--assumeyes"), "YES"),
-            _F(("-q", "--quiet"), "QUIET"),
             _F(("--setopt",), "SETOPT", takes_value=True),
             _F(("--enablerepo",), "ENABLEREPO", takes_value=True),
             _F(("--disablerepo",), "DISABLEREPO", takes_value=True),
-            _F(("--nogpgcheck",), "NOGPGCHECK"),
-            _F(("--nodocs",), "NODOCS"),
         ),
     ),
     CommandSchema(
@@ -298,7 +256,6 @@ SCHEMAS: list[CommandSchema] = [
             _F(("-C", "--directory"), "DIRECTORY", takes_value=True),
             _F(("-p", "--preserve-permissions"), "PRESERVE-PERMISSIONS"),
             _F(("--strip-components",), "STRIP-COMPONENTS", takes_value=True),
-            _F(("--no-same-owner",), "NO-SAME-OWNER"),
             _F(("--owner",), "OWNER", takes_value=True),
             _F(("--group",), "GROUP", takes_value=True),
             _F(("--exclude",), "EXCLUDE", takes_value=True),
@@ -306,31 +263,20 @@ SCHEMAS: list[CommandSchema] = [
             _F(("-m", "--touch"), "TOUCH"),
             _F(("-O", "--to-stdout"), "TO-STDOUT"),
         ),
-        positional_role="PATH",
         bundled_shorts=True,
         old_style_first_word=True,
     ),
     CommandSchema(
         names=("rm",),
         label="RM",
-        flags=(
-            _F(("-r", "-R", "--recursive"), "RECURSIVE"),
-            _F(("-f", "--force"), "FORCE"),
-            _F(("-v", "--verbose"), "VERBOSE"),
-            _F(("-i",), "INTERACTIVE"),
-            _F(("-d", "--dir"), "DIR"),
-        ),
+        flags=(_F(("-r", "-R", "--recursive"), "RECURSIVE"),),
         positional_role="PATH",
         bundled_shorts=True,
     ),
     CommandSchema(
         names=("mkdir",),
         label="MKDIR",
-        flags=(
-            _F(("-p", "--parents"), "PARENTS"),
-            _F(("-m", "--mode"), "MODE", takes_value=True),
-            _F(("-v", "--verbose"), "VERBOSE"),
-        ),
+        flags=(_F(("-m", "--mode"), "MODE", takes_value=True),),
         positional_role="PATH",
     ),
     CommandSchema(
@@ -338,75 +284,24 @@ SCHEMAS: list[CommandSchema] = [
         label="MKTEMP",
         flags=(
             _F(("-d", "--directory"), "D"),
-            _F(("-u", "--dry-run"), "DRY-RUN"),
-            _F(("-q", "--quiet"), "QUIET"),
             _F(("-p", "--tmpdir"), "TMPDIR", takes_value=True),
-            _F(("-t",), "TEMPLATE-FLAG"),
         ),
-        positional_role="TEMPLATE",
     ),
     CommandSchema(
         names=("gpg", "gpg2"),
         label="GPG",
         flags=(
             _F(("--verify",), "VERIFY"),
-            _F(("--import",), "IMPORT"),
-            _F(("--batch",), "BATCH"),
-            _F(("--no-tty",), "NO-TTY"),
-            _F(("--armor", "-a"), "ARMOR"),
             _F(("--keyserver",), "KEYSERVER", takes_value=True),
-            _F(("--recv-keys",), "RECV-KEYS"),
-            _F(("--recv",), "RECV"),
             _F(("--homedir",), "HOMEDIR", takes_value=True),
             _F(("-o", "--output"), "OUTPUT", takes_value=True),
-            _F(("-q", "--quiet"), "QUIET"),
         ),
         positional_role="FILE",
     ),
-    CommandSchema(
-        names=("wget",),
-        label="WGET",
-        flags=(
-            _F(("-O", "--output-document"), "OUTPUT-DOCUMENT", takes_value=True),
-            _F(("-o", "--output-file"), "OUTPUT-FILE", takes_value=True),
-            _F(("-q", "--quiet"), "QUIET"),
-            _F(("-P", "--directory-prefix"), "DIRECTORY-PREFIX", takes_value=True),
-            _F(("--no-check-certificate",), "NO-CHECK-CERTIFICATE"),
-            _F(("-c", "--continue"), "CONTINUE"),
-            _F(("-N", "--timestamping"), "TIMESTAMPING"),
-            _F(("-nv", "--no-verbose"), "NO-VERBOSE"),
-            _F(("-t", "--tries"), "TRIES", takes_value=True),
-            _F(("--header",), "HEADER", takes_value=True),
-        ),
-        positional_role="URL",
-    ),
-    CommandSchema(
-        names=("curl",),
-        label="CURL",
-        flags=(
-            _F(("-o", "--output"), "OUTPUT", takes_value=True),
-            _F(("-O", "--remote-name"), "REMOTE-NAME"),
-            _F(("-L", "--location"), "LOCATION"),
-            _F(("-s", "--silent"), "SILENT"),
-            _F(("-S", "--show-error"), "SHOW-ERROR"),
-            _F(("-f", "--fail"), "FAIL"),
-            _F(("-k", "--insecure"), "INSECURE"),
-            _F(("--retry",), "RETRY", takes_value=True),
-            _F(("-H", "--header"), "HEADER", takes_value=True),
-            _F(("-d", "--data"), "DATA", takes_value=True),
-            _F(("-u", "--user"), "USER", takes_value=True),
-            _F(("-w", "--write-out"), "WRITE-OUT", takes_value=True),
-            _F(("-X", "--request"), "REQUEST", takes_value=True),
-            _F(("--compressed",), "COMPRESSED"),
-        ),
-        positional_role="URL",
-    ),
-    CommandSchema(names=("cd",), label="CD", positional_role="DIR"),
-    CommandSchema(
-        names=("echo",),
-        label="ECHO",
-        flags=(_F(("-n",), "NO-NEWLINE"), _F(("-e",), "ESCAPES"), _F(("-E",), "NO-ESCAPES")),
-    ),
+    CommandSchema(names=("wget",), label="WGET"),
+    CommandSchema(names=("curl",), label="CURL"),
+    CommandSchema(names=("cd",), label="CD"),
+    CommandSchema(names=("echo",), label="ECHO"),
     CommandSchema(names=("sudo",), label="SUDO"),
     CommandSchema(names=("env",), label="ENV-CMD"),
     CommandSchema(names=("command",), label="COMMAND"),
@@ -416,29 +311,20 @@ SCHEMAS: list[CommandSchema] = [
 
 WRAPPERS: dict[str, WrapperPolicy] = {
     "sudo": WrapperPolicy(
-        "sudo",
-        "SC-SUDO",
         flags_no_value=frozenset({"-E", "-H", "-n", "-S", "-b", "-i", "-s", "-k", "-K", "--"}),
         flags_with_value=frozenset({"-u", "-g", "-p", "-C", "-r", "-t", "-U", "--user", "--group"}),
     ),
     "env": WrapperPolicy(
-        "env",
-        "SC-ENV-CMD",
         flags_no_value=frozenset({"-i", "-0", "--ignore-environment", "--null", "--"}),
         flags_with_value=frozenset({"-u", "--unset", "-C", "--chdir", "-S", "--split-string"}),
         consumes_assignments=True,
     ),
-    "command": WrapperPolicy(
-        "command", "SC-COMMAND", flags_no_value=frozenset({"-p", "-v", "-V"})
-    ),
-    "nice": WrapperPolicy("nice", "SC-NICE", flags_with_value=frozenset({"-n", "--adjustment"})),
-    "time": WrapperPolicy("time", "SC-TIME", flags_no_value=frozenset({"-p"})),
-    # pipeline negation: skip it silently so `! pip install x` still enriches
-    "!": WrapperPolicy("!", None),
+    "command": WrapperPolicy(flags_no_value=frozenset({"-p", "-v", "-V"})),
+    "nice": WrapperPolicy(flags_with_value=frozenset({"-n", "--adjustment"})),
+    "time": WrapperPolicy(flags_no_value=frozenset({"-p"})),
+    # pipeline negation: skip it so `! pip install x` still enriches
+    "!": WrapperPolicy(),
 }
-
-#: Semantic labels that do not follow the systematic naming scheme.
-EXTRA_LABELS = ("SC-TAR-EXTRACT",)
 
 #: Applied to a bare ``yarn`` with no subcommand, which means ``yarn install``.
 YARN_IMPLICIT_INSTALL = "SC-YARN-INSTALL"
@@ -452,8 +338,6 @@ def _labels_for(schema: CommandSchema) -> set[str]:
     def walk(subs: dict[str, SubSpec]) -> None:
         for sub in subs.values():
             labels.add(schema.sub_label(sub.canon))
-            if sub.positional_role:
-                labels.add(schema.role_label(sub.positional_role))
             walk(sub.children)
 
     walk(schema.subcommands)
@@ -481,5 +365,3 @@ def schema_for(command: str) -> CommandSchema | None:
 
 for _schema in SCHEMAS:
     register_schema(_schema)
-register_annotation_labels(EXTRA_LABELS)
-register_annotation_labels(p.label for p in WRAPPERS.values() if p.label)
