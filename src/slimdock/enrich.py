@@ -97,13 +97,22 @@ def command_words(cmd: UnifiedNode) -> list[UnifiedNode]:
     return [c for c in cmd.children if c.kind is NodeKind.SC_WORD]
 
 
+def _command_name(word: UnifiedNode) -> str | None:
+    """The basename of the command ``word`` runs, or None when a variable
+    decides it."""
+    text = shell.word_text(word)
+    if shell.contains_variable(text):
+        return None
+    return text.rsplit("/", 1)[-1]
+
+
 def resolve_wrappers(cmd: UnifiedNode) -> int | None:
     """Index of the first word that is the effective command, or None when
     every word is consumed by wrappers and their options."""
     words = command_words(cmd)
     i = 0
     while i < len(words):
-        policy = WRAPPERS.get(shell.word_text(words[i]))
+        policy = WRAPPERS.get(_command_name(words[i]))
         if policy is None:
             return i
         i += 1
@@ -121,7 +130,7 @@ def resolve_wrappers(cmd: UnifiedNode) -> int | None:
             if t in policy.flags_no_value:
                 i += 1
                 if t == "--":
-                    return i if i < len(words) else None
+                    break  # the next word may be one more wrapper
                 continue
             break
     return None
@@ -150,11 +159,8 @@ def enrich_statement(cmd: UnifiedNode) -> bool:
         return False
     words = command_words(cmd)
     name_word = words[eff]
-    text = shell.word_text(name_word)
-    if not text or shell.contains_variable(text):
-        return False
-    name = text.rsplit("/", 1)[-1] if "/" in text else text
-    schema = schema_for(name)
+    name = _command_name(name_word)
+    schema = schema_for(name) if name else None
     if schema is None:
         return False
     name_word.annotate(schema.command_label())

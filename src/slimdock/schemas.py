@@ -19,7 +19,9 @@ Two more kinds of flag stay because the walk reads them:
   not ``yarn install``.
 
 ``WRAPPERS`` tells the walk how to look through `sudo apt-get install ...`
-and friends; see ``register_schema`` to add a tool.
+and friends, by basename (`/usr/bin/env pip ...` too). A wrapper has no
+schema: it is never the command that gets enriched. See
+``register_schema`` to add a tool.
 """
 
 from __future__ import annotations
@@ -302,11 +304,6 @@ SCHEMAS: list[CommandSchema] = [
     CommandSchema(names=("curl",), label="CURL"),
     CommandSchema(names=("cd",), label="CD"),
     CommandSchema(names=("echo",), label="ECHO"),
-    CommandSchema(names=("sudo",), label="SUDO"),
-    CommandSchema(names=("env",), label="ENV-CMD"),
-    CommandSchema(names=("command",), label="COMMAND"),
-    CommandSchema(names=("nice",), label="NICE"),
-    CommandSchema(names=("time",), label="TIME"),
 ]
 
 WRAPPERS: dict[str, WrapperPolicy] = {

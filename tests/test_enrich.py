@@ -3,6 +3,8 @@
 import inspect
 import re
 
+import pytest
+
 import slimdock.model as model_mod
 import slimdock.query as query_mod
 import slimdock.rules as rules_mod
@@ -192,6 +194,26 @@ class TestResolveWrappers:
 
     def test_chained_wrappers(self):
         assert resolve_wrappers(self._cmd("sudo env A=1 nice -n 10 tar -xzf a.tgz")) == 6
+
+    def test_wrapper_by_basename(self):
+        assert resolve_wrappers(self._cmd("/usr/bin/sudo pip install x")) == 1
+
+    def test_wrapper_after_double_dash(self):
+        assert resolve_wrappers(self._cmd("sudo -- env A=1 pip install x")) == 4
+
+    @pytest.mark.parametrize("run", [
+        "RUN /usr/bin/sudo pip install flask",
+        'RUN ["/usr/bin/env", "pip", "install", "flask"]',
+        "RUN sudo -- /usr/bin/env pip install flask",
+    ])
+    def test_wrapped_command_detected(self, run):
+        _, report = analyze_text(run + "\n", "<test>")
+        assert [d.rule for d in report.diagnostics] == [RuleId.pipUseNoCacheDir]
+        assert (report.enriched_commands, report.total_commands) == (1, 1)
+
+    def test_wrapper_alone_is_not_enriched(self):
+        _, report = analyze_text('RUN ["/usr/bin/env", "true"]\n', "<test>")
+        assert (report.enriched_commands, report.total_commands) == (0, 1)
 
 
 class TestVocabulary:
