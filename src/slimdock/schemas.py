@@ -79,7 +79,7 @@ class WrapperPolicy:
 
 
 def _sub(canon: str, **children: SubSpec) -> SubSpec:
-    return SubSpec(canon, {k.replace("_", "-"): v for k, v in children.items()})
+    return SubSpec(canon, children)
 
 
 _F = FlagSpec
