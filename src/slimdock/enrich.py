@@ -108,7 +108,8 @@ def _command_name(word: UnifiedNode) -> str | None:
 
 def resolve_wrappers(cmd: UnifiedNode) -> int | None:
     """Index of the first word that is the effective command, or None when
-    every word is consumed by wrappers and their options."""
+    every word is consumed by wrappers and their options, or a wrapper
+    only looks the command up (``command -v yarn``)."""
     words = command_words(cmd)
     i = 0
     while i < len(words):
@@ -118,6 +119,8 @@ def resolve_wrappers(cmd: UnifiedNode) -> int | None:
         i += 1
         while i < len(words):
             t = shell.word_text(words[i])
+            if t in policy.lookups:
+                return None
             if policy.consumes_assignments and _ASSIGN_WORD_RE.match(t):
                 i += 1
                 continue

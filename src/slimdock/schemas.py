@@ -76,6 +76,9 @@ class WrapperPolicy:
     flags_no_value: frozenset[str] = frozenset()
     flags_with_value: frozenset[str] = frozenset()
     consumes_assignments: bool = False  # env A=1 cmd ...
+    #: Options with which the wrapper only looks its operand up and runs
+    #: nothing (``command -v yarn``).
+    lookups: frozenset[str] = frozenset()
 
 
 def _sub(canon: str, **children: SubSpec) -> SubSpec:
@@ -316,7 +319,7 @@ WRAPPERS: dict[str, WrapperPolicy] = {
         flags_with_value=frozenset({"-u", "--unset", "-C", "--chdir", "-S", "--split-string"}),
         consumes_assignments=True,
     ),
-    "command": WrapperPolicy(flags_no_value=frozenset({"-p", "-v", "-V"})),
+    "command": WrapperPolicy(flags_no_value=frozenset({"-p"}), lookups=frozenset({"-v", "-V"})),
     "nice": WrapperPolicy(flags_with_value=frozenset({"-n", "--adjustment"})),
     "time": WrapperPolicy(flags_no_value=frozenset({"-p"})),
     # pipeline negation: skip it so `! pip install x` still enriches

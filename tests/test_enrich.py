@@ -201,6 +201,18 @@ class TestResolveWrappers:
     def test_wrapper_after_double_dash(self):
         assert resolve_wrappers(self._cmd("sudo -- env A=1 pip install x")) == 4
 
+    @pytest.mark.parametrize(
+        "payload", ["command -v yarn", "command -V yarn", "sudo command -v yarn"]
+    )
+    def test_command_lookup_is_not_a_run(self, payload):
+        assert resolve_wrappers(self._cmd(payload)) is None
+
+    @pytest.mark.parametrize(
+        "payload, index", [("command yarn install", 1), ("command -p yarn install", 2)]
+    )
+    def test_command_runs_its_operand(self, payload, index):
+        assert resolve_wrappers(self._cmd(payload)) == index
+
     @pytest.mark.parametrize("run", [
         "RUN /usr/bin/sudo pip install flask",
         'RUN ["/usr/bin/env", "pip", "install", "flask"]',

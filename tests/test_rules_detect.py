@@ -221,6 +221,14 @@ class TestYumYarn:
     def test_yarn_cache_clean_after(self):
         assert rules_found("RUN yarn install && yarn cache clean") == []
 
+    @pytest.mark.parametrize("probe", ["command -v yarn", "command -V yarn", "command -p -v yarn"])
+    def test_command_lookup_runs_nothing(self, probe):
+        assert rules_found(f"RUN {probe}") == []
+
+    @pytest.mark.parametrize("run", ["command yarn install", "command -p yarn install"])
+    def test_command_runs_its_operand(self, run):
+        assert rules_found(f"RUN {run}") == [RuleId.yarnCacheCleanAfterInstall]
+
 
 class TestConservatism:
     def test_no_rule_fires_in_unparsed(self):
