@@ -313,8 +313,8 @@ class _Lexer:
         if m:
             self.i = m.end()
             return Seg("var", start, self.i, self.text[start : self.i], name=m.group(0))
-        if self._peek() in _SPECIAL_PARAMS:
-            name = self._peek()
+        name = self._peek()
+        if name and name in _SPECIAL_PARAMS:  # "" is in every string
             self.i += 1
             return Seg("var", start, self.i, self.text[start : self.i], name=name)
         return Seg("bare", start, self.i, "$")

@@ -122,6 +122,20 @@ class TestWords:
         assert words[1].children[0].prop("name") == "SRC"
         assert words[2].children[0].prop("name") == "DST"
 
+    @pytest.mark.parametrize("text", ["echo $", "echo a$"])
+    def test_dollar_at_end_is_bare(self, text):
+        # the lexer must not read past the end of the payload for a name
+        root, warnings = parse(text)
+        word = root.children[0].children[1]
+        assert (word_text(word), word.children, warnings) == (text[5:], [], [])
+        assert word.span.end == len(text)
+
+    def test_dollar_at_end_of_file(self):
+        from slimdock.runner import analyze_text
+
+        _, report = analyze_text("FROM d\nRUN echo $", "<test>")
+        assert report.status == "ok"
+
     def test_backtick_normalized_to_substitution(self):
         root, _ = parse("V=`mktemp -d`")
         assign = root.children[0].children[0]
