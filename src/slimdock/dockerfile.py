@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 from .model import NodeKind, SourceMap, SourceSpan, UnifiedNode
@@ -98,6 +99,14 @@ class SegmentedText:
         if idx >= len(self.segments):
             return self.segments[-1][1]
         return self.segments[idx][0] + (offset - self._cum[idx])
+
+    def to_payload(self, offset: int) -> int:
+        """The payload offset of source ``offset``, which lies in a segment
+        or at its end: the inverse of ``to_source``."""
+        if not self.segments:
+            return 0
+        idx = bisect.bisect_right(self.segments, offset, key=itemgetter(0)) - 1
+        return self._cum[idx] + (offset - self.segments[idx][0])
 
     def span(self, start: int, end: int) -> SourceSpan:
         s = self.to_source(start)

@@ -243,6 +243,17 @@ class UnifiedNode:
         except ValueError:
             raise ValueError("node is not a child of this parent") from None
 
+    def moved(self, delta: int, into: SourceSpan) -> "UnifiedNode":
+        """A copy of this subtree ``delta`` characters later, in the source
+        of ``into``: spans moved, ``literal``, ``props`` and annotations
+        copied."""
+        copy = UnifiedNode(self.kind, self.span.moved(delta, into), self.literal)
+        copy.props = dict(self.props)
+        copy.annotations = set(self.annotations)
+        for child in self.children:
+            copy.add_child(child.moved(delta, into))
+        return copy
+
     # -- annotations -----------------------------------------------------
 
     def annotate(self, label: str) -> None:

@@ -5,7 +5,8 @@ fix mode the repair outcomes plus the residual diagnostics, exactly what a
 lint of the repaired output reports. Repairs record text insertions and
 leave the tree as it was; the repaired text is the original with them
 spliced in (``printer.print_minimal``). Of that text, only the RUNs whose
-text changed are analysed again, and that is where every repair is
+text changed are analysed again, and of those only the chain elements a
+repair touched are parsed again. That is where every repair is
 verified: one whose smell is still detected there is rolled back by
 repairing the file again without it. A file that is not valid UTF-8 is
 analysed with U+FFFD in place of its bad bytes, and marked
@@ -23,10 +24,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import accumulate, groupby
 
-from .dockerfile import DockerfileAst, parse_dockerfile
+from .dockerfile import DockerfileAst, SegmentedText, parse_dockerfile
 from .enrich import build_unified_ast, embed_run, enrich, enrich_node
 from .model import NodeKind, UnifiedNode, span_text
 from .printer import print_minimal, unified_diff
@@ -35,12 +37,14 @@ from .rules import (
     RepairOutcome,
     RuleId,
     SmellDiagnostic,
+    chain_shape,
     detect,
     detect_run,
     repair,
+    run_script,
     writes_gemrc_no_document,
 )
-from .shell import word_text
+from .shell import parse_shell, word_text
 
 PARSE_OK = "ok"
 PARSE_PARTIAL = "partial"
@@ -107,12 +111,13 @@ def fix_text(
     """Detect, repair in document order, reprint, and verify on the reparse.
 
     The text is analysed once; of the printed output, only the RUNs whose
-    text the repairs changed are analysed again (``_reanalyze``). That gives
-    the residual list, exactly what a lint of the output reports, and
-    verifies the repairs (``_unverified``). A failed one is rolled back by
-    repairing again, from the same analysis, without it; every round rolls
-    back at least one more repair, so the loop ends. A file whose repairs
-    all roll back reprints byte-identically.
+    text the repairs changed are analysed again (``_reanalyze``), and of
+    such a RUN only the chain elements the repairs touched are parsed again
+    (``_reread``). That gives the residual list, exactly what a lint of the
+    output reports, and verifies the repairs (``_unverified``). A failed
+    one is rolled back by repairing again, from the same analysis, without
+    it; every round rolls back at least one more repair, so the loop ends.
+    A file whose repairs all roll back reprints byte-identically.
     """
     ast, first = analyze_text(text, path, rules)
     if first.status == PARSE_FAILED:
@@ -130,35 +135,44 @@ def fix_text(
                 outcome = repair(ast, diagnostic)
             report.repairs.append(outcome)
         report.fixed = print_minimal(ast, text)
-        read_as, report.residual = _reanalyze(ast, first.diagnostics, report.fixed, rules)
-        unverified = _unverified(ordinals, report, read_as)
+        read_as, report.residual, windows = _reanalyze(ast, first.diagnostics, report.fixed, rules)
+        unverified = _unverified(ordinals, report, read_as, windows)
         if not unverified:
             return report
         failed |= unverified
 
 
+Windows = list[tuple[list[UnifiedNode], list[UnifiedNode]]]
+
+
 def _reanalyze(
     ast: DockerfileAst, diagnostics: list[SmellDiagnostic], fixed: str, rules: list[RuleId] | None
-) -> tuple[list[UnifiedNode] | None, list[SmellDiagnostic]]:
+) -> tuple[list[UnifiedNode] | None, list[SmellDiagnostic], dict[int, Windows]]:
     """What ``analyze_text(fixed)`` finds, given ``ast`` and its ``diagnostics``:
     per RUN, the tree it reads as (None if the instructions changed: then
     every applied repair fails), and the diagnostics, spans in ``fixed``. A
     RUN with the same text and escape keeps its tree and diagnostics, moved
     by the text inserted before it (detected again if the gemrc fact
-    changed); any other RUN is embedded, enriched and detected anew."""
+    changed). Any other RUN gets its tree from ``_reread`` and is detected
+    anew; its windows, by RUN ordinal, pair the elements a window replaced
+    with the elements read from it."""
     if not ast.insertions:
-        return ast.runs(), list(diagnostics)
+        return ast.runs(), list(diagnostics), {}
     reparsed = parse_dockerfile(fixed, ast.path)
     if [n.kind for n in ast.root.children] != [n.kind for n in reparsed.root.children]:
-        return None, []
+        return None, [], {}
     same_escape = reparsed.escape_char == ast.escape_char
+    shift = _Shift(ast.insertions)
     pairs = list(zip(ast.runs(), reparsed.runs()))
-    read_as = []
-    for run, new in pairs:
+    read_as, windows = [], {}
+    for i, (run, new) in enumerate(pairs):
         edited = not same_escape or span_text(ast.source, run.span) != span_text(fixed, new.span)
         if edited:
-            embed_run(reparsed, new)
-            enrich_node(new)
+            windows[i] = _reread(run, new, shift) if same_escape else None
+            if windows[i] is None:  # the whole payload is the window
+                embed_run(reparsed, new)
+                enrich_node(new)
+                windows[i] = [([run], [new])]
         read_as.append(new if edited else run)
     fact = functools.cache(lambda: writes_gemrc_no_document(read_as))
     redetect = ast.gemrc is not None and ast.gemrc != fact()
@@ -171,7 +185,122 @@ def _reanalyze(
         found = detect_run(ast.path, run, rules, fact) if redetect else kept.get(id(run), ())
         delta = new.span.start - run.span.start
         residual += [replace(d, span=d.span.moved(delta, new.span)) for d in found]
-    return read_as, residual
+    return read_as, residual, windows
+
+
+class _Shift:
+    """Where the original text lands in the printed one: the offsets of a
+    round's insertions, and how many characters go in before each."""
+
+    def __init__(self, insertions: list[tuple[int, int, int, str]]):
+        ordered = sorted((offset, len(text)) for offset, _, _, text in insertions)
+        self.offsets = [offset for offset, _ in ordered]
+        self._before = list(accumulate((size for _, size in ordered), initial=0))
+
+    def __call__(self, offset: int, through: bool = False) -> int:
+        """Characters inserted before ``offset``; with ``through``, at it too."""
+        return self._before[(bisect_right if through else bisect_left)(self.offsets, offset)]
+
+
+def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None:
+    """Give ``new``, the printed text of the edited ``run``, its enriched
+    shell tree by parsing only what the insertions can reach; the windows,
+    or None, with ``new`` untouched, when that is not known to read as a
+    parse of the whole payload would.
+
+    ``run`` must be a chain (``rules.chain_shape``), and every insertion
+    must touch an element: lie in its span, ends included. Then each
+    untouched element, and the gap after it, is the same text in ``new``:
+    its copy is moved by the text inserted before it. Each maximal run of
+    touched elements, with what was inserted there, is a window. It runs
+    from the first one's printed start to the ``&&`` of the gap after the
+    last one, or to the end of the payload, and must read as chain
+    elements (``_read_window``). The tree is the one a parse of the whole
+    payload builds: the lexer starts afresh after ``&&`` and its trivia,
+    and the parser reads each element of a top-level chain from fresh
+    state."""
+    if (
+        not chain_shape(run)
+        or new.prop("run_form") != run.prop("run_form")
+        or new.prop("_script_escaped")
+    ):
+        return None
+    top = run_script(run).children[0]
+    elements = top.children if top.kind is NodeKind.SC_AND else [top]
+    starts = [element.span.start for element in elements]
+    offsets = shift.offsets
+    inside = slice(bisect_left(offsets, run.span.start), bisect_right(offsets, run.span.end))
+    touched = set()
+    for offset in offsets[inside]:
+        k = bisect_right(starts, offset) - 1
+        if k < 0 or offset > elements[k].span.end:
+            return None  # not in an element
+        touched.add(k)
+    if not touched:
+        return None
+    src = new.prop("_script_src")
+    start, end = new.prop("_script_region")
+    parts: list[UnifiedNode] = []
+    windows: Windows = []
+    for is_touched, group in groupby(range(len(elements)), touched.__contains__):
+        old = [elements[k] for k in group]
+        if not is_touched:
+            parts += [element.moved(shift(element.span.start), new.span) for element in old]
+            continue
+        first, last = old[0].span, old[-1].span
+        window_start = src.to_payload(first.start + shift(first.start))
+        window_end = end
+        if old[-1] is not elements[-1]:
+            gap = src.to_payload(last.end + shift(last.end, through=True))
+            window_end = src.clean.find("&&", gap)
+        read = _read_window(src, window_start, window_end, end)
+        if read is None:
+            return None
+        parts += read
+        windows.append((old, read))
+    script = UnifiedNode(NodeKind.SC_SCRIPT, src.span(start, end))
+    script.props["warnings"] = []
+    if len(parts) > 1:
+        chain = UnifiedNode(NodeKind.SC_AND, parts[0].span.through(parts[-1].span))
+        script.add_child(chain)
+        for part in parts:
+            chain.add_child(part)
+    else:
+        script.add_child(parts[0])
+    new.add_child(script)
+    return windows
+
+
+_SEPARATED = frozenset({NodeKind.SC_AND, NodeKind.SC_OR, NodeKind.SC_SEQ})
+
+
+def _read_window(
+    src: SegmentedText, start: int, end: int, payload_end: int
+) -> list[UnifiedNode] | None:
+    """The enriched chain elements ``src.clean[start:end]`` reads as, or
+    None unless they are what a parse of the payload to ``payload_end``
+    reads there: the window holds no ``#`` (a comment would run past its
+    end) and, unless it ends the payload, ends in a blank (so no token of
+    it reads on into the ``&&``); it parses with no warning into one
+    statement, a chain or a single element, that starts at ``start``, and
+    only blanks follow it."""
+    text = src.clean[start:end]
+    if end <= start or "#" in text or (end != payload_end and text[-1] not in " \t"):
+        return None
+    warnings: list[str] = []
+    script = parse_shell(src.clean, span_builder=src.span, warnings=warnings, region=(start, end))
+    if warnings or len(script.children) != 1:
+        return None
+    top = script.children[0]
+    elements = top.children if top.kind is NodeKind.SC_AND else [top]
+    if (
+        any(element.kind in _SEPARATED for element in elements)
+        or src.to_payload(elements[0].span.start) != start
+        or src.clean[src.to_payload(elements[-1].span.end) : end].strip(" \t")
+    ):
+        return None
+    enrich_node(top)
+    return elements
 
 
 def _run_ordinals(runs: list[UnifiedNode]) -> dict[int, int]:
@@ -187,29 +316,35 @@ def _smell_key(ordinals: dict[int, int], diagnostic: SmellDiagnostic) -> tuple:
 
 
 def _unverified(
-    ordinals: dict[int, int], report: FileReport, read_as: list[UnifiedNode] | None
+    ordinals: dict[int, int],
+    report: FileReport,
+    read_as: list[UnifiedNode] | None,
+    windows: dict[int, Windows],
 ) -> set[tuple]:
     """Keys of the applied repairs that ``read_as``, the tree each RUN reads
     as in ``report.fixed``, does not confirm: all of them if the
     instructions changed; those whose smell is in the residual; and those
-    of a RUN whose original words are not all found, in order, among its
-    reparsed words (an inserted word that changed how the text reads)."""
+    of a RUN where the original words of a window's elements are not all
+    found, in order, among the words read from that window (an inserted
+    word that changed how the text reads)."""
     applied = [o for o in report.repairs if o.status == "applied"]
     keys = {_smell_key(ordinals, o.diagnostic) for o in applied}
     if read_as is None:
         return keys
     read_ordinals = _run_ordinals(read_as)
     remaining = {_smell_key(read_ordinals, d) for d in report.residual}
-    edited = {ordinals[id(o.diagnostic.run)]: o.diagnostic.run for o in applied if o.edits}
-    garbled = {i for i, run in edited.items() if not _words_kept(run, read_as[i])}
+    edited = {ordinals[id(o.diagnostic.run)] for o in applied if o.edits}
+    garbled = {i for i in edited if not all(_words_kept(old, read) for old, read in windows[i])}
     return {key for key in keys if key in remaining or key[0] in garbled}
 
 
-def _words_kept(run: UnifiedNode, reparsed: UnifiedNode) -> bool:
-    """The words of the original ``run`` are a subsequence of the words of
-    ``reparsed``."""
-    words = (word_text(n) for n in reparsed.walk() if n.kind is NodeKind.SC_WORD)
-    return all(word_text(n) in words for n in run.walk() if n.kind is NodeKind.SC_WORD)
+def _words_kept(old: list[UnifiedNode], read: list[UnifiedNode]) -> bool:
+    """The words of the subtrees ``old`` are a subsequence of the words of
+    the subtrees ``read``."""
+    words = (word_text(n) for root in read for n in root.walk() if n.kind is NodeKind.SC_WORD)
+    return all(
+        word_text(n) in words for root in old for n in root.walk() if n.kind is NodeKind.SC_WORD
+    )
 
 
 def process_file(

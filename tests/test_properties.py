@@ -4,13 +4,17 @@ that the residual of a fix is what a lint of the fixed file reports."""
 
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slimdock.enrich import parse_and_enrich
-from slimdock.model import NodeKind
+from slimdock.dockerfile import parse_dockerfile
+from slimdock.enrich import embed_run, enrich_node, parse_and_enrich
+from slimdock.model import NodeKind, validate_tree
 from slimdock.printer import print_minimal
-from slimdock.runner import analyze_text, fix_text
+from slimdock.rules import repair
+from slimdock.runner import PARSE_FAILED, _reanalyze, analyze_text, fix_text
 from conftest import read_text
+from test_scaling import chain
 
 # -- generators ---------------------------------------------------------------
 
@@ -226,3 +230,86 @@ def test_unparsed_regions_never_produce_diagnostics(text):
                     and diagnostic.anchor.node.span.end <= region.span.end
                 )
                 assert not inside
+
+
+def reread_runs(text):
+    """Per RUN that the first repair round edits: the tree ``fix_text``
+    reads it as, a fresh parse and enrichment of the same RUN of the
+    printed text, and whether only windows of it were parsed again."""
+    ast, lint = analyze_text(text, "<gen>")
+    if lint.status == PARSE_FAILED:
+        return []
+    for diagnostic in lint.diagnostics:
+        repair(ast, diagnostic)
+    fixed = print_minimal(ast, text)
+    read_as, _, windows = _reanalyze(ast, lint.diagnostics, fixed, None)
+    if read_as is None:
+        return []
+    fresh = parse_dockerfile(fixed, "<gen>")
+    found = []
+    for i, pairs in windows.items():
+        new = fresh.runs()[i]
+        embed_run(fresh, new)
+        enrich_node(new)
+        found.append((read_as[i], new, pairs[0][0] != [ast.runs()[i]]))
+    return found
+
+
+def shell_nodes(run):
+    """What a RUN's shell tree holds, in pre-order: kind, span, literal,
+    props but the warnings list, annotations and child count."""
+    return [
+        (n.kind, n.span, n.literal, {k: v for k, v in n.props.items() if k != "warnings"},
+         n.annotations, len(n.children))
+        for child in run.children
+        for n in child.walk()
+    ]
+
+
+def assert_reread_is_fresh(text, spliced=False):
+    runs = reread_runs(text)
+    for read, fresh, windowed in runs:
+        validate_tree(read.parent)
+        assert shell_nodes(read) == shell_nodes(fresh)
+    if spliced:
+        assert runs and all(windowed for _, _, windowed in runs)
+
+
+def test_reread_is_fresh_parse_on_data(roundtrip_paths):
+    for path in roundtrip_paths:
+        assert_reread_is_fresh(read_text(path))
+
+
+def test_reread_is_fresh_parse_of_a_long_chain():
+    assert_reread_is_fresh(chain(50), spliced=True)
+
+
+@pytest.mark.parametrize("text", [
+    # a config statement inserted before element 0, a cleanup appended
+    "FROM ruby\nRUN gem update --system && cd /src && make && echo done\n",
+    # a flag inserted into a middle element
+    "FROM python\nRUN cd /src && pip install flask && make && echo ok\n",
+    # a cleanup inserted right before an untouched element
+    "FROM debian\nRUN tar -xzf a.tgz && make && echo ok\n",
+    # the inserted operand ends in an escaped blank, and the gap has none
+    "# escape=`\nFROM debian\nRUN tar -xzf a\\ && make && echo ok\n",
+    # an exec-form `sh -c` chain
+    'FROM debian\nRUN ["sh", "-c", "cd /src && apt-get install -y x && make"]\n',
+    "FROM debian\nRUN apt-get install -y x \\\n    && cd /src \\\n    && make\n",
+])
+def test_reread_parses_only_windows(text):
+    assert_reread_is_fresh(text, spliced=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dockerfiles(), anchored_dockerfiles()))
+@example("FROM ruby\nRUN gem update --system && cd /src && make && echo done\n")
+@example("FROM python\nRUN cd /src && pip install flask && make && echo ok\n")
+@example("FROM debian\nRUN tar -xzf a.tgz && make && echo ok\n")
+@example("# escape=`\nFROM debian\nRUN apt-get install -y x && tar -xzf a\\\n")
+@example("# escape=`\nFROM debian\nRUN tar -xzf a\\ && make && echo ok\n")
+# the touched element holds a `#`: the whole payload is parsed again
+@example("FROM debian\nRUN apt-get install -y curl && curl -o f http://x/#frag\n")
+@example('FROM debian\nRUN ["sh", "-c", "apt-get install -y x && make"]\n')
+def test_reread_is_fresh_parse(text):
+    assert_reread_is_fresh(text)
