@@ -93,9 +93,13 @@ class SegmentedText:
         self.anchor = anchor
 
     def to_source(self, offset: int) -> int:
+        return self._source_in(bisect.bisect_right(self._cum, offset) - 1, offset)
+
+    def _source_in(self, idx: int, offset: int) -> int:
+        """The source offset of payload ``offset``, which lies in segment
+        ``idx`` (past the last segment: at its end)."""
         if not self.segments:
             return self.anchor
-        idx = bisect.bisect_right(self._cum, offset) - 1
         if idx >= len(self.segments):
             return self.segments[-1][1]
         return self.segments[idx][0] + (offset - self._cum[idx])
@@ -109,9 +113,17 @@ class SegmentedText:
         return self._cum[idx] + (offset - self.segments[idx][0])
 
     def span(self, start: int, end: int) -> SourceSpan:
-        s = self.to_source(start)
-        e = s if end <= start else self.to_source(end - 1) + 1
-        return self.source_map.span(s, e)
+        """The source span of payload ``[start, end)``. The segment of its
+        last character is found by walking on from the start's segment,
+        which a span within one line does in zero steps."""
+        cum = self._cum
+        idx = bisect.bisect_right(cum, start) - 1
+        s = self._source_in(idx, start)
+        if end <= start:
+            return self.source_map.span(s, s)
+        while idx + 1 < len(cum) and cum[idx + 1] < end:
+            idx += 1
+        return self.source_map.span(s, self._source_in(idx, end - 1) + 1)
 
 
 def _lines_of(text: str) -> list[tuple[int, int, int]]:

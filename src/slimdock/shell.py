@@ -12,6 +12,12 @@ the whole script for pathological input (unterminated quotes).
 AND/OR/SEQ lists are flattened (n-ary), so "a && b && c" is one SC-AND
 with three children; a cleanup step is inserted at the end of one of them.
 
+The lexer reads each token with one match of a compiled pattern: the
+trivia before it (blanks, backslash-newline continuations and ``#``
+comments), then a plain word, a redirection, an operator or the end of
+the region. Only a word that holds a quote, ``$``, backquote or backslash,
+or runs into ``<``/``>``, is scanned segment by segment.
+
 Span guarantee: every parsed node carries a span into the payload text,
 and sibling spans are in order and disjoint, with the text between them
 (whitespace, operators, and backslash-newline continuations, which the
@@ -39,13 +45,26 @@ class ShellUnterminated(Exception):
         self.pos = pos
 
 
-_WS = " \t\r"
-_METACHARS = "&|;()<>"
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SPECIAL_PARAMS = "@*#?$!-0123456789"
 _ASSIGN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\+?=")
-_FD_RE = re.compile(r"\d+")
-_DUP_TARGET_RE = re.compile(r"\d+|-")
+# Trivia, then one token. A word with a quote, `$`, backquote or backslash,
+# or that runs into `<`/`>`, matches no alternative and is read by
+# ``_Lexer._word``. A digit run is a word unless a redirection operator
+# follows it; `&>` takes no fd.
+_TOKEN_RE = re.compile(
+    r"""(?:[ \t\r]|\\\n|\#[^\n]*)*
+    (?:
+        (?P<word>[^ \t\r\n&|;()<>'"$`\\]+)(?=[ \t\r\n&|;()]|\Z)
+      | (?P<redir>&>>?|(?P<fd>\d+)?(?:[<>]&(?:\d+|-)?|>>|>\||>|<<<|<<-|<<|<))
+      | (?P<op>&&|\|\||;;|\|&|[;|()&\n])
+      | (?P<eof>\Z)
+    )?""",
+    re.VERBOSE,
+)
+# redirection operators that take the next word as their target; a
+# duplication with an attached target (`2>&1`, `<&-`) takes none
+_TARGET_OPS = frozenset({">>", ">|", ">", "<<<", "<<-", "<<", "<", ">&", "<&", "&>", "&>>"})
 # maximal runs of characters that stand for themselves, in a word and
 # inside double quotes
 _BARE_RUN_RE = re.compile(r"[^ \t\r\n&|;()<>'\"$`\\]+")
@@ -89,141 +108,88 @@ class Tok:
 
 
 class _Lexer:
+    """Tokens of ``text[start:end]``.
+
+    Each token is one ``_TOKEN_RE`` match from the current offset: the
+    trivia (blanks, backslash-newline and ``#`` comments) and then a plain
+    word, a redirection, an operator or the end of the region. A word the
+    pattern does not take is scanned segment by segment by ``_word``.
+    """
+
     def __init__(self, text: str, start: int, end: int):
         self.text = text
         self.i = start
         self.end = end
 
     def tokens(self) -> list[Tok]:
+        text, end = self.text, self.end
+        match = _TOKEN_RE.match
         toks: list[Tok] = []
         while True:
-            tok = self._next()
-            toks.append(tok)
-            if tok.kind == "eof":
-                return toks
-
-    # -- helpers --------------------------------------------------------
+            m = match(text, self.i, end)
+            kind = m.lastgroup
+            if kind is None:
+                self.i = m.end()
+                toks.append(self._word())
+                continue
+            start, self.i = m.span(kind)
+            value = m.group(kind)
+            if kind == "word":
+                toks.append(Tok("word", start, self.i, value, [Seg("bare", start, self.i, value)]))
+            elif kind == "redir":
+                fd = m.group("fd")
+                toks.append(Tok("redir", start, self.i, value[len(fd):] if fd else value, fd=fd))
+            else:
+                toks.append(Tok(kind, start, self.i, value))
+                if kind == "eof":
+                    return toks
 
     def _peek(self, offset: int = 0) -> str:
         j = self.i + offset
         return self.text[j] if j < self.end else ""
 
-    def _skip_trivia(self) -> None:
-        while self.i < self.end:
-            ch = self.text[self.i]
-            if ch in _WS:
-                self.i += 1
-            elif ch == "\\" and self._peek(1) == "\n":
-                self.i += 2  # line continuation
-            elif ch == "#":
-                while self.i < self.end and self.text[self.i] != "\n":
-                    self.i += 1
-            else:
-                return
-
-    def _next(self) -> Tok:
-        self._skip_trivia()
-        if self.i >= self.end:
-            return Tok("eof", self.i, self.i, "")
-        start = self.i
-        ch = self.text[self.i]
-
-        if ch == "\n":
-            self.i += 1
-            return Tok("op", start, self.i, "\n")
-
-        if ch in "<>&" or ch.isdecimal():  # what _FD_RE or a redirection starts with
-            redir = self._try_redirection()
-            if redir is not None:
-                return redir
-
-        if ch in "&|;":
-            for op in ("&&", "||", ";;", "|&"):
-                if self.text.startswith(op, self.i):
-                    self.i += 2
-                    return Tok("op", start, self.i, op)
-        if ch in "&|;()":
-            self.i += 1
-            return Tok("op", start, self.i, ch)
-
-        return self._word()
-
-    def _try_redirection(self) -> Tok | None:
-        start = self.i
-        m = _FD_RE.match(self.text, self.i, self.end)
-        fd = m.group(0) if m else None
-        j = self.i + (len(fd) if fd else 0)
-        ops = (">>", ">&", ">|", ">", "<<<", "<<-", "<<", "<&", "<")
-        if fd is None and self.text.startswith("&>", j, self.end):
-            op = "&>>" if self.text.startswith("&>>", j, self.end) else "&>"
-            self.i = j + len(op)
-            return Tok("redir", start, self.i, op)
-        for op in ops:
-            if self.text.startswith(op, j, self.end):
-                self.i = j + len(op)
-                # "2>&1" style: a directly attached digit target closes the token
-                if op in (">&", "<&"):
-                    m2 = _DUP_TARGET_RE.match(self.text, self.i, self.end)
-                    if m2:
-                        self.i += len(m2.group(0))
-                        return Tok("redir", start, self.i, op + m2.group(0), fd=fd)
-                return Tok("redir", start, self.i, op, fd=fd)
-        return None  # not a redirection; bare digits are an ordinary word
-
     # -- word scanning ----------------------------------------------------
 
     def _word(self) -> Tok:
-        start = self.i
+        text, end = self.text, self.end
+        start = bare_start = self.i
         segs: list[Seg] = []
-        bare_start = self.i
-        bare_logical: list[str] = []
-
-        def flush_bare() -> None:
-            nonlocal bare_start
-            if self.i > bare_start or bare_logical:
-                segs.append(
-                    Seg("bare", bare_start, self.i, "".join(bare_logical))
-                )
-                bare_logical.clear()
-            bare_start = self.i
-
-        while self.i < self.end:
-            run = _BARE_RUN_RE.match(self.text, self.i, self.end)
+        bare: list[str] = []  # logical text of the bare run being read
+        while self.i < end:
+            run = _BARE_RUN_RE.match(text, self.i, end)
             if run is not None:
-                bare_logical.append(run.group())
+                bare.append(run.group())
                 self.i = run.end()
-                if self.i >= self.end:
+                if self.i >= end:
                     break
-            ch = self.text[self.i]
-            if ch in _WS or ch == "\n" or ch in _METACHARS:
-                break
-            if ch == "'":
-                flush_bare()
-                segs.append(self._single_quoted())
-                bare_start = self.i
-            elif ch == '"':
-                flush_bare()
-                segs.extend(self._double_quoted())
-                bare_start = self.i
-            elif ch == "$":
-                flush_bare()
-                segs.append(self._dollar())
-                bare_start = self.i
-            elif ch == "`":
-                flush_bare()
-                segs.append(self._backtick())
-                bare_start = self.i
-            elif ch == "\\":
+            ch = text[self.i]
+            if ch == "\\":
                 nxt = self._peek(1)
                 if nxt == "\n":
                     self.i += 2  # continuation inside a word
                 elif nxt == "":
-                    bare_logical.append("\\")
+                    bare.append("\\")
                     self.i += 1
                 else:
-                    bare_logical.append(nxt)
+                    bare.append(nxt)
                     self.i += 2
-        flush_bare()
+                continue
+            if ch not in "'\"$`":  # a blank, newline or metacharacter ends it
+                break
+            if self.i > bare_start or bare:
+                segs.append(Seg("bare", bare_start, self.i, "".join(bare)))
+                bare = []
+            if ch == "'":
+                segs.append(self._single_quoted())
+            elif ch == '"':
+                segs.extend(self._double_quoted())
+            elif ch == "$":
+                segs.append(self._dollar())
+            else:
+                segs.append(self._backtick())
+            bare_start = self.i
+        if self.i > bare_start or bare:
+            segs.append(Seg("bare", bare_start, self.i, "".join(bare)))
         logical = "".join(s.logical for s in segs)
         return Tok("word", start, self.i, logical, segments=segs)
 
@@ -309,7 +275,7 @@ class _Lexer:
             m = _NAME_RE.match(self.text, start + 2)
             name = m.group(0) if m else None
             return Seg("var", start, end, text, name=name)
-        m = _NAME_RE.match(self.text, self.i)
+        m = _NAME_RE.match(self.text, self.i, self.end)
         if m:
             self.i = m.end()
             return Seg("var", start, self.i, self.text[start : self.i], name=m.group(0))
@@ -752,14 +718,11 @@ class _Parser:
         return node
 
     def _word_node(self, tok: Tok) -> UnifiedNode:
-        node = UnifiedNode(
-            NodeKind.SC_WORD,
-            self.spans(tok.start, tok.end),
-            literal=self.text[tok.start : tok.end],
-        )
-        node.props["text"] = tok.value
-        node.props["quoting"] = _classify_quoting(tok)
-        self._attach_word_parts(node, tok)
+        literal = self.text[tok.start : tok.end]
+        node = UnifiedNode(NodeKind.SC_WORD, self.spans(tok.start, tok.end), literal)
+        node.props = {"text": tok.value, "quoting": _classify_quoting(tok)}
+        if "$" in literal or "`" in literal:  # what a var or subst segment holds
+            self._attach_word_parts(node, tok)
         return node
 
     def _attach_word_parts(self, node: UnifiedNode, tok: Tok) -> None:
@@ -796,8 +759,7 @@ class _Parser:
         )
         node.props["op"] = tok.value
         node.props["fd"] = tok.fd
-        needs_target = not re.search(r"[&](\d+|-)$", tok.value)
-        if needs_target:
+        if tok.value in _TARGET_OPS:
             nxt = self._peek()
             if nxt.kind == "word":
                 self._take()
@@ -878,12 +840,19 @@ def _is_bare(tok: Tok) -> bool:
 
 
 def _classify_quoting(tok: Tok) -> str:
-    kinds = {seg.kind for seg in tok.segments}
-    if "double" in kinds:
-        return "double"
-    if "single" in kinds:
-        return "single"
-    return "bare"
+    """The quoting a word reports: "double" if a segment is double-quoted,
+    else "single" if one is single-quoted, else "bare"."""
+    segs = tok.segments
+    if len(segs) == 1:
+        kind = segs[0].kind
+        return kind if kind == "double" or kind == "single" else "bare"
+    quoting = "bare"
+    for seg in segs:
+        if seg.kind == "double":
+            return "double"
+        if seg.kind == "single":
+            quoting = "single"
+    return quoting
 
 
 def _attach_sequence(

@@ -1,9 +1,14 @@
 """Shell parser: structure, degradation policy, and byte-exact spans."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slimdock.model import NodeKind, span_text
 from slimdock.shell import (
+    ShellUnterminated,
+    _Lexer,
     contains_variable,
     parse_shell,
     variable_reference,
@@ -184,6 +189,88 @@ class TestWordLexing:
         (node,) = root.children[0].children
         assert word_text(node) == logical
         assert (node.span.start, node.span.end, node.literal) == (0, len(src), src)
+
+
+def lex(text, region=None):
+    start, end = region or (0, len(text))
+    return [(t.kind, t.start, t.end, t.value, t.fd) for t in _Lexer(text, start, end).tokens()]
+
+
+class TestLexer:
+    """The token streams of operator, redirection and trivia edge cases:
+    (kind, start, end, value, fd) per token."""
+
+    @pytest.mark.parametrize(
+        "text, region, tokens",
+        [
+            ('make 2>&1', None, [('word', 0, 4, 'make', None), ('redir', 5, 9, '>&1', '2'), ('eof', 9, 9, '', None)]),
+            ('exec >&-', None, [('word', 0, 4, 'exec', None), ('redir', 5, 8, '>&-', None), ('eof', 8, 8, '', None)]),
+            ('cat <&3', None, [('word', 0, 3, 'cat', None), ('redir', 4, 7, '<&3', None), ('eof', 7, 7, '', None)]),
+            ('cmd &>f', None, [('word', 0, 3, 'cmd', None), ('redir', 4, 6, '&>', None), ('word', 6, 7, 'f', None), ('eof', 7, 7, '', None)]),
+            ('cmd &>>f', None, [('word', 0, 3, 'cmd', None), ('redir', 4, 7, '&>>', None), ('word', 7, 8, 'f', None), ('eof', 8, 8, '', None)]),
+            ('cmd 2&>f', None, [('word', 0, 3, 'cmd', None), ('word', 4, 5, '2', None), ('redir', 5, 7, '&>', None), ('word', 7, 8, 'f', None), ('eof', 8, 8, '', None)]),
+            ('12abc>f', None, [('word', 0, 5, '12abc', None), ('redir', 5, 6, '>', None), ('word', 6, 7, 'f', None), ('eof', 7, 7, '', None)]),
+            ('a>b', None, [('word', 0, 1, 'a', None), ('redir', 1, 2, '>', None), ('word', 2, 3, 'b', None), ('eof', 3, 3, '', None)]),
+            ('echo >|f', None, [('word', 0, 4, 'echo', None), ('redir', 5, 7, '>|', None), ('word', 7, 8, 'f', None), ('eof', 8, 8, '', None)]),
+            ('cat <<<w', None, [('word', 0, 3, 'cat', None), ('redir', 4, 7, '<<<', None), ('word', 7, 8, 'w', None), ('eof', 8, 8, '', None)]),
+            ('cat <<-EOF', None, [('word', 0, 3, 'cat', None), ('redir', 4, 7, '<<-', None), ('word', 7, 10, 'EOF', None), ('eof', 10, 10, '', None)]),
+            ('2 x', None, [('word', 0, 1, '2', None), ('word', 2, 3, 'x', None), ('eof', 3, 3, '', None)]),
+            ('a#b', None, [('word', 0, 3, 'a#b', None), ('eof', 3, 3, '', None)]),
+            ('x # c', None, [('word', 0, 1, 'x', None), ('eof', 5, 5, '', None)]),
+            ('a \\\n b', None, [('word', 0, 1, 'a', None), ('word', 5, 6, 'b', None), ('eof', 6, 6, '', None)]),
+            ('a\\\nb', None, [('word', 0, 4, 'ab', None), ('eof', 4, 4, '', None)]),
+            ('a;;b', None, [('word', 0, 1, 'a', None), ('op', 1, 3, ';;', None), ('word', 3, 4, 'b', None), ('eof', 4, 4, '', None)]),
+            ('a |& b', None, [('word', 0, 1, 'a', None), ('op', 2, 4, '|&', None), ('word', 5, 6, 'b', None), ('eof', 6, 6, '', None)]),
+            ('a & b', None, [('word', 0, 1, 'a', None), ('op', 2, 3, '&', None), ('word', 4, 5, 'b', None), ('eof', 5, 5, '', None)]),
+            ('a\r\nb', None, [('word', 0, 1, 'a', None), ('op', 2, 3, '\n', None), ('word', 3, 4, 'b', None), ('eof', 4, 4, '', None)]),
+            ('ab cd && e', (0, 4), [('word', 0, 2, 'ab', None), ('word', 3, 4, 'c', None), ('eof', 4, 4, '', None)]),
+            ('ab 2>', (0, 4), [('word', 0, 2, 'ab', None), ('word', 3, 4, '2', None), ('eof', 4, 4, '', None)]),
+        ],
+    )
+    def test_edge_case_tokens(self, text, region, tokens):
+        assert lex(text, region) == tokens
+
+    def test_no_token_reads_past_the_region(self):
+        # the variable name stops at the region end, not at the text's
+        assert lex("echo $ab", (0, 7)) == [
+            ("word", 0, 4, "echo", None),
+            ("word", 5, 7, "$a", None),
+            ("eof", 7, 7, "", None),
+        ]
+        assert lex("a &&", (0, 3)) == [
+            ("word", 0, 1, "a", None),
+            ("op", 2, 3, "&", None),
+            ("eof", 3, 3, "", None),
+        ]
+
+    _TRIVIA_RE = re.compile(r"(?:[ \t\r]|\\\n|#[^\n]*)*")
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(list(" \t\r\n&|;()<>'\"$`\\#{}=-12ax") + ["\\\n", "2>&1", "&>", "$(", "${"]),
+            max_size=16,
+        ).map("".join),
+        st.integers(0, 16),
+        st.integers(0, 16),
+    )
+    @example("a \\\n# c\n b 2>&1 |& c", 0, 0)
+    def test_tokens_tile_the_region(self, text, cut_start, cut_end):
+        """Token spans are in order and disjoint, inside the region, and
+        the gaps between them hold only blanks, backslash-newlines and
+        comments."""
+        start = min(cut_start, len(text))
+        end = max(start, len(text) - cut_end)
+        try:
+            toks = _Lexer(text, start, end).tokens()
+        except ShellUnterminated:
+            return
+        assert toks[-1].kind == "eof" and toks[-1].start == toks[-1].end == end
+        pos = start
+        for tok in toks:
+            assert pos <= tok.start <= tok.end <= end
+            assert self._TRIVIA_RE.fullmatch(text, pos, tok.start), (text, pos, tok)
+            pos = tok.end
 
 
 class TestDegradation:
