@@ -279,13 +279,15 @@ def _read_window(
 ) -> list[UnifiedNode] | None:
     """The enriched chain elements ``src.clean[start:end]`` reads as, or
     None unless they are what a parse of the payload to ``payload_end``
-    reads there: the window holds no ``#`` (a comment would run past its
-    end) and, unless it ends the payload, ends in a blank (so no token of
-    it reads on into the ``&&``); it parses with no warning into one
-    statement, a chain or a single element, that starts at ``start``, and
-    only blanks follow it."""
+    reads there: unless the window ends the payload, it ends in a blank
+    (so no token of it reads on into the ``&&``); it parses with no
+    warning into one statement, a chain or a single element, that starts
+    at ``start``, and only blanks follow it; and each ``#`` in it lies in
+    a word, assignment or redirection read from it (any other starts a
+    comment, which would run past the window's end, or sits in an opaque
+    region)."""
     text = src.clean[start:end]
-    if end <= start or "#" in text or (end != payload_end and text[-1] not in " \t"):
+    if end <= start or (end != payload_end and text[-1] not in " \t"):
         return None
     warnings: list[str] = []
     script = parse_shell(src.clean, span_builder=src.span, warnings=warnings, region=(start, end))
@@ -297,10 +299,27 @@ def _read_window(
         any(element.kind in _SEPARATED for element in elements)
         or src.to_payload(elements[0].span.start) != start
         or src.clean[src.to_payload(elements[-1].span.end) : end].strip(" \t")
+        or ("#" in text and not _hashes_in_words(src, start, text, top))
     ):
         return None
     enrich_node(top)
     return elements
+
+
+_WORDISH = frozenset({NodeKind.SC_WORD, NodeKind.SC_ASSIGNMENT, NodeKind.SC_REDIRECTION})
+
+
+def _hashes_in_words(src: SegmentedText, start: int, text: str, top: UnifiedNode) -> bool:
+    """Whether every ``#`` of ``text``, the payload from ``start``, lies in
+    the span of a word, assignment or redirection of ``top``."""
+    spans = [(n.span.start, n.span.end) for n in top.walk() if n.kind in _WORDISH]
+    k = text.find("#")
+    while k >= 0:
+        at = src.to_source(start + k)
+        if not any(s <= at < e for s, e in spans):
+            return False
+        k = text.find("#", k + 1)
+    return True
 
 
 def _run_ordinals(runs: list[UnifiedNode]) -> dict[int, int]:

@@ -296,9 +296,26 @@ def test_reread_is_fresh_parse_of_a_long_chain():
     # an exec-form `sh -c` chain
     'FROM debian\nRUN ["sh", "-c", "cd /src && apt-get install -y x && make"]\n',
     "FROM debian\nRUN apt-get install -y x \\\n    && cd /src \\\n    && make\n",
+    # a `#` inside a quoted word starts no comment, in an untouched element
+    # and in a touched one
+    "FROM debian\nRUN apt-get install -y x && sed -i 's/^#\\s*en_US/en_US/' /etc/locale.gen && make\n",
+    "FROM debian\nRUN apt-get install -y x && sed -i 's/^#\\s*en_US/en_US/' /etc/locale.gen\n",
+    "FROM debian\nRUN apt-get install -y x && echo a#b > f\n",
 ])
 def test_reread_parses_only_windows(text):
     assert_reread_is_fresh(text, spliced=True)
+
+
+@pytest.mark.parametrize("text", [
+    "FROM debian\nRUN apt-get install -y x && make # note\n",
+    "FROM python\nRUN pip install flask # note\n",
+])
+def test_reread_of_a_window_with_a_comment_falls_back(text):
+    """A comment in a window would run past its end: the whole payload
+    is parsed again."""
+    runs = reread_runs(text)
+    assert runs and not any(windowed for _, _, windowed in runs)
+    assert_reread_is_fresh(text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -308,7 +325,7 @@ def test_reread_parses_only_windows(text):
 @example("FROM debian\nRUN tar -xzf a.tgz && make && echo ok\n")
 @example("# escape=`\nFROM debian\nRUN apt-get install -y x && tar -xzf a\\\n")
 @example("# escape=`\nFROM debian\nRUN tar -xzf a\\ && make && echo ok\n")
-# the touched element holds a `#`: the whole payload is parsed again
+# the touched element holds a `#` inside a word, which starts no comment
 @example("FROM debian\nRUN apt-get install -y curl && curl -o f http://x/#frag\n")
 @example('FROM debian\nRUN ["sh", "-c", "apt-get install -y x && make"]\n')
 def test_reread_is_fresh_parse(text):
