@@ -200,6 +200,8 @@ def _walk_args(
                     saw_help_like = True
                 if flag.takes_value and not eq:
                     pending = flag
+                elif flag.value_role and eq:  # --file=a.tgz
+                    word.annotate(schema.role_label(flag.value_role))
             continue
         if t.startswith("-") and len(t) > 1 and t != "--":
             flag = _flag_lookup(schema, t)
@@ -212,7 +214,7 @@ def _walk_args(
                 if flag.takes_value:
                     pending = flag
             elif schema.bundled_shorts:
-                pending = _annotate_bundle(schema, command_word, word, t[1:]) or pending
+                pending = _annotate_bundle(schema, command_word, word, t[1:], attached=True)
             continue
         if (
             schema.old_style_first_word
@@ -220,7 +222,7 @@ def _walk_args(
             and _OLD_STYLE_RE.match(t)
             and all(_short_flag_lookup(schema, ch) for ch in t)
         ):
-            pending = _annotate_bundle(schema, command_word, word, t) or pending
+            pending = _annotate_bundle(schema, command_word, word, t, attached=False)
             continue
         if sub_level and t in sub_level:
             spec = sub_level[t]
@@ -237,12 +239,18 @@ def _walk_args(
 
 
 def _annotate_bundle(
-    schema: CommandSchema, command_word: UnifiedNode, word: UnifiedNode, letters: str
+    schema: CommandSchema,
+    command_word: UnifiedNode,
+    word: UnifiedNode,
+    letters: str,
+    attached: bool,
 ) -> FlagSpec | None:
-    """Annotate a combined short-flag cluster; returns a value-consuming
-    flag when one is present (its value is the next word, as in tar -xzf)."""
+    """Annotate a combined short-flag cluster; returns the value-taking
+    flag whose value is the next word, as in ``tar -xzf a.tgz``. With
+    ``attached`` (a ``-`` cluster, read as getopt does), the rest of the
+    word after a value-taking letter is its value: ``tar -xfa.tgz``."""
     pending: FlagSpec | None = None
-    for ch in letters:
+    for k, ch in enumerate(letters, 1):
         flag = _short_flag_lookup(schema, ch)
         if flag is None:
             continue
@@ -250,8 +258,25 @@ def _annotate_bundle(
         if flag.semantic:
             command_word.annotate(flag.semantic)
         if flag.takes_value:
+            if attached and k < len(letters):
+                if flag.value_role:
+                    word.annotate(schema.role_label(flag.value_role))
+                return None
             pending = flag
     return pending
+
+
+def attached_value(schema: CommandSchema, text: str) -> str:
+    """The value an option word of ``schema`` carries itself: what follows
+    the ``=`` of ``--file=a.tgz``, or what follows the first value-taking
+    letter of a short cluster, ``-xfa.tgz``."""
+    if text.startswith("--"):
+        return text.partition("=")[2]
+    for k, ch in enumerate(text[1:], 2):
+        flag = _short_flag_lookup(schema, ch)
+        if flag is not None and flag.takes_value:
+            return text[k:]
+    return ""
 
 
 def enrich_node(root: UnifiedNode) -> tuple[int, int]:

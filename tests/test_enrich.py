@@ -112,6 +112,23 @@ class TestEnrichment:
         assert labels["SC-TAR-EXTRACT"] == "tar"
         assert labels["SC-TAR-ARCHIVE"] == "app.tgz"
 
+    @pytest.mark.parametrize("command, word", [
+        ("tar -x --file=app.tgz", "--file=app.tgz"),
+        ("tar -xfapp.tgz", "-xfapp.tgz"),
+        ("tar -xzfapp.tgz -C /opt", "-xzfapp.tgz"),
+    ])
+    def test_attached_archive_value(self, command, word):
+        labels = labels_of(f"RUN {command}")
+        assert labels["SC-TAR-F-FILE"] == word
+        assert labels["SC-TAR-ARCHIVE"] == word
+
+    def test_rest_of_a_cluster_is_the_value(self):
+        # getopt: `-C` takes `fa.tgz` as its value; there is no `-f`
+        labels = labels_of("RUN tar -xCfa.tgz")
+        assert labels["SC-TAR-F-DIRECTORY"] == "-xCfa.tgz"
+        assert "SC-TAR-F-FILE" not in labels
+        assert "SC-TAR-ARCHIVE" not in labels
+
     def test_old_style_tar_bundle(self):
         labels = labels_of("RUN tar xzf app.tgz -C /opt")
         assert labels["SC-TAR-ARCHIVE"] == "app.tgz"

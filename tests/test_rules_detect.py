@@ -94,6 +94,24 @@ class TestTar:
     def test_variable_archive_suppressed(self):
         assert rules_found("RUN tar -xzf $ARCHIVE") == []
 
+    @pytest.mark.parametrize("command", [
+        "tar -x --file=app.tgz",
+        "tar -xfapp.tgz",
+        "tar -xzfapp.tgz -C /opt",
+    ])
+    def test_attached_archive_kept(self, command):
+        assert rules_found(f"RUN {command}") == [RuleId.tarSomethingRmTheSomething]
+        assert rules_found(f"RUN {command} && rm app.tgz") == []
+
+    @pytest.mark.parametrize("command", [
+        "tar -x --file='my app.tgz'",
+        "tar -xf'a;b.tgz'",
+        "tar -xf-",
+        "tar -x --file=$ARCHIVE",
+    ])
+    def test_attached_archive_that_needs_quoting_is_not_reported(self, command):
+        assert rules_found(f"RUN {command}") == []
+
     def test_rm_before_extraction_does_not_count(self):
         found = rules_found("RUN rm -f app.tgz && tar -xzf app.tgz")
         assert found == [RuleId.tarSomethingRmTheSomething]

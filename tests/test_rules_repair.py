@@ -110,6 +110,15 @@ class TestOperandQuoting:
         assert fix(report.fixed) == report.fixed
 
 
+class TestAttachedArchive:
+    @pytest.mark.parametrize("command", ["tar -x --file=app.tgz", "tar -xzfapp.tgz -C /opt"])
+    def test_rm_names_the_value(self, command):
+        report = fix_text(f"RUN {command} && make\n", "<t>")
+        assert report.fixed == f"RUN {command} && rm app.tgz && make\n"
+        assert [o.status for o in report.repairs] == ["applied"]
+        assert report.residual == []
+
+
 class TestAdjacentRepairs:
     def test_rm_lands_before_cd(self):
         text = (
