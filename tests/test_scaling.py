@@ -9,6 +9,10 @@ cost less than three times as much (lint of 400 commands takes about
 25 ms): a lexer or parser step that rescans the tokens so far for every
 token makes it cost four times as much.
 
+Lint of a file of 800 one-line RUNs must also cost less than three times
+lint of 400 (about 35 ms). It costs 1.65-2.0 times as much; a step that
+walks the whole tree once per RUN makes it 3.6 times.
+
 Fix of a 1,600-command RUN must cost less than 17 times the fix of a
 200-command one. It costs 8.5-13 times as much (0.51-0.62 s); a repair
 that scans the whole chain for each insertion (say, to recompute the
@@ -94,6 +98,20 @@ def test_lint_cost_linear_in_run_length():
         [(analyze_text, chain(COMMANDS)), (analyze_text, chain(2 * COMMANDS))], 9
     )
     assert large < 3 * small, f"{2 * COMMANDS} commands: {large:.3f} s, {COMMANDS}: {small:.3f} s"
+
+
+def one_line_runs(n):
+    return "FROM debian\n" + "".join(
+        f"RUN apt-get install -y pkg{i}\n" if i % 2 == 0 else f"RUN tar -xzf archive{i}.tgz\n"
+        for i in range(n)
+    )
+
+
+def test_lint_cost_linear_in_runs_per_file():
+    small, large = least_cpu(
+        [(analyze_text, one_line_runs(COMMANDS)), (analyze_text, one_line_runs(2 * COMMANDS))], 9
+    )
+    assert large < 3 * small, f"{2 * COMMANDS} RUNs: {large:.3f} s, {COMMANDS}: {small:.3f} s"
 
 
 def test_fix_cost_linear_in_run_length():
