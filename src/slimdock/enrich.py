@@ -249,8 +249,9 @@ def _annotate_bundle(
     flag whose value is the next word, as in ``tar -xzf a.tgz``. With
     ``attached`` (a ``-`` cluster, read as getopt does), the rest of the
     word after a value-taking letter is its value: ``tar -xfa.tgz``."""
+    value = attached_value(schema, "-" + letters) if attached else ""
     pending: FlagSpec | None = None
-    for k, ch in enumerate(letters, 1):
+    for ch in letters[: len(letters) - len(value)]:
         flag = _short_flag_lookup(schema, ch)
         if flag is None:
             continue
@@ -258,11 +259,11 @@ def _annotate_bundle(
         if flag.semantic:
             command_word.annotate(flag.semantic)
         if flag.takes_value:
-            if attached and k < len(letters):
-                if flag.value_role:
-                    word.annotate(schema.role_label(flag.value_role))
-                return None
             pending = flag
+    if value:
+        if pending.value_role:
+            word.annotate(schema.role_label(pending.value_role))
+        return None
     return pending
 
 
