@@ -190,7 +190,7 @@ def _walk_args(
             pending = None
             continue
         if t.startswith("--") and len(t) > 2:
-            name, eq, _val = t.partition("=")
+            name, eq, value = t.partition("=")
             flag = _flag_lookup(schema, name)
             if flag is not None:
                 word.annotate(schema.flag_label(flag.canon))
@@ -200,7 +200,7 @@ def _walk_args(
                     saw_help_like = True
                 if flag.takes_value and not eq:
                     pending = flag
-                elif flag.value_role and eq:  # --file=a.tgz
+                elif flag.value_role and value:  # --file=a.tgz
                     word.annotate(schema.role_label(flag.value_role))
             continue
         if t.startswith("-") and len(t) > 1 and t != "--":

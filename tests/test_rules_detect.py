@@ -107,6 +107,7 @@ class TestTar:
         "tar -x --file='my app.tgz'",
         "tar -xf'a;b.tgz'",
         "tar -xf-",
+        "tar -x --file=",
         "tar -x --file=$ARCHIVE",
     ])
     def test_attached_archive_that_needs_quoting_is_not_reported(self, command):
