@@ -270,12 +270,15 @@ def _annotate_bundle(
 def attached_value(schema: CommandSchema, text: str) -> str:
     """The value an option word of ``schema`` carries itself: what follows
     the ``=`` of ``--file=a.tgz``, or what follows the first value-taking
-    letter of a short cluster, ``-xfa.tgz``."""
+    letter of a short cluster, ``-xfa.tgz``. None follows a letter the
+    schema does not know, which may take the rest as its own value."""
     if text.startswith("--"):
         return text.partition("=")[2]
     for k, ch in enumerate(text[1:], 2):
         flag = _short_flag_lookup(schema, ch)
-        if flag is not None and flag.takes_value:
+        if flag is None:
+            return ""
+        if flag.takes_value:
             return text[k:]
     return ""
 

@@ -108,6 +108,7 @@ class TestTar:
         "tar -xf'a;b.tgz'",
         "tar -xf-",
         "tar -x --file=",
+        "tar -xTfiles.txt",  # -T (unknown here) may take `files.txt`
         "tar -x --file=$ARCHIVE",
     ])
     def test_attached_archive_that_needs_quoting_is_not_reported(self, command):
