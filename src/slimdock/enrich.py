@@ -11,8 +11,19 @@ matches a registered schema, the command word, subcommand word, the flags
 the schema lists, and positional arguments with a role get labels. The
 wrapper words themselves get none. Unknown commands receive no
 annotations, and a variable-valued command name is never enriched.
-Enrichment is idempotent and touches only annotations, never text or
-spans. It is the last step that changes the tree: repairs only read it.
+
+Option words are read as getopt reads them (``_options``): ``--name=value``
+carries its value; in a ``-abc`` cluster the first value-taking letter
+takes the rest of the word, and a letter the schema does not know ends the
+reading, since the rest may be its value; tar's old-style first word
+(``xzf``, every letter known) names its letters. Flags still waiting for
+a value take the following words in letter order (``tar xCf /opt a.tgz``).
+``--`` ends the options.
+
+Enrichment is idempotent and never changes text or spans. Besides
+annotations it sets one prop: ``value``, on an option word that carries
+the value of a role itself (``--file=a.tgz``). It is the last step that
+changes the tree: repairs only read it.
 """
 
 from __future__ import annotations
@@ -31,7 +42,6 @@ from .schemas import (
 )
 
 _ASSIGN_WORD_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
-_OLD_STYLE_RE = re.compile(r"^[A-Za-z]+$")
 
 
 def build_unified_ast(ast: DockerfileAst) -> DockerfileAst:
@@ -106,11 +116,11 @@ def _command_name(word: UnifiedNode) -> str | None:
     return text.rsplit("/", 1)[-1]
 
 
-def resolve_wrappers(cmd: UnifiedNode) -> int | None:
-    """Index of the first word that is the effective command, or None when
-    every word is consumed by wrappers and their options, or a wrapper
-    only looks the command up (``command -v yarn``)."""
-    words = command_words(cmd)
+def resolve_wrappers(words: list[UnifiedNode]) -> int | None:
+    """Index in ``words``, a simple command's words, of the first word that
+    is the effective command, or None when every word is consumed by
+    wrappers and their options, or a wrapper only looks the command up
+    (``command -v yarn``)."""
     i = 0
     while i < len(words):
         policy = WRAPPERS.get(_command_name(words[i]))
@@ -151,16 +161,40 @@ def _flag_lookup(schema: CommandSchema, name: str) -> FlagSpec | None:
     return None
 
 
-def _short_flag_lookup(schema: CommandSchema, letter: str) -> FlagSpec | None:
-    return _flag_lookup(schema, "-" + letter)
+def _options(
+    schema: CommandSchema, text: str, first: bool
+) -> tuple[list[FlagSpec], str | None] | None:
+    """The flags of ``schema`` that the option word ``text`` names, in
+    order, and the value the word carries itself (None when it carries
+    none); None when ``text`` is no option word. ``first`` says whether
+    it is the first word after the command name."""
+    if text.startswith("--"):
+        name, eq, value = text.partition("=")
+        flag = _flag_lookup(schema, name)
+        return ([flag] if flag else []), (value if eq else None)
+    if text.startswith("-") and len(text) > 1:
+        flags = []
+        for k, ch in enumerate(text[1:], 2):
+            flag = _flag_lookup(schema, "-" + ch)
+            if flag is None:
+                break  # the rest may be this letter's value
+            flags.append(flag)
+            if flag.takes_value:
+                return flags, text[k:] or None
+        return flags, None
+    if first and text and schema.old_style_first_word:
+        flags = [_flag_lookup(schema, "-" + ch) for ch in text]
+        if all(flags):
+            return flags, None
+    return None
 
 
-def enrich_statement(cmd: UnifiedNode) -> bool:
-    """Annotate one simple command. Returns True when a schema matched."""
-    eff = resolve_wrappers(cmd)
+def enrich_statement(words: list[UnifiedNode]) -> bool:
+    """Annotate the words of one simple command. Returns True when a
+    schema matched."""
+    eff = resolve_wrappers(words)
     if eff is None:
         return False
-    words = command_words(cmd)
     name_word = words[eff]
     name = _command_name(name_word)
     schema = schema_for(name) if name else None
@@ -175,112 +209,47 @@ def _walk_args(
     schema: CommandSchema, command_word: UnifiedNode, args: list[UnifiedNode]
 ) -> None:
     sub_level = schema.subcommands
-    matched_sub = False
-    pending: FlagSpec | None = None
-    saw_help_like = False
-    first_arg = True
+    bare = True  # no subcommand, no --version or --help
+    waiting: list[FlagSpec] = []  # flags whose values are the next words
+    options = True  # until `--`
 
-    for word in args:
+    for k, word in enumerate(args):
+        if waiting:
+            flag = waiting.pop(0)
+            if flag.value_role:
+                word.annotate(schema.role_label(flag.value_role))
+            continue
         t = shell.word_text(word)
-        is_first = first_arg
-        first_arg = False
-        if pending is not None:
-            if pending.value_role:
-                word.annotate(schema.role_label(pending.value_role))
-            pending = None
+        if options and t == "--":
+            options = False
             continue
-        if t.startswith("--") and len(t) > 2:
-            name, eq, value = t.partition("=")
-            flag = _flag_lookup(schema, name)
-            if flag is not None:
+        read = _options(schema, t, k == 0) if options else None
+        if read is not None:
+            flags, value = read
+            for flag in flags:
                 word.annotate(schema.flag_label(flag.canon))
                 if flag.semantic:
                     command_word.annotate(flag.semantic)
                 if flag.canon in ("VERSION", "HELP"):
-                    saw_help_like = True
-                if flag.takes_value and not eq:
-                    pending = flag
-                elif flag.value_role and value:  # --file=a.tgz
-                    word.annotate(schema.role_label(flag.value_role))
-            continue
-        if t.startswith("-") and len(t) > 1 and t != "--":
-            flag = _flag_lookup(schema, t)
-            if flag is not None:
-                word.annotate(schema.flag_label(flag.canon))
-                if flag.semantic:
-                    command_word.annotate(flag.semantic)
-                if flag.canon in ("VERSION", "HELP"):
-                    saw_help_like = True
-                if flag.takes_value:
-                    pending = flag
-            elif schema.bundled_shorts:
-                pending = _annotate_bundle(schema, command_word, word, t[1:], attached=True)
-            continue
-        if (
-            schema.old_style_first_word
-            and is_first
-            and _OLD_STYLE_RE.match(t)
-            and all(_short_flag_lookup(schema, ch) for ch in t)
-        ):
-            pending = _annotate_bundle(schema, command_word, word, t, attached=False)
+                    bare = False
+            if value is None:
+                waiting = [flag for flag in flags if flag.takes_value]
+            elif value and flags and flags[-1].value_role:  # --file=a.tgz, -xfa.tgz
+                word.annotate(schema.role_label(flags[-1].value_role))
+                word.props["value"] = value
             continue
         if sub_level and t in sub_level:
             spec = sub_level[t]
             word.annotate(schema.sub_label(spec.canon))
             sub_level = spec.children
-            matched_sub = True
+            bare = False
             continue
         if schema.positional_role:
             word.annotate(schema.role_label(schema.positional_role))
 
     # bare `yarn` (flags only) means `yarn install`
-    if schema.label == "YARN" and not matched_sub and not saw_help_like:
+    if schema.label == "YARN" and bare:
         command_word.annotate(YARN_IMPLICIT_INSTALL)
-
-
-def _annotate_bundle(
-    schema: CommandSchema,
-    command_word: UnifiedNode,
-    word: UnifiedNode,
-    letters: str,
-    attached: bool,
-) -> FlagSpec | None:
-    """Annotate a combined short-flag cluster; returns the value-taking
-    flag whose value is the next word, as in ``tar -xzf a.tgz``. With
-    ``attached`` (a ``-`` cluster, read as getopt does), the rest of the
-    word after a value-taking letter is its value: ``tar -xfa.tgz``."""
-    value = attached_value(schema, "-" + letters) if attached else ""
-    pending: FlagSpec | None = None
-    for ch in letters[: len(letters) - len(value)]:
-        flag = _short_flag_lookup(schema, ch)
-        if flag is None:
-            continue
-        word.annotate(schema.flag_label(flag.canon))
-        if flag.semantic:
-            command_word.annotate(flag.semantic)
-        if flag.takes_value:
-            pending = flag
-    if value:
-        if pending.value_role:
-            word.annotate(schema.role_label(pending.value_role))
-        return None
-    return pending
-
-
-def attached_value(schema: CommandSchema, text: str) -> str:
-    """The value an option word of ``schema`` carries itself: what follows
-    the ``=`` of ``--file=a.tgz``, or what follows the first value-taking
-    letter of a short cluster, ``-xfa.tgz``. None follows a letter the
-    schema does not know, which may take the rest as its own value."""
-    if text.startswith("--"):
-        return text.partition("=")[2]
-    for k, ch in enumerate(text[1:], 2):
-        flag = _short_flag_lookup(schema, ch)
-        if flag is None:
-            return ""
-        if flag.takes_value:
-            return text[k:]
-    return ""
 
 
 def enrich_node(root: UnifiedNode) -> tuple[int, int]:
@@ -294,10 +263,11 @@ def enrich_node(root: UnifiedNode) -> tuple[int, int]:
     for node in root.walk():
         if node.kind is not NodeKind.SC_SIMPLE_COMMAND:
             continue
-        if not command_words(node):
+        words = command_words(node)
+        if not words:
             continue
         total += 1
-        if enrich_statement(node):
+        if enrich_statement(words):
             matched += 1
     return matched, total
 

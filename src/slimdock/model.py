@@ -274,12 +274,6 @@ class UnifiedNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def ancestors(self) -> Iterator["UnifiedNode"]:
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
     def prop(self, key: str, default: Any = None) -> Any:
         return self.props.get(key, default)
 

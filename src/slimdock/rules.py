@@ -43,10 +43,9 @@ from typing import Callable, Iterator
 
 from . import shell
 from .dockerfile import DockerfileAst
-from .enrich import attached_value, command_words, enrich_node
+from .enrich import command_words, enrich_node
 from .model import NodeKind, SourceSpan, UnifiedNode
 from .query import Anchor, RunIndex, checked_label, statement_has
-from .schemas import schema_for
 
 
 @unique
@@ -276,7 +275,6 @@ def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
 # -- rule 5: tarSomethingRmTheSomething ------------------------------------------
 
 _TAR_ARCHIVE = checked_label("SC-TAR-ARCHIVE")
-_TAR_FILE = checked_label("SC-TAR-F-FILE")
 
 
 def _archive_of(statement: UnifiedNode) -> UnifiedNode | None:
@@ -290,11 +288,11 @@ def _tar(scope: Scope, anchor: Anchor) -> dict | None:
     word = _archive_of(anchor.statement)
     if word is None:
         return None
-    archive = shell.word_text(word)
-    if word.has_annotation(_TAR_FILE):  # the option word holds the archive
-        archive = attached_value(schema_for("tar"), archive)
-        if _METACHAR_RE.search(archive):
-            return None  # its source is not the operand alone
+    archive = word.prop("value")  # set when the option word holds it
+    if archive is None:
+        archive = shell.word_text(word)
+    elif _METACHAR_RE.search(archive):
+        return None  # its source is not the operand alone
     if archive in ("-", "/dev/stdin") or shell.contains_variable(archive):
         return None
     if scope.index.removed_after(anchor.statement_position, archive, recursive=False):

@@ -11,10 +11,13 @@ names (the command names make the enrichment coverage figure, and a
 subcommand name ends the walk into the words after it), the flags and
 roles a rule reads, and every flag that takes a value, so that the value
 is never mistaken for a positional (``mkdir -m 0755 /usr/src/app``).
-Two more kinds of flag stay because the walk reads them:
+Every schema's ``-abc`` word is read as a getopt cluster, which stops at
+the first letter the schema does not know. So more flags stay because
+the walk reads them:
 
 * every ``tar`` flag with a short letter: ``tar xzvpf a.tgz`` is read as
   an old-style bundle only when every letter is a known short flag;
+* every ``rm`` short letter, so that ``rm -fr`` reaches its ``-r``;
 * ``yarn``'s ``--version`` and ``--help``, which mean a bare ``yarn`` is
   not ``yarn install``.
 
@@ -53,7 +56,6 @@ class CommandSchema:
     subcommands: dict[str, SubSpec] = field(default_factory=dict)
     flags: tuple[FlagSpec, ...] = ()
     positional_role: str | None = None  # role of positionals; no subcommands
-    bundled_shorts: bool = False  # -xzf contains -x, -z, -f
     old_style_first_word: bool = False  # tar's "tar xzf file"
 
     def command_label(self) -> str:
@@ -268,15 +270,20 @@ SCHEMAS: list[CommandSchema] = [
             _F(("-m", "--touch"), "TOUCH"),
             _F(("-O", "--to-stdout"), "TO-STDOUT"),
         ),
-        bundled_shorts=True,
         old_style_first_word=True,
     ),
     CommandSchema(
         names=("rm",),
         label="RM",
-        flags=(_F(("-r", "-R", "--recursive"), "RECURSIVE"),),
+        flags=(
+            _F(("-r", "-R", "--recursive"), "RECURSIVE"),
+            _F(("-f",), "FORCE"),
+            _F(("-i",), "INTERACTIVE"),
+            _F(("-I",), "INTERACTIVE-ONCE"),
+            _F(("-d",), "DIR"),
+            _F(("-v",), "VERBOSE"),
+        ),
         positional_role="PATH",
-        bundled_shorts=True,
     ),
     CommandSchema(
         names=("mkdir",),

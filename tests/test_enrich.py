@@ -112,26 +112,45 @@ class TestEnrichment:
         assert labels["SC-TAR-EXTRACT"] == "tar"
         assert labels["SC-TAR-ARCHIVE"] == "app.tgz"
 
-    @pytest.mark.parametrize("command, word", [
-        ("tar -x --file=app.tgz", "--file=app.tgz"),
-        ("tar -xfapp.tgz", "-xfapp.tgz"),
-        ("tar -xzfapp.tgz -C /opt", "-xzfapp.tgz"),
+    # Each row read as GNU tar 1.34 reads it (`t` in place of `x`): the
+    # archive it names, or None when it names none of these words.
+    @pytest.mark.parametrize("command, archive", [
+        ("tar xzf app.tgz -C /opt", "app.tgz"),
+        ("tar xCf /opt a.tgz", "a.tgz"),  # old-style values go in letter order
+        ("tar xfC a.tgz /opt", "a.tgz"),
+        ("tar -xCf /opt a.tgz", None),  # -C takes the rest, `f`
+        ("tar -xCfa.tgz", None),
+        ("tar -xTf list.txt a.tgz", None),  # -T f: an unknown letter ends the cluster
+        ("tar -xXf ex.txt a.tgz", None),
+        ("tar -xTfiles.txt a.tgz", None),
+        ("tar -x -T list.txt -f a.tgz", "a.tgz"),
+        ("tar -C /opt -xf a.tgz", "a.tgz"),
+        ("tar -x --file=app.tgz", "app.tgz"),
+        ("tar -xfapp.tgz", "app.tgz"),
+        ("tar -xzfapp.tgz -C /opt", "app.tgz"),
+        ("tar -x -- -fb.tgz", None),  # after `--`, a member name
+        ("tar -x -- --file=b.tgz", None),
     ])
-    def test_attached_archive_value(self, command, word):
-        labels = labels_of(f"RUN {command}")
-        assert labels["SC-TAR-F-FILE"] == word
-        assert labels["SC-TAR-ARCHIVE"] == word
+    def test_tar_reading(self, command, archive):
+        words = command_words(first_command(f"RUN {command}"))
+        named = [w.prop("value", word_text(w)) for w in words if w.has_annotation("SC-TAR-ARCHIVE")]
+        assert named == ([archive] if archive else [])
+        # a word that carries the archive itself is the -f/--file word
+        assert all(w.has_annotation("SC-TAR-F-FILE") for w in words if w.prop("value"))
 
-    def test_rest_of_a_cluster_is_the_value(self):
-        # getopt: `-C` takes `fa.tgz` as its value; there is no `-f`
-        labels = labels_of("RUN tar -xCfa.tgz")
-        assert labels["SC-TAR-F-DIRECTORY"] == "-xCfa.tgz"
-        assert "SC-TAR-F-FILE" not in labels
-        assert "SC-TAR-ARCHIVE" not in labels
+    @pytest.mark.parametrize("command, path", [
+        ("mkdir -p -- /usr/src/app", "/usr/src/app"),
+        ("mkdir -pm 0755 /usr/src/app", "/usr/src/app"),
+    ])
+    def test_mkdir_path_read(self, command, path):
+        cmd = first_command(f"RUN {command}")
+        paths = [word_text(w) for w in command_words(cmd) if w.has_annotation("SC-MKDIR-PATH")]
+        assert paths[-1] == path and "--" not in paths
 
-    def test_old_style_tar_bundle(self):
-        labels = labels_of("RUN tar xzf app.tgz -C /opt")
-        assert labels["SC-TAR-ARCHIVE"] == "app.tgz"
+    @pytest.mark.parametrize("word", ["-fr", "-vr", "-dR", "-Ir", "-ir"])
+    def test_rm_letters_before_r(self, word):
+        # a letter the schema does not know would end the cluster first
+        assert "SC-RM-F-RECURSIVE" in labels_of(f"RUN rm {word} /tmp/x")
 
     def test_long_flags_match_whole_word_only(self):
         labels = labels_of("RUN pip install --no-cache-dir-ish pkg")
@@ -192,7 +211,7 @@ class TestEnrichment:
 
 class TestResolveWrappers:
     def _cmd(self, payload):
-        return first_command(f"RUN {payload}")
+        return command_words(first_command(f"RUN {payload}"))
 
     def test_sudo(self):
         assert resolve_wrappers(self._cmd("sudo apt-get install x")) == 1
@@ -265,7 +284,7 @@ class TestVocabulary:
                 if (
                     flag.takes_value
                     or flag.semantic
-                    or (schema.label == "TAR" and any(len(n) == 2 for n in flag.names))
+                    or (schema.label in ("TAR", "RM") and any(len(n) == 2 for n in flag.names))
                     or (schema.label == "YARN" and flag.canon in ("HELP", "VERSION"))
                 ):
                     needed.add(schema.flag_label(flag.canon))

@@ -92,6 +92,7 @@ def anchored_commands(draw, nested=False):
         "apt-get install -y {}", "tar -xzf {}", "gpg --verify {}.asc",
         "mkdir -p /usr/src/{}", "npm install", "gem update --system",
         "pip install {}", "cd {}", "make", "rm -rf {}",
+        "tar xCf /opt {}", "tar -xCf /opt {}", "tar -x -- -f{}",
     ]))
     return template.format(draw(_operands))
 

@@ -119,6 +119,29 @@ class TestAttachedArchive:
         assert report.residual == []
 
 
+class TestOptionReading:
+    """The rm a repair appends names what the command reads (each tar row
+    as GNU tar 1.34 reads it), and nothing when it names nothing."""
+
+    @pytest.mark.parametrize("text, fixed", [
+        ("RUN tar xCf /opt a.tgz\n", "RUN tar xCf /opt a.tgz && rm a.tgz\n"),
+        ("RUN tar xfC a.tgz /opt\n", "RUN tar xfC a.tgz /opt && rm a.tgz\n"),
+        ("RUN tar -xTf list.txt a.tgz\n", "RUN tar -xTf list.txt a.tgz\n"),
+        ("RUN tar -x -- -fb.tgz\n", "RUN tar -x -- -fb.tgz\n"),
+        ("RUN pip install -rreq.txt\n", "RUN pip install --no-cache-dir -rreq.txt\n"),
+        ("RUN mkdir -p -- /usr/src/app\n", "RUN mkdir -p -- /usr/src/app && rm -rf /usr/src/app\n"),
+        ("RUN mkdir -pm 0755 /usr/src/app\n",
+         "RUN mkdir -pm 0755 /usr/src/app && rm -rf /usr/src/app\n"),
+        ("RUN apt-get install --no-install-recommends -y x && rm -fr /var/lib/apt/lists/*\n",
+         "RUN apt-get install --no-install-recommends -y x && rm -fr /var/lib/apt/lists/*\n"),
+    ])
+    def test_fixed_text(self, text, fixed):
+        report = fix_text(text, "<t>")
+        assert report.fixed == fixed
+        assert {o.status for o in report.repairs} <= {"applied"}
+        assert report.residual == []
+
+
 class TestAdjacentRepairs:
     def test_rm_lands_before_cd(self):
         text = (
