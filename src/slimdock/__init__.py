@@ -6,7 +6,7 @@ actually touched. See README.md for the CLI.
 """
 
 from .dockerfile import DockerfileAst, parse_dockerfile
-from .enrich import build_unified_ast, enrich, parse_and_enrich, resolve_wrappers
+from .enrich import build_unified_ast, enrich, parse_and_enrich
 from .model import NodeKind, SourceSpan, UnifiedNode, span_text
 from .printer import print_minimal, unified_diff
 from .rules import (
@@ -45,7 +45,6 @@ __all__ = [
     "parse_shell",
     "print_minimal",
     "repair",
-    "resolve_wrappers",
     "span_text",
     "unified_diff",
     "verify_or_rollback",

@@ -6,19 +6,19 @@ form get an SC-SCRIPT; other exec forms get one SC-SIMPLE-COMMAND built
 from the array), with all spans rebased into file coordinates.
 
 ``enrich`` then attaches semantic annotations: for every simple command
-whose effective command (after looking through wrappers like sudo/env)
-matches a registered schema, the command word, subcommand word, the flags
-the schema lists, and positional arguments with a role get labels. The
-wrapper words themselves get none. Unknown commands receive no
-annotations, and a variable-valued command name is never enriched.
+whose effective command (the first operand of wrappers like ``sudo -Eu
+app`` or ``env A=1``) matches a registered schema, the command word,
+subcommand word, the flags the schema lists, and positional arguments with
+a role get labels. The wrapper words themselves get none. Unknown commands
+receive no annotations, and a variable-valued command name is never enriched.
 
-Option words are read as getopt reads them (``_options``): ``--name=value``
-carries its value; in a ``-abc`` cluster the first value-taking letter
-takes the rest of the word, and a letter the schema does not know ends the
-reading, since the rest may be its value; tar's old-style first word
-(``xzf``, every letter known) names its letters. Flags still waiting for
-a value take the following words in letter order (``tar xCf /opt a.tgz``).
-``--`` ends the options.
+Option words, a wrapper's too, are read as getopt reads them (``_options``):
+``--name=value`` carries its value; in a ``-abc`` cluster the first
+value-taking letter takes the rest of the word, and a letter the table does
+not know ends the reading, since the rest may be its value; tar's old-style
+first word (``xzf``, every letter known) names its letters. Flags still
+waiting for a value take the following words in letter order (``tar xCf
+/opt a.tgz``). ``--`` ends the options.
 
 Enrichment is idempotent and never changes text or spans. Besides
 annotations it sets one prop: ``value``, on an option word that carries
@@ -98,7 +98,7 @@ def embed_run(ast: DockerfileAst, run: UnifiedNode) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Wrapper resolution
+# Enrichment
 # ---------------------------------------------------------------------------
 
 
@@ -116,93 +116,96 @@ def _command_name(word: UnifiedNode) -> str | None:
     return text.rsplit("/", 1)[-1]
 
 
-def resolve_wrappers(words: list[UnifiedNode]) -> int | None:
-    """Index in ``words``, a simple command's words, of the first word that
-    is the effective command, or None when every word is consumed by
-    wrappers and their options, or a wrapper only looks the command up
-    (``command -v yarn``)."""
-    i = 0
-    while i < len(words):
-        policy = WRAPPERS.get(_command_name(words[i]))
-        if policy is None:
-            return i
-        i += 1
-        while i < len(words):
-            t = shell.word_text(words[i])
-            if t in policy.lookups:
-                return None
-            if policy.consumes_assignments and _ASSIGN_WORD_RE.match(t):
-                i += 1
-                continue
-            if t in policy.flags_with_value:
-                i += 2
-                continue
-            if t.startswith("--") and "=" in t and t.split("=", 1)[0] in policy.flags_with_value:
-                i += 1
-                continue
-            if t in policy.flags_no_value:
-                i += 1
-                if t == "--":
-                    break  # the next word may be one more wrapper
-                continue
-            break
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Enrichment
-# ---------------------------------------------------------------------------
-
-
-def _flag_lookup(schema: CommandSchema, name: str) -> FlagSpec | None:
-    for flag in schema.flags:
+def _flag_lookup(flags: tuple[FlagSpec, ...], name: str) -> FlagSpec | None:
+    for flag in flags:
         if name in flag.names:
             return flag
     return None
 
 
 def _options(
-    schema: CommandSchema, text: str, first: bool
+    table: tuple[FlagSpec, ...], text: str, old_style: bool
 ) -> tuple[list[FlagSpec], str | None] | None:
-    """The flags of ``schema`` that the option word ``text`` names, in
+    """The flags of ``table`` that the option word ``text`` names, in
     order, and the value the word carries itself (None when it carries
-    none); None when ``text`` is no option word. ``first`` says whether
-    it is the first word after the command name."""
+    none); None when ``text`` is no option word. ``old_style`` says
+    whether a word without a dash may be a bundle of short letters (tar's
+    first word)."""
     if text.startswith("--"):
         name, eq, value = text.partition("=")
-        flag = _flag_lookup(schema, name)
+        flag = _flag_lookup(table, name)
         return ([flag] if flag else []), (value if eq else None)
     if text.startswith("-") and len(text) > 1:
         flags = []
         for k, ch in enumerate(text[1:], 2):
-            flag = _flag_lookup(schema, "-" + ch)
+            flag = _flag_lookup(table, "-" + ch)
             if flag is None:
                 break  # the rest may be this letter's value
             flags.append(flag)
             if flag.takes_value:
                 return flags, text[k:] or None
         return flags, None
-    if first and text and schema.old_style_first_word:
-        flags = [_flag_lookup(schema, "-" + ch) for ch in text]
+    if old_style and text:
+        flags = [_flag_lookup(table, "-" + ch) for ch in text]
         if all(flags):
             return flags, None
     return None
 
 
+def _operand(
+    wrapper: str, table: tuple[FlagSpec, ...], words: list[UnifiedNode], start: int
+) -> int | None:
+    """Index of the first operand of ``wrapper``, whose words start at
+    ``words[start]``: the command it runs. None when there is none, when
+    it only looks the command up (``command -pv yarn``), or when an option
+    word holds a letter or name ``table`` does not know, or a value for a
+    flag that takes none: what that word takes is then unknown."""
+    waiting: list[FlagSpec] = []  # flags whose values are the next words
+    options = bool(table)  # until `--`; `!` takes no options
+    for k in range(start, len(words)):
+        if waiting:
+            waiting.pop(0)
+            continue
+        t = shell.word_text(words[k])
+        if options and t == "--":
+            options = False
+            continue
+        read = _options(table, t, False) if options else None
+        if read is not None:
+            flags, value = read
+            known = flags and (
+                flags[-1].takes_value  # the rest of the word, if any, is its value
+                or (value is None and (t.startswith("--") or len(flags) == len(t) - 1))
+            )
+            if not known or any(flag.canon == "LOOKUP" for flag in flags):
+                return None
+            if value is None:
+                waiting = [flag for flag in flags if flag.takes_value]
+            continue
+        if wrapper == "env" and _ASSIGN_WORD_RE.match(t):
+            options = False  # env A=1 cmd ...; options end at the first operand
+            continue
+        return k
+    return None
+
+
 def enrich_statement(words: list[UnifiedNode]) -> bool:
-    """Annotate the words of one simple command. Returns True when a
-    schema matched."""
-    eff = resolve_wrappers(words)
-    if eff is None:
-        return False
-    name_word = words[eff]
-    name = _command_name(name_word)
-    schema = schema_for(name) if name else None
-    if schema is None:
-        return False
-    name_word.annotate(schema.command_label())
-    _walk_args(schema, name_word, words[eff + 1 :])
-    return True
+    """Annotate the words of one simple command: past its wrappers, the
+    command they run and its words. Returns True when a schema matched."""
+    i: int | None = 0
+    while i is not None and i < len(words):
+        name = _command_name(words[i])
+        table = WRAPPERS.get(name)
+        if table is not None:
+            i = _operand(name, table, words, i + 1)
+            continue
+        schema = schema_for(name) if name else None
+        if schema is None:
+            return False
+        words[i].annotate(schema.command_label())
+        _walk_args(schema, words[i], words[i + 1 :])
+        return True
+    return False
 
 
 def _walk_args(
@@ -223,7 +226,8 @@ def _walk_args(
         if options and t == "--":
             options = False
             continue
-        read = _options(schema, t, k == 0) if options else None
+        old_style = k == 0 and schema.old_style_first_word
+        read = _options(schema.flags, t, old_style) if options else None
         if read is not None:
             flags, value = read
             for flag in flags:

@@ -21,10 +21,12 @@ the walk reads them:
 * ``yarn``'s ``--version`` and ``--help``, which mean a bare ``yarn`` is
   not ``yarn install``.
 
-``WRAPPERS`` tells the walk how to look through `sudo apt-get install ...`
-and friends, by basename (`/usr/bin/env pip ...` too). A wrapper has no
-schema: it is never the command that gets enriched. See
-``register_schema`` to add a tool.
+``WRAPPERS`` gives each wrapper (`sudo`, `env`, ...) a flag table of its
+own options, looked up by basename (`/usr/bin/env pip ...` too). The walk
+reads a wrapper's option words as it reads a schema's, clusters included
+(`sudo -Eu app pip ...`), and takes its first operand as the command it
+runs. A wrapper has no schema and registers no labels: it is never the
+command that gets enriched. See ``register_schema`` to add a tool.
 """
 
 from __future__ import annotations
@@ -69,18 +71,6 @@ class CommandSchema:
 
     def role_label(self, role: str) -> str:
         return f"SC-{self.label}-{role}"
-
-
-@dataclass(frozen=True)
-class WrapperPolicy:
-    """How a wrapper command hands off to its embedded command."""
-
-    flags_no_value: frozenset[str] = frozenset()
-    flags_with_value: frozenset[str] = frozenset()
-    consumes_assignments: bool = False  # env A=1 cmd ...
-    #: Options with which the wrapper only looks its operand up and runs
-    #: nothing (``command -v yarn``).
-    lookups: frozenset[str] = frozenset()
 
 
 def _sub(canon: str, **children: SubSpec) -> SubSpec:
@@ -316,21 +306,28 @@ SCHEMAS: list[CommandSchema] = [
     CommandSchema(names=("echo",), label="ECHO"),
 ]
 
-WRAPPERS: dict[str, WrapperPolicy] = {
-    "sudo": WrapperPolicy(
-        flags_no_value=frozenset({"-E", "-H", "-n", "-S", "-b", "-i", "-s", "-k", "-K", "--"}),
-        flags_with_value=frozenset({"-u", "-g", "-p", "-C", "-r", "-t", "-U", "--user", "--group"}),
+#: A wrapper's options, read like a schema's. A wrapper has no labels, so
+#: its flags have no canon, but the one that makes ``command`` only look
+#: its operand up (``command -v yarn``): that one runs nothing.
+WRAPPERS: dict[str, tuple[FlagSpec, ...]] = {
+    "sudo": (
+        *(_F(("-" + ch,), "") for ch in "EHnSbiskK"),
+        *(_F(("-" + ch,), "", takes_value=True) for ch in "pCrtU"),
+        _F(("-u", "--user"), "", takes_value=True),
+        _F(("-g", "--group"), "", takes_value=True),
     ),
-    "env": WrapperPolicy(
-        flags_no_value=frozenset({"-i", "-0", "--ignore-environment", "--null", "--"}),
-        flags_with_value=frozenset({"-u", "--unset", "-C", "--chdir", "-S", "--split-string"}),
-        consumes_assignments=True,
+    "env": (
+        _F(("-i", "--ignore-environment"), ""),
+        _F(("-0", "--null"), ""),
+        _F(("-u", "--unset"), "", takes_value=True),
+        _F(("-C", "--chdir"), "", takes_value=True),
+        _F(("-S", "--split-string"), "", takes_value=True),
     ),
-    "command": WrapperPolicy(flags_no_value=frozenset({"-p"}), lookups=frozenset({"-v", "-V"})),
-    "nice": WrapperPolicy(flags_with_value=frozenset({"-n", "--adjustment"})),
-    "time": WrapperPolicy(flags_no_value=frozenset({"-p"})),
+    "command": (_F(("-p",), ""), _F(("-v", "-V"), "LOOKUP")),
+    "nice": (_F(("-n", "--adjustment"), "", takes_value=True),),
+    "time": (_F(("-p",), ""),),
     # pipeline negation: skip it so `! pip install x` still enriches
-    "!": WrapperPolicy(),
+    "!": (),
 }
 
 #: Applied to a bare ``yarn`` with no subcommand, which means ``yarn install``.

@@ -14,7 +14,6 @@ from slimdock.enrich import (
     command_words,
     enrich,
     parse_and_enrich,
-    resolve_wrappers,
 )
 from slimdock.model import NodeKind
 from slimdock.printer import print_minimal
@@ -209,45 +208,43 @@ class TestEnrichment:
         assert (matched, total) == (1, 2)
 
 
-class TestResolveWrappers:
-    def _cmd(self, payload):
-        return command_words(first_command(f"RUN {payload}"))
+COMMAND_LABELS = {schema.command_label() for schema in SCHEMAS}
 
-    def test_sudo(self):
-        assert resolve_wrappers(self._cmd("sudo apt-get install x")) == 1
 
-    def test_env_with_assignment(self):
-        assert resolve_wrappers(self._cmd("env A=1 pip install x")) == 2
-
-    def test_no_wrapper(self):
-        assert resolve_wrappers(self._cmd("ls")) == 0
-
-    def test_all_words_consumed(self):
-        assert resolve_wrappers(self._cmd("sudo -E")) is None
-
-    def test_wrapper_flag_with_value(self):
-        assert resolve_wrappers(self._cmd("sudo -u admin apt-get update")) == 3
-
-    def test_chained_wrappers(self):
-        assert resolve_wrappers(self._cmd("sudo env A=1 nice -n 10 tar -xzf a.tgz")) == 6
-
-    def test_wrapper_by_basename(self):
-        assert resolve_wrappers(self._cmd("/usr/bin/sudo pip install x")) == 1
-
-    def test_wrapper_after_double_dash(self):
-        assert resolve_wrappers(self._cmd("sudo -- env A=1 pip install x")) == 4
-
-    @pytest.mark.parametrize(
-        "payload", ["command -v yarn", "command -V yarn", "sudo command -v yarn"]
-    )
-    def test_command_lookup_is_not_a_run(self, payload):
-        assert resolve_wrappers(self._cmd(payload)) is None
-
-    @pytest.mark.parametrize(
-        "payload, index", [("command yarn install", 1), ("command -p yarn install", 2)]
-    )
-    def test_command_runs_its_operand(self, payload, index):
-        assert resolve_wrappers(self._cmd(payload)) == index
+class TestWrappers:
+    @pytest.mark.parametrize("payload, index", [
+        ("sudo apt-get install x", 1),
+        ("env A=1 pip install x", 2),
+        ("ls", None),  # no schema
+        ("tar -xzf a.tgz", 0),
+        ("sudo -E", None),
+        ("sudo -u admin apt-get update", 3),
+        ("sudo env A=1 nice -n 10 tar -xzf a.tgz", 6),
+        ("/usr/bin/sudo pip install x", 1),
+        ("sudo -- env A=1 pip install x", 4),
+        # command -v/-V only looks its operand up
+        ("command -v yarn", None),
+        ("command -V yarn", None),
+        ("sudo command -v yarn", None),
+        ("command -pv yarn", None),
+        ("command yarn install", 1),
+        ("command -p yarn install", 2),
+        # clusters and attached values
+        ("sudo -Eu app pip install x", 3),
+        ("sudo -uapp pip install x", 2),
+        ("sudo -nE pip install x", 2),
+        ("env -uX pip install x", 2),
+        ("nice -n10 pip install x", 2),
+        # an option the wrapper's table does not know, or a missing value
+        ("sudo -Ex pip install y", None),
+        ("sudo --bogus pip install x", None),
+        ("sudo -u", None),
+    ])
+    def test_command_word(self, payload, index):
+        words = command_words(first_command(f"RUN {payload}"))
+        labelled = [k for k, word in enumerate(words) if COMMAND_LABELS & word.annotations]
+        assert labelled == ([] if index is None else [index])
+        assert not any(word.annotations for word in words[:index])  # wrapper words
 
     @pytest.mark.parametrize("run", [
         "RUN /usr/bin/sudo pip install flask",

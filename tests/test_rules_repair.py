@@ -121,7 +121,8 @@ class TestAttachedArchive:
 
 class TestOptionReading:
     """The rm a repair appends names what the command reads (each tar row
-    as GNU tar 1.34 reads it), and nothing when it names nothing."""
+    as GNU tar 1.34 reads it), and nothing when it names nothing; a flag
+    goes into the command a wrapper runs."""
 
     @pytest.mark.parametrize("text, fixed", [
         ("RUN tar xCf /opt a.tgz\n", "RUN tar xCf /opt a.tgz && rm a.tgz\n"),
@@ -129,6 +130,11 @@ class TestOptionReading:
         ("RUN tar -xTf list.txt a.tgz\n", "RUN tar -xTf list.txt a.tgz\n"),
         ("RUN tar -x -- -fb.tgz\n", "RUN tar -x -- -fb.tgz\n"),
         ("RUN pip install -rreq.txt\n", "RUN pip install --no-cache-dir -rreq.txt\n"),
+        # a wrapper's option cluster or attached value
+        ("RUN sudo -Eu app pip install x\n", "RUN sudo -Eu app pip install --no-cache-dir x\n"),
+        ("RUN sudo -uapp pip install x\n", "RUN sudo -uapp pip install --no-cache-dir x\n"),
+        ("RUN env -uX pip install x\n", "RUN env -uX pip install --no-cache-dir x\n"),
+        ("RUN nice -n10 pip install x\n", "RUN nice -n10 pip install --no-cache-dir x\n"),
         ("RUN mkdir -p -- /usr/src/app\n", "RUN mkdir -p -- /usr/src/app && rm -rf /usr/src/app\n"),
         ("RUN mkdir -pm 0755 /usr/src/app\n",
          "RUN mkdir -pm 0755 /usr/src/app && rm -rf /usr/src/app\n"),
