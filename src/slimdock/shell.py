@@ -75,6 +75,7 @@ _STRUCT_WORDS = {
     "if": ({"then", "elif", "else"}, "fi"),
     "while": ({"do"}, "done"),
     "until": ({"do"}, "done"),
+    "for": ({"do"}, "done"),
     "{": (set(), "}"),
 }
 
@@ -481,8 +482,6 @@ class _Parser:
         if tok.kind == "word" and tok.value in _RESERVED_OPENERS and _is_bare(tok):
             if tok.value == "case":
                 return self._parse_case()
-            if tok.value == "for":
-                return self._parse_for()
             return self._parse_block(tok.value)
         if self._looks_like_function():
             return self._degrade_function()
@@ -505,7 +504,7 @@ class _Parser:
     def _parse_block(self, opener: str) -> UnifiedNode:
         middles, closer = _STRUCT_WORDS[opener]
         open_tok = self._take()
-        children: list[UnifiedNode] = []
+        children = self._for_header() if opener == "for" else []
         end = open_tok.end
         stop_words = frozenset(middles | {closer, "do", "then"})
         while True:
@@ -538,54 +537,20 @@ class _Parser:
             node.add_child(child)
         return node
 
-    def _parse_for(self) -> UnifiedNode:
-        open_tok = self._take()
-        header: list[Tok] = []
-        while True:
-            tok = self._peek()
-            if tok.kind == "eof":
-                self.warnings.append("unterminated 'for' header")
-                break
-            if tok.kind == "op" and tok.value in (";", "\n"):
-                self._take()
-                break
-            if tok.kind == "word" and _is_bare(tok) and tok.value == "do":
-                break
-            header.append(self._take())
-        children: list[UnifiedNode] = []
-        if header:
-            span = self.spans(header[0].start, header[-1].end)
-            children.append(UnifiedNode(NodeKind.SC_UNPARSED, span))
-        # body: reuse the generic block machinery for do..done
-        end = open_tok.end
-        stop_words = frozenset({"do", "done"})
-        while True:
-            while self._peek().kind == "op" and self._peek().value in (";", "&", "\n", ";;"):
-                self._take()
-            tok = self._peek()
-            if tok.kind == "eof":
-                self.warnings.append("unterminated 'for' block")
-                end = max(end, self.toks[self.i - 1].end)
-                break
-            if tok.kind == "word" and _is_bare(tok) and tok.value == "done":
-                self._take()
-                end = tok.end
-                break
-            if tok.kind == "word" and _is_bare(tok) and tok.value == "do":
-                self._take()
-                end = tok.end
-                continue
-            stmts = self.parse_statements(frozenset(), stop_words)
-            if not stmts:
-                skipped = self._take()
-                if skipped.kind == "eof":
-                    break
-                continue
-            children.extend(stmts)
-        node = UnifiedNode(NodeKind.SC_COMPOUND, self.spans(open_tok.start, end))
-        for child in children:
-            node.add_child(child)
-        return node
+    def _for_header(self) -> list[UnifiedNode]:
+        """The words of a ``for`` header, up to ``;``, newline or ``do``, as
+        one SC-UNPARSED node (none when the header is empty)."""
+        first = self.i
+        while not self._at_stop(frozenset({";", "\n"}), frozenset({"do"})):
+            self._take()
+        header = self.toks[first : self.i]
+        if self._peek().kind == "eof":
+            self.warnings.append("unterminated 'for' header")
+        elif self._peek().kind == "op":
+            self._take()
+        if not header:
+            return []
+        return [UnifiedNode(NodeKind.SC_UNPARSED, self.spans(header[0].start, header[-1].end))]
 
     def _parse_case(self) -> UnifiedNode:
         open_tok = self._take()
