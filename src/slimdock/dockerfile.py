@@ -282,9 +282,6 @@ class _FileParser:
     def parse(self) -> DockerfileAst:
         text = self.text
         root = UnifiedNode(NodeKind.DOCKER_FILE, self.sm.span(0, len(text)))
-        root.props["path"] = self.path
-        root.props["escape_char"] = self.escape
-        root.props["source"] = text
         i = 0
         instruction_count = 0
         while i < len(self.lines):
@@ -308,15 +305,13 @@ class _FileParser:
             instruction_count += 1
         if instruction_count == 0:
             self.warnings.append(f"{self.path}: no instructions found")
-        ast = DockerfileAst(
+        return DockerfileAst(
             root=root,
             source=text,
             path=self.path,
             warnings=self.warnings,
             escape_char=self.escape,
         )
-        root.props["warnings"] = self.warnings
-        return ast
 
     # -- one instruction (with continuations) ------------------------------
 
@@ -373,7 +368,6 @@ class _FileParser:
                             )
 
         node = UnifiedNode(kind, self.sm.span(kw_start, span_end))
-        node.props["instruction"] = keyword.lower() if keyword else None
         node.props["payload"] = payload
 
         if kind is NodeKind.DOCKER_FROM:

@@ -259,7 +259,6 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
         parts += read
         windows.append((old, read))
     script = UnifiedNode(NodeKind.SC_SCRIPT, src.span(start, end))
-    script.props["warnings"] = []
     if len(parts) > 1:
         chain = UnifiedNode(NodeKind.SC_AND, parts[0].span.through(parts[-1].span))
         script.add_child(chain)

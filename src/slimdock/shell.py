@@ -723,7 +723,6 @@ class _Parser:
             literal=self.text[tok.start : tok.end],
         )
         node.props["op"] = tok.value
-        node.props["fd"] = tok.fd
         if tok.value in _TARGET_OPS:
             nxt = self._peek()
             if nxt.kind == "word":
@@ -862,7 +861,6 @@ def parse_shell(
     start, end = region if region is not None else (0, len(text))
     root_span = span_builder(start, end)
     root = UnifiedNode(NodeKind.SC_SCRIPT, root_span)
-    root.props["warnings"] = warnings
     if not text[start:end].strip():
         return root
     try:

@@ -258,10 +258,9 @@ def reread_runs(text):
 
 def shell_nodes(run):
     """What a RUN's shell tree holds, in pre-order: kind, span, literal,
-    props but the warnings list, annotations and child count."""
+    props, annotations and child count."""
     return [
-        (n.kind, n.span, n.literal, {k: v for k, v in n.props.items() if k != "warnings"},
-         n.annotations, len(n.children))
+        (n.kind, n.span, n.literal, n.props, n.annotations, len(n.children))
         for child in run.children
         for n in child.walk()
     ]
