@@ -116,8 +116,8 @@ def _command_name(word: UnifiedNode) -> str | None:
     return text.rsplit("/", 1)[-1]
 
 
-def _flag_lookup(flags: tuple[FlagSpec, ...], name: str) -> FlagSpec | None:
-    for flag in flags:
+def _flag_lookup(table: tuple[FlagSpec, ...], name: str) -> FlagSpec | None:
+    for flag in table:
         if name in flag.names:
             return flag
     return None

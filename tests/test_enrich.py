@@ -235,6 +235,13 @@ class TestWrappers:
         ("sudo -nE pip install x", 2),
         ("env -uX pip install x", 2),
         ("nice -n10 pip install x", 2),
+        # `--` ends any wrapper's options; env's options end at its first operand
+        ("nice -- pip install x", 2),
+        ("env -- A=1 pip install x", 3),
+        ("env A=1 -i pip install x", None),
+        ("nice A=1 pip install x", None),  # only env skips assignments
+        ("! pip install x", 1),
+        ("! -- pip install x", None),  # `!` takes no options: `--` is the command
         # an option the wrapper's table does not know, or a missing value
         ("sudo -Ex pip install y", None),
         ("sudo --bogus pip install x", None),
