@@ -306,9 +306,9 @@ SCHEMAS: list[CommandSchema] = [
     CommandSchema(names=("echo",), label="ECHO"),
 ]
 
-#: A wrapper's options, read like a schema's. A wrapper has no labels, so
-#: its flags have no canon, but the one that makes ``command`` only look
-#: its operand up (``command -v yarn``): that one runs nothing.
+#: Each wrapper's options, read like a schema's. A wrapper has no labels,
+#: so its flags have no canon, but for LOOKUP: ``command -v yarn`` only
+#: looks its operand up and runs nothing.
 WRAPPERS: dict[str, tuple[FlagSpec, ...]] = {
     "sudo": (
         *(_F(("-" + ch,), "") for ch in "EHnSbiskK"),

@@ -246,6 +246,7 @@ class TestWrappers:
         ("sudo -Ex pip install y", None),
         ("sudo --bogus pip install x", None),
         ("sudo -u", None),
+        ("env --null=x pip install x", None),  # a value for a flag that takes none
     ])
     def test_command_word(self, payload, index):
         words = command_words(first_command(f"RUN {payload}"))
