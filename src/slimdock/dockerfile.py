@@ -368,11 +368,7 @@ class _FileParser:
                             )
 
         node = UnifiedNode(kind, self.sm.span(kw_start, span_end))
-        node.props["payload"] = payload
-
-        if kind is NodeKind.DOCKER_FROM:
-            self._parse_from(node, payload)
-        elif kind is NodeKind.DOCKER_RUN:
+        if kind is NodeKind.DOCKER_RUN:
             self._stash_run_payload(node, seg_text, heredoc_script, kw_start)
         return node, last_i + 1
 
@@ -444,18 +440,6 @@ class _FileParser:
         return all_segments, i - 1, span_end, first_body
 
     # -- per-kind payload handling -----------------------------------------
-
-    def _parse_from(self, node: UnifiedNode, payload: str) -> None:
-        words = [w for w in payload.split() if w]
-        image = None
-        stage_name = None
-        rest = [w for w in words if not w.startswith("--")]
-        if rest:
-            image = rest[0]
-            if len(rest) >= 3 and rest[1].lower() == "as":
-                stage_name = rest[2]
-        node.props["image"] = image
-        node.props["stage_name"] = stage_name
 
     def _stash_run_payload(
         self,

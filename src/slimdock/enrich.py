@@ -72,7 +72,6 @@ def embed_run(ast: DockerfileAst, run: UnifiedNode) -> None:
         for value, s, e, _esc in elems:
             word = UnifiedNode(NodeKind.SC_WORD, src.span(s, e), literal=src.clean[s:e])
             word.props["text"] = value
-            word.props["quoting"] = "double"
             cmd.add_child(word)
         run.add_child(cmd)
         return

@@ -72,7 +72,6 @@ class NodeKind(str, Enum):
     SC_COMMAND_SUBSTITUTION = "SC-COMMAND-SUBSTITUTION"
     SC_COMPOUND = "SC-COMPOUND"
     SC_WORD = "SC-WORD"
-    SC_VARIABLE = "SC-VARIABLE"
     SC_ASSIGNMENT = "SC-ASSIGNMENT"
     SC_REDIRECTION = "SC-REDIRECTION"
     SC_UNPARSED = "SC-UNPARSED"

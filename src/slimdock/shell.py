@@ -2,7 +2,9 @@
 
 The supported subset is exactly what the smell rules need: simple commands,
 AND/OR lists, sequences, pipelines, subshells, command substitution,
-assignments, redirections, quoting, and variables. Compound statements
+assignments, redirections and quoting. Variables are read (``$X`` and
+``${X}`` stay in their word, which is then not bare), but not kept as
+nodes: a rule reads them from word text. Compound statements
 (if/for/while/until/case/brace groups) parse into a generic SC-COMPOUND
 block whose inner statements are parsed normally. Anything outside the
 subset degrades to SC-UNPARSED instead of failing: the smallest enclosing
@@ -88,9 +90,7 @@ class Seg:
     start: int
     end: int
     logical: str
-    name: str | None = None  # var segments
     inner: tuple[int, int] | None = None  # subst segments: interior range
-    delim: str | None = None  # subst segments: "$(" or "`"
 
 
 @dataclass
@@ -229,7 +229,7 @@ class _Lexer:
             if ch == '"':
                 flush()
                 self.i += 1
-                if not segs:  # empty string: keep one segment for quoting info
+                if not segs:  # empty string: keep a segment, so `if""` is not bare
                     segs.append(Seg("double", start + 1, start + 1, ""))
                 return segs
             if ch == "\\":
@@ -261,30 +261,16 @@ class _Lexer:
             inner_start = self.i + 1
             end = self._scan_matching(self.i, "(", ")")
             self.i = end
-            return Seg(
-                "subst",
-                start,
-                end,
-                self.text[start:end],
-                inner=(inner_start, end - 1),
-                delim="$(",
-            )
+            return Seg("subst", start, end, self.text[start:end], inner=(inner_start, end - 1))
         if self._peek() == "{":
-            end = self._scan_matching(self.i, "{", "}")
-            self.i = end
-            text = self.text[start:end]
-            m = _NAME_RE.match(self.text, start + 2)
-            name = m.group(0) if m else None
-            return Seg("var", start, end, text, name=name)
-        m = _NAME_RE.match(self.text, self.i, self.end)
-        if m:
+            self.i = self._scan_matching(self.i, "{", "}")
+        elif m := _NAME_RE.match(self.text, self.i, self.end):
             self.i = m.end()
-            return Seg("var", start, self.i, self.text[start : self.i], name=m.group(0))
-        name = self._peek()
-        if name and name in _SPECIAL_PARAMS:  # "" is in every string
+        elif self._peek() and self._peek() in _SPECIAL_PARAMS:  # "" is in every string
             self.i += 1
-            return Seg("var", start, self.i, self.text[start : self.i], name=name)
-        return Seg("bare", start, self.i, "$")
+        else:
+            return Seg("bare", start, self.i, "$")
+        return Seg("var", start, self.i, self.text[start : self.i])
 
     def _match_arith(self, start: int) -> int:
         # $(( ... )): scan to the matching )), counting parens
@@ -349,16 +335,8 @@ class _Lexer:
                 j += 2
                 continue
             if self.text[j] == "`":
-                inner = (start + 1, j)
                 self.i = j + 1
-                return Seg(
-                    "subst",
-                    start,
-                    self.i,
-                    self.text[start : self.i],
-                    inner=inner,
-                    delim="`",
-                )
+                return Seg("subst", start, self.i, self.text[start : self.i], inner=(start + 1, j))
             j += 1
         raise ShellUnterminated("backquote", start)
 
@@ -678,34 +656,24 @@ class _Parser:
         )
         name = tok.value.split("=", 1)[0].rstrip("+")
         node.props["name"] = name
-        node.props["text"] = tok.value
         self._attach_word_parts(node, tok)
         return node
 
     def _word_node(self, tok: Tok) -> UnifiedNode:
         literal = self.text[tok.start : tok.end]
         node = UnifiedNode(NodeKind.SC_WORD, self.spans(tok.start, tok.end), literal)
-        node.props = {"text": tok.value, "quoting": _classify_quoting(tok)}
-        if "$" in literal or "`" in literal:  # what a var or subst segment holds
+        node.props["text"] = tok.value
+        if "$" in literal or "`" in literal:  # what a subst segment starts with
             self._attach_word_parts(node, tok)
         return node
 
     def _attach_word_parts(self, node: UnifiedNode, tok: Tok) -> None:
         for seg in tok.segments:
-            if seg.kind == "var":
-                var = UnifiedNode(
-                    NodeKind.SC_VARIABLE,
-                    self.spans(seg.start, seg.end),
-                    literal=self.text[seg.start : seg.end],
-                )
-                var.props["name"] = seg.name
-                node.add_child(var)
-            elif seg.kind == "subst":
+            if seg.kind == "subst":
                 node.add_child(self._substitution_node(seg))
 
     def _substitution_node(self, seg: Seg) -> UnifiedNode:
         node = UnifiedNode(NodeKind.SC_COMMAND_SUBSTITUTION, self.spans(seg.start, seg.end))
-        node.props["delim"] = seg.delim
         inner_start, inner_end = seg.inner
         sub = _Parser(self.text, inner_start, inner_end, self.spans, self.warnings)
         try:
@@ -801,22 +769,6 @@ class _Parser:
 
 def _is_bare(tok: Tok) -> bool:
     return len(tok.segments) == 1 and tok.segments[0].kind == "bare"
-
-
-def _classify_quoting(tok: Tok) -> str:
-    """The quoting a word reports: "double" if a segment is double-quoted,
-    else "single" if one is single-quoted, else "bare"."""
-    segs = tok.segments
-    if len(segs) == 1:
-        kind = segs[0].kind
-        return kind if kind == "double" or kind == "single" else "bare"
-    quoting = "bare"
-    for seg in segs:
-        if seg.kind == "double":
-            return "double"
-        if seg.kind == "single":
-            quoting = "single"
-    return quoting
 
 
 def _attach_sequence(

@@ -27,7 +27,7 @@ class TestBasicParsing:
         (run,) = ast.root.children
         assert run.kind is NodeKind.DOCKER_RUN
         assert span_text(src, run.span) == src
-        assert run.prop("payload") == "apt-get update  && apt-get install -y wget"
+        assert run.prop("_script_src").clean == "apt-get update  && apt-get install -y wget"
 
     def test_exec_form_flagged_with_elements(self):
         src = 'RUN ["sh", "-c", "npm install"]'
@@ -65,14 +65,6 @@ class TestBasicParsing:
         ]
 
 
-class TestStages:
-    def test_from_props(self):
-        ast = parse_dockerfile("FROM --platform=linux/amd64 python:3.11 AS base")
-        (node,) = ast.root.children
-        assert node.prop("image") == "python:3.11"
-        assert node.prop("stage_name") == "base"
-
-
 class TestDirectives:
     def test_escape_directive_switches_continuation(self):
         src = "# escape=`\nFROM w\nRUN echo a `\n  b"
@@ -97,13 +89,13 @@ class TestContinuations:
         src = "RUN apt-get update && \\\n  # install\n  apt-get install -y x"
         ast = parse_dockerfile(src)
         (run,) = ast.root.children
-        assert run.prop("payload") == "apt-get update &&   apt-get install -y x"
+        assert run.prop("_script_src").clean == "apt-get update &&   apt-get install -y x"
 
     def test_crlf_continuation(self):
         src = "RUN echo a \\\r\n  b\r\n"
         ast = parse_dockerfile(src)
         (run,) = ast.root.children
-        assert run.prop("payload") == "echo a   b"
+        assert run.prop("_script_src").clean == "echo a   b"
 
     def test_every_noncomment_line_in_some_instruction(self):
         src = "FROM x\nRUN a \\\n  b \\\n  c\nENV K=v\n"

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import read_text
 from slimdock.model import (
     AnnotationError,
     NodeKind,
@@ -106,3 +107,35 @@ class TestAnnotations:
         node = UnifiedNode(NodeKind.SC_WORD)
         with pytest.raises(AnnotationError):
             node.annotate("SC-NOT-A-THING")
+
+
+# The props each node kind may carry: what some rule, repair, verification
+# step or report reads. A kind that is not listed carries none.
+TREE_PROPS = {
+    NodeKind.DOCKER_FILE: {"enrich_stats"},
+    NodeKind.DOCKER_RUN: {"run_form", "_line", "_script_src", "_script_region",
+                          "_script_escaped", "_exec_elems", "_flags_end"},
+    NodeKind.SC_SIMPLE_COMMAND: {"exec_array"},
+    NodeKind.SC_WORD: {"text", "value"},
+    NodeKind.SC_ASSIGNMENT: {"name"},
+    NodeKind.SC_REDIRECTION: {"op"},
+}
+
+
+class TestTreeVocabulary:
+    def test_props_are_what_the_program_reads(self, roundtrip_paths):
+        from slimdock.runner import analyze_text
+
+        texts = [read_text(path) for path in roundtrip_paths] + [
+            "FROM x\nRUN tar --file=a.tgz -x\n",  # value
+            'FROM x\nRUN ["pip", "install", "x"]\n',  # exec_array, _exec_elems
+            'FROM x\nRUN ["sh", "-c", "echo \\"a\\""]\n',  # _script_escaped
+        ]
+        seen = set()
+        for text in texts:
+            ast, _ = analyze_text(text, "<test>")
+            for node in ast.root.walk():
+                assert set(node.props) <= TREE_PROPS.get(node.kind, set()), node
+                seen.update((node.kind, key) for key in node.props)
+        # every listed prop is set somewhere, so the table is not stale
+        assert seen == {(kind, key) for kind, keys in TREE_PROPS.items() for key in keys}
