@@ -105,8 +105,8 @@ class Anchor:
 
 
 class RunIndex:
-    """Labelled nodes of one subtree (a RUN, or a statement a repair
-    inserted), in document order, with cleanup lookups by position."""
+    """Labelled nodes of one RUN's subtree, in document order, with
+    cleanup lookups by position."""
 
     def __init__(self, root: UnifiedNode):
         self._anchors: dict[str, list[Anchor]] = {}
@@ -126,7 +126,6 @@ class RunIndex:
             if node.kind is not NodeKind.SC_UNPARSED:
                 stack.extend((child, statement, statement_position)
                              for child in reversed(node.children))
-        self.size = position
 
     def anchors(self, label: str) -> list[Anchor]:
         """Nodes carrying ``label``, in document order."""

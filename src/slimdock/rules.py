@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import Callable, Iterator
 
 from . import shell
 from .dockerfile import DockerfileAst
-from .enrich import command_words, enrich_node
+from .enrich import command_words
 from .model import NodeKind, SourceSpan, UnifiedNode
 from .query import Anchor, RunIndex, checked_label, statement_has
 
@@ -596,7 +596,7 @@ class Chain:
     top: UnifiedNode  # an AND-chain, or a single statement: a chain of one
     joiner: str  # the text that joins a new element to an element
     end: int  # the offset after the last element
-    tail: list[UnifiedNode] = field(default_factory=list)  # parsed, of insertions at ``end``
+    appended: set[str] = field(default_factory=set)  # the statements appended at ``end``
 
 
 def _chain(ast: DockerfileAst, run: UnifiedNode) -> Chain:
@@ -659,13 +659,6 @@ def _flag_text(flag: str, anchor: Anchor) -> str:
     return " " + flag + " " if touching else " " + flag
 
 
-def _parsed(statement_text: str) -> UnifiedNode:
-    """The enriched statement an inserted text reads as."""
-    statement = shell.parse_shell(statement_text).children[0]
-    enrich_node(statement)
-    return statement
-
-
 def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
     """Record the rule's insertion in ``ast.insertions``; the tree is not
     changed, so ``detect`` sees the original file until it is printed and
@@ -673,7 +666,9 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
 
     A statement becomes a new element of the RUN's top-level AND-chain, or
     of a new chain of two with the RUN's single statement. Whether the RUN
-    has that shape was decided once, by ``detect`` (``diagnostic.fixable``)."""
+    has that shape was decided once, by ``detect`` (``diagnostic.fixable``).
+    A cleanup whose text an earlier repair already appended to the RUN is
+    not appended again."""
     rule = rule_for(diagnostic.rule)
     anchor = diagnostic.anchor
     if rule.kind == "flag":
@@ -685,8 +680,6 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
             "not-fixable", diagnostic, reason=_not_fixable_reason(diagnostic.run)
         )
     chain = _chain(ast, diagnostic.run)
-    if rule.kind == "append" and any(_lifts(rule, anchor, s) for s in chain.tail):
-        return RepairOutcome("applied", diagnostic)  # an earlier repair's cleanup
     statement = rule.repair_text(diagnostic.extras)
     if rule.kind == "before":
         element = _element(chain, anchor.statement)
@@ -696,13 +689,13 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
             return _insert(ast, diagnostic, element.span.start, _QUEUED, text)
         offset = chain.top.children[index - 1].span.end
         return _insert(ast, diagnostic, offset, _QUEUED, chain.joiner + statement)
-    if rule.kind == "append":
-        offset, rank = chain.end, _QUEUED
-    else:  # adjacent
-        offset, rank = _element(chain, anchor.statement).span.end, _ADJACENT
-    if offset == chain.end:
-        chain.tail.append(_parsed(statement))
-    return _insert(ast, diagnostic, offset, rank, chain.joiner + statement)
+    if rule.kind == "adjacent":
+        offset = _element(chain, anchor.statement).span.end
+        return _insert(ast, diagnostic, offset, _ADJACENT, chain.joiner + statement)
+    if statement in chain.appended:
+        return RepairOutcome("applied", diagnostic)  # an earlier repair's cleanup
+    chain.appended.add(statement)
+    return _insert(ast, diagnostic, chain.end, _QUEUED, chain.joiner + statement)
 
 
 def _insert(
@@ -711,14 +704,6 @@ def _insert(
     order = len(ast.insertions)
     ast.insertions.append((offset, rank, -order if rank == _ADJACENT else order, text))
     return RepairOutcome("applied", diagnostic, [(offset, text)])
-
-
-def _lifts(rule: Rule, anchor: Anchor, statement: UnifiedNode) -> bool:
-    """The rule's check for ``anchor`` with only ``statement`` in scope,
-    placed after the anchor (before it, for a config insertion), passes."""
-    local = Scope(RunIndex(statement), lambda: writes_gemrc_no_document([statement]))
-    position = local.index.size if rule.kind == "before" else -1
-    return rule.check(local, replace(anchor, statement_position=position)) is None
 
 
 def verify_or_rollback(

@@ -78,7 +78,7 @@ class TestAppendRepairs:
             " && rm -rf /var/lib/apt/lists/* && npm cache clean --force\n"
         )
         assert [o.status for o in report.repairs] == ["applied"] * 6
-        # the second apt-get and npm install anchors are lifted by the first cleanups
+        # the second apt-get and npm install cleanups have the text already appended
         assert [len(o.edits) > 0 for o in report.repairs] == [True, True, True, False, True, False]
         assert report.residual == []
 
