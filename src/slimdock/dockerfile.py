@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
+from json.decoder import JSONDecodeError, scanstring
 from operator import itemgetter
 from typing import Any
 
@@ -207,7 +208,8 @@ def _scan_exec_array(payload: str) -> list[tuple[str, int, int, bool]] | None:
 
     Returns (decoded, start, end, had_escapes) per element, offsets into
     ``payload`` and inclusive of the quotes. None means "not exec form"
-    (Docker falls back to shell form in that case).
+    (Docker falls back to shell form in that case). Strings are read by
+    the standard JSON reader, which here also takes raw control characters.
     """
     i = 0
     n = len(payload)
@@ -224,43 +226,16 @@ def _scan_exec_array(payload: str) -> list[tuple[str, int, int, bool]] | None:
     elems: list[tuple[str, int, int, bool]] = []
     if i < n and payload[i] == "]":
         return elems if skip_ws(i + 1) >= n else None
-    escapes_map = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
     while True:
         i = skip_ws(i)
         if i >= n or payload[i] != '"':
             return None
         start = i
-        i += 1
-        buf: list[str] = []
-        had_escape = False
-        while i < n and payload[i] != '"':
-            ch = payload[i]
-            if ch == "\\":
-                had_escape = True
-                i += 1
-                if i >= n:
-                    return None
-                esc = payload[i]
-                if esc == "u":
-                    if i + 4 >= n:
-                        return None
-                    try:
-                        buf.append(chr(int(payload[i + 1 : i + 5], 16)))
-                    except ValueError:
-                        return None
-                    i += 4
-                elif esc in escapes_map:
-                    buf.append(escapes_map[esc])
-                else:
-                    return None
-                i += 1
-            else:
-                buf.append(ch)
-                i += 1
-        if i >= n:
+        try:
+            value, i = scanstring(payload, i + 1, False)
+        except JSONDecodeError:  # a bad escape, or no closing quote
             return None
-        i += 1
-        elems.append(("".join(buf), start, i, had_escape))
+        elems.append((value, start, i, "\\" in payload[start:i]))
         i = skip_ws(i)
         if i < n and payload[i] == ",":
             i += 1

@@ -40,6 +40,25 @@ class TestBasicParsing:
         (run,) = ast.root.children
         assert run.prop("run_form") == "exec-array"
 
+    @pytest.mark.parametrize(
+        "array, elements",
+        [
+            (r'["echo", "\u0041\/"]', ["echo", "A/"]),
+            ('["echo", "a\tb"]', ["echo", "a\tb"]),  # a raw tab is taken
+            (r'["echo", "\ud83d\ude00"]', ["echo", "\U0001F600"]),  # one character
+            (r'["echo", "\u 041"]', None),  # \u takes four hex digits
+            (r'["echo", "\u+041"]', None),
+            (r'["echo", "\q"]', None),
+            ('["echo", "a]', None),
+        ],
+    )
+    def test_exec_array_strings_read_as_json(self, array, elements):
+        (run,) = parse_dockerfile("RUN " + array).root.children
+        if elements is None:
+            assert run.prop("run_form") == "shell"
+        else:
+            assert [e[0] for e in run.prop("_exec_elems")] == elements
+
     def test_invalid_json_array_falls_back_to_shell(self):
         ast = parse_dockerfile("RUN [ -f /x ] && echo present")
         (run,) = ast.root.children
