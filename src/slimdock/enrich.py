@@ -181,8 +181,8 @@ def _operand(
             if value is None:
                 waiting = [flag for flag in flags if flag.takes_value]
             continue
-        if wrapper == "env" and _ASSIGN_WORD_RE.match(t):
-            options = False  # env A=1 cmd ...; options end at the first operand
+        if wrapper in ("env", "sudo") and _ASSIGN_WORD_RE.match(t):
+            options = False  # env A=1 cmd, sudo A=1 cmd; options end at the first operand
             continue
         return k
     return None

@@ -239,7 +239,10 @@ class TestWrappers:
         ("nice -- pip install x", 2),
         ("env -- A=1 pip install x", 3),
         ("env A=1 -i pip install x", None),
-        ("nice A=1 pip install x", None),  # only env skips assignments
+        ("nice A=1 pip install x", None),  # only env and sudo skip assignments
+        ("sudo A=1 pip install x", 2),
+        ("sudo -E A=1 pip install x", 3),
+        ("sudo A=1 -u x pip install y", None),  # options end at the first assignment
         ("! pip install x", 1),
         ("! -- pip install x", None),  # `!` takes no options: `--` is the command
         # an option the wrapper's table does not know, or a missing value

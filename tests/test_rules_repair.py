@@ -135,6 +135,7 @@ class TestOptionReading:
         ("RUN sudo -uapp pip install x\n", "RUN sudo -uapp pip install --no-cache-dir x\n"),
         ("RUN env -uX pip install x\n", "RUN env -uX pip install --no-cache-dir x\n"),
         ("RUN nice -n10 pip install x\n", "RUN nice -n10 pip install --no-cache-dir x\n"),
+        ("RUN sudo A=1 pip install x\n", "RUN sudo A=1 pip install --no-cache-dir x\n"),
         ("RUN mkdir -p -- /usr/src/app\n", "RUN mkdir -p -- /usr/src/app && rm -rf /usr/src/app\n"),
         ("RUN mkdir -pm 0755 /usr/src/app\n",
          "RUN mkdir -pm 0755 /usr/src/app && rm -rf /usr/src/app\n"),
