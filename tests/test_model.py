@@ -10,6 +10,7 @@ from slimdock.model import (
     UnifiedNode,
     span_text,
 )
+from slimdock.runner import analyze_text
 
 
 class TestSpanText:
@@ -124,8 +125,6 @@ TREE_PROPS = {
 
 class TestTreeVocabulary:
     def test_props_are_what_the_program_reads(self, roundtrip_paths):
-        from slimdock.runner import analyze_text
-
         texts = [read_text(path) for path in roundtrip_paths] + [
             "FROM x\nRUN tar --file=a.tgz -x\n",  # value
             'FROM x\nRUN ["pip", "install", "x"]\n',  # exec_array, _exec_elems
