@@ -209,10 +209,12 @@ class UnifiedNode:
 
     Every node the parsers build covers a span of the source. ``literal``
     carries the verbatim token text for leaves. Semantic extras (a word's unquoted
-    text, a RUN's form, ...) live in ``props``.
+    text, a RUN's form, ...) live in ``props``. A node links to its children
+    only, so a tree holds no reference cycle: reference counting frees each
+    node once nothing refers to it.
     """
 
-    __slots__ = ("kind", "children", "parent", "span", "annotations", "literal", "props")
+    __slots__ = ("kind", "children", "span", "annotations", "literal", "props")
 
     def __init__(
         self,
@@ -222,7 +224,6 @@ class UnifiedNode:
     ):
         self.kind = kind
         self.children: list[UnifiedNode] = []
-        self.parent: UnifiedNode | None = None
         self.span = span
         self.annotations: set[str] = set()
         self.literal = literal
@@ -231,8 +232,6 @@ class UnifiedNode:
     # -- construction ---------------------------------------------------
 
     def add_child(self, child: "UnifiedNode") -> "UnifiedNode":
-        """Append ``child``, which has no parent yet."""
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -285,12 +284,11 @@ class UnifiedNode:
 def validate_tree(root: UnifiedNode) -> None:
     """Assert structural invariants; used by tests, not production paths.
 
-    Checks parent links and span containment.
+    Checks that each child's span lies in its parent's. Nodes hold no link
+    to their parent, so a tree has no reference cycle.
     """
     for node in root.walk():
         for child in node.children:
-            if child.parent is not node:
-                raise SlimdockError(f"broken parent link at {child!r}")
             if (
                 child.span is not None
                 and node.span is not None

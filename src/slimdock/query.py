@@ -1,7 +1,8 @@
 """The per-RUN statement index that every rule reads.
 
 One pre-order walk over a RUN records, per annotation label, the labelled
-nodes together with their enclosing command statement. Positions count
+nodes together with their enclosing command statement, and the variable
+each statement's output is assigned to (`V=$(...)`). Positions count
 the nodes of that walk, so comparing two statements' positions compares
 their document order. Nodes inside SC-UNPARSED regions are never
 indexed. "Is there a cleanup after this statement?" is answered from the
@@ -23,7 +24,7 @@ from .model import (
     UnifiedNode,
     is_registered_label,
 )
-from .shell import variable_reference
+from .shell import read_word, variable_reference
 
 
 class PatternConfigError(SlimdockError):
@@ -53,23 +54,24 @@ def _normalize_path(p: str) -> str:
     return p
 
 
-def path_covers(operand: str, target: str) -> bool:
+def path_covers(
+    operand: str, target: str, operand_glob: bool = True, target_glob: bool = False
+) -> bool:
     """True when removing ``operand`` removes ``target``.
 
-    String equality, the operand interpreted as a glob matching the target,
-    and the directory/contents equivalences either way (``x`` vs ``x/*``).
+    A directory covers its contents (``x`` covers ``x/*``). A glob operand
+    also covers what it equals or matches, the target read as a name, and
+    its contents glob covers the directory (``x/*`` covers ``x``). An
+    operand that is not a glob (a `*`, `?` or `[` of it was quoted) is one
+    path: it covers the same path, but not a glob target of the same text.
     """
     o = _normalize_path(operand)
     t = _normalize_path(target)
-    if o == t:
-        return True
-    if fnmatchcase(t, o):
-        return True
-    if o.endswith("/*") and o[:-2] == t:
-        return True
     if t.endswith("/*") and t[:-2] == o:
         return True
-    return False
+    if not operand_glob:
+        return o == t and not target_glob
+    return o == t or fnmatchcase(t, o) or (o.endswith("/*") and o[:-2] == t)
 
 
 def _walk_matchable(root: UnifiedNode) -> Iterator[UnifiedNode]:
@@ -104,6 +106,13 @@ class Anchor:
     ordinal: int
 
 
+# the nodes through which a substitution's output stays its statements'
+_CAPTURING = frozenset(
+    {NodeKind.SC_COMMAND_SUBSTITUTION, NodeKind.SC_SEQ, NodeKind.SC_AND,
+     NodeKind.SC_OR, NodeKind.SC_PIPELINE}
+)
+
+
 class RunIndex:
     """Labelled nodes of one RUN's subtree, in document order, with
     cleanup lookups by position."""
@@ -111,20 +120,38 @@ class RunIndex:
     def __init__(self, root: UnifiedNode):
         self._anchors: dict[str, list[Anchor]] = {}
         self._last: dict[str, int] = {}
+        self._captured: dict[int, str] = {}
         self._removals: tuple[dict, dict] | None = None
-        stack: list[tuple[UnifiedNode, UnifiedNode | None, int]] = [(root, None, -1)]
+        # node, its statement and that statement's position, and the name
+        # of the assignment whose substitution the node's output goes to
+        stack: list[tuple[UnifiedNode, UnifiedNode | None, int, str | None]] = [
+            (root, None, -1, None)
+        ]
         position = 0
         while stack:
-            node, statement, statement_position = stack.pop()
-            if node.kind in STATEMENT_KINDS:
+            node, statement, statement_position, captured = stack.pop()
+            kind = node.kind
+            if kind in STATEMENT_KINDS:
                 statement, statement_position = node, position
+                if captured is not None:
+                    self._captured[position] = captured
             for label in node.annotations:
                 same = self._anchors.setdefault(label, [])
                 same.append(Anchor(node, statement or node, label, position,
                                    statement_position if statement else position, len(same)))
             position += 1
-            if node.kind is not NodeKind.SC_UNPARSED:
-                stack.extend((child, statement, statement_position)
+            if kind is NodeKind.SC_UNPARSED:
+                continue
+            if kind is NodeKind.SC_ASSIGNMENT:
+                name = node.prop("name")
+                stack.extend(
+                    (child, statement, statement_position,
+                     name if child.kind is NodeKind.SC_COMMAND_SUBSTITUTION else None)
+                    for child in reversed(node.children)
+                )
+            else:
+                captured = captured if kind in _CAPTURING else None
+                stack.extend((child, statement, statement_position, captured)
                              for child in reversed(node.children))
 
     def anchors(self, label: str) -> list[Anchor]:
@@ -139,12 +166,20 @@ class RunIndex:
             self._last[label] = last
         return last > position
 
-    def removed_after(self, position: int, target: str, recursive: bool) -> bool:
+    def captured(self, statement_position: int) -> str | None:
+        """The variable ``V`` when the statement at ``statement_position``
+        runs in `V=$(...)`, on its own or in a list or pipeline there."""
+        return self._captured.get(statement_position)
+
+    def removed_after(
+        self, position: int, target: str, recursive: bool, glob: bool = False
+    ) -> bool:
         """Some rm statement after ``position`` has an operand that covers
-        ``target`` (``path_covers``), and a recursive flag if asked for."""
+        ``target``, a path or, with ``glob``, a glob (``path_covers``), and
+        a recursive flag if asked for."""
         return any(
-            last[recursive] > position and path_covers(operand, target)
-            for operand, last in self._rm_operands()[0].items()
+            last[recursive] > position and path_covers(operand, target, operand_glob, glob)
+            for (operand, operand_glob), last in self._rm_operands()[0].items()
         )
 
     def removed_variable_after(self, position: int, name: str) -> bool:
@@ -152,20 +187,24 @@ class RunIndex:
         return self._rm_operands()[1].get(name, -1) > position
 
     def _rm_operands(self) -> tuple[dict, dict]:
-        """Last statement position per rm operand, as ``[any rm, recursive
-        rm]``; and per variable a recursive rm removes."""
+        """Last statement position per rm operand and whether the shell
+        expands it as a glob, as ``[any rm, recursive rm]``; and per
+        variable a recursive rm removes. An exec-form rm has no shell, so
+        no glob."""
         if self._removals is None:
-            operands: dict[str, list[int]] = {}
+            operands: dict[tuple[str, bool], list[int]] = {}
             variables: dict[str, int] = {}
             for anchor in self.anchors(_RM):
                 where = anchor.statement_position
                 nodes = list(_walk_matchable(anchor.statement))
                 recursive = any(_RM_RECURSIVE in n.annotations for n in nodes)
+                in_shell = not anchor.statement.prop("exec_array")
                 for node in nodes:
                     text = node.prop("text")
                     if _RM_PATH not in node.annotations or text is None:
                         continue
-                    last = operands.setdefault(text, [-1, -1])
+                    glob = in_shell and read_word(node.literal)[1]
+                    last = operands.setdefault((text, glob), [-1, -1])
                     last[0] = max(last[0], where)
                     if recursive:
                         last[1] = max(last[1], where)

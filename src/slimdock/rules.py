@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import Callable, Iterator
@@ -45,7 +46,7 @@ from . import shell
 from .dockerfile import DockerfileAst
 from .enrich import command_words
 from .model import NodeKind, SourceSpan, UnifiedNode
-from .query import Anchor, RunIndex, checked_label, statement_has
+from .query import Anchor, RunIndex, checked_label, path_covers, statement_has
 
 
 @unique
@@ -88,7 +89,7 @@ class SmellDiagnostic:
     rule: RuleId
     file: str
     span: SourceSpan
-    anchor: Anchor
+    anchor: Anchor | None  # None, as ``run``, in a ``runner.process_file`` report
     message: str
     fixable: bool
     run: UnifiedNode | None = field(repr=False, default=None)  # enclosing DOCKER-RUN
@@ -237,34 +238,13 @@ def _mkdir_usr_src(scope: Scope, anchor: Anchor) -> dict | None:
 # -- rule 4: rmRecursiveAfterMktempD -------------------------------------------
 
 
-def _captured_variable(statement: UnifiedNode) -> str | None:
-    """Variable name when the statement sits in `V=$(...)`, else None."""
-    node = statement
-    anc = node.parent
-    # the substitution may hold a small statement list around the mktemp
-    while anc is not None and anc.kind in (
-        NodeKind.SC_SEQ,
-        NodeKind.SC_AND,
-        NodeKind.SC_OR,
-        NodeKind.SC_PIPELINE,
-    ):
-        node = anc
-        anc = anc.parent
-    if anc is None or anc.kind is not NodeKind.SC_COMMAND_SUBSTITUTION:
-        return None
-    holder = anc.parent
-    if holder is not None and holder.kind is NodeKind.SC_ASSIGNMENT:
-        return holder.prop("name")
-    return None
-
-
 _MKTEMP_D = checked_label("SC-MKTEMP-F-D")
 
 
 def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
     if not statement_has(anchor.statement, _MKTEMP_D):
         return None
-    var = _captured_variable(anchor.statement)
+    var = scope.index.captured(anchor.statement_position)
     if var is None:
         return None  # result not captured: nothing nameable to remove
     if scope.index.removed_variable_after(anchor.statement_position, var):
@@ -306,7 +286,9 @@ _APT_LISTS = "/var/lib/apt/lists/*"
 
 
 def _apt_lists(scope: Scope, anchor: Anchor) -> dict | None:
-    if scope.index.removed_after(anchor.statement_position, _APT_LISTS, recursive=True):
+    if scope.index.removed_after(
+        anchor.statement_position, _APT_LISTS, recursive=True, glob=True
+    ):
         return None
     return {}
 
@@ -597,6 +579,7 @@ class Chain:
     joiner: str  # the text that joins a new element to an element
     end: int  # the offset after the last element
     appended: set[str] = field(default_factory=set)  # the statements appended at ``end``
+    removed: list[tuple[str, bool]] = field(default_factory=list)  # their `rm -rf` operands
 
 
 def _chain(ast: DockerfileAst, run: UnifiedNode) -> Chain:
@@ -637,14 +620,34 @@ def _line_indent(src: str, offset: int) -> str:
     return m.group(0) if m else ""
 
 
-def _element(chain: Chain, statement: UnifiedNode) -> UnifiedNode:
-    """The element of ``chain`` that holds ``statement``."""
+def _element(chain: Chain, statement: UnifiedNode) -> tuple[int, UnifiedNode]:
+    """The index and the element of ``chain`` that holds ``statement``: the
+    last one that starts at or before it, as sibling spans are ordered and
+    disjoint."""
     if chain.top.kind is not NodeKind.SC_AND:
-        return chain.top
-    node = statement
-    while node.parent is not chain.top:
-        node = node.parent
-    return node
+        return 0, chain.top
+    elements = chain.top.children
+    k = bisect_right(elements, statement.span.start, key=lambda e: e.span.start) - 1
+    return k, elements[k]
+
+
+_RM_RF = "rm -rf "
+
+
+def _appended_already(chain: Chain, statement: str) -> bool:
+    """Whether the chain has appended ``statement``, or an `rm -rf` whose
+    operand covers the one ``statement`` removes (``query.path_covers``);
+    else record it as appended."""
+    target = shell.read_word(statement[len(_RM_RF):]) if statement.startswith(_RM_RF) else None
+    if statement in chain.appended or (
+        target is not None
+        and any(path_covers(path, target[0], glob, target[1]) for path, glob in chain.removed)
+    ):
+        return True
+    chain.appended.add(statement)
+    if target is not None:
+        chain.removed.append(target)
+    return False
 
 
 def _flag_text(flag: str, anchor: Anchor) -> str:
@@ -667,8 +670,8 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
     A statement becomes a new element of the RUN's top-level AND-chain, or
     of a new chain of two with the RUN's single statement. Whether the RUN
     has that shape was decided once, by ``detect`` (``diagnostic.fixable``).
-    A cleanup whose text an earlier repair already appended to the RUN is
-    not appended again."""
+    A cleanup that an earlier repair already appended to the RUN, or whose
+    path an `rm -rf` appended there already removes, is not appended."""
     rule = rule_for(diagnostic.rule)
     anchor = diagnostic.anchor
     if rule.kind == "flag":
@@ -682,19 +685,17 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
     chain = _chain(ast, diagnostic.run)
     statement = rule.repair_text(diagnostic.extras)
     if rule.kind == "before":
-        element = _element(chain, anchor.statement)
-        index = 0 if element is chain.top else chain.top.child_index(element)
+        index, element = _element(chain, anchor.statement)
         if index == 0:
             text = statement + chain.joiner
             return _insert(ast, diagnostic, element.span.start, _QUEUED, text)
         offset = chain.top.children[index - 1].span.end
         return _insert(ast, diagnostic, offset, _QUEUED, chain.joiner + statement)
     if rule.kind == "adjacent":
-        offset = _element(chain, anchor.statement).span.end
+        offset = _element(chain, anchor.statement)[1].span.end
         return _insert(ast, diagnostic, offset, _ADJACENT, chain.joiner + statement)
-    if statement in chain.appended:
+    if _appended_already(chain, statement):
         return RepairOutcome("applied", diagnostic)  # an earlier repair's cleanup
-    chain.appended.add(statement)
     return _insert(ast, diagnostic, chain.end, _QUEUED, chain.joiner + statement)
 
 

@@ -14,9 +14,12 @@ analysed with U+FFFD in place of its bad bytes, and marked
 
 Files are independent and processed one after another (the work is
 pure-Python and CPU-bound, so threads would only contend for the GIL);
-reports come back sorted by path. No file aborts a batch: a wholly
-unparseable file, or one that hits an internal error, is reported as
-failed-soft and excluded from smell statistics.
+reports come back sorted by path. A batch holds one file's trees at a
+time: ``process_file`` drops the tree links (``run``, ``anchor``) from
+its report, so reference counting frees the file's trees as soon as the
+report is built. No file aborts a batch: a wholly unparseable file, or
+one that hits an internal error, is reported as failed-soft and excluded
+from smell statistics.
 """
 
 from __future__ import annotations
@@ -371,7 +374,10 @@ def process_file(
     fix: bool = False,
     raw: bytes | None = None,
 ) -> FileReport:
-    """Lint or fix one file; ``raw`` is its bytes if the caller read them."""
+    """Lint or fix one file; ``raw`` is its bytes if the caller read them.
+
+    The report holds no tree: its diagnostics, residual and repair
+    outcomes have ``run`` and ``anchor`` set to None."""
     report = FileReport(path=path)
     if raw is None:
         try:
@@ -397,6 +403,8 @@ def process_file(
         report.error = f"internal error: {type(exc).__name__}: {exc}"
         report.status = PARSE_FAILED
         return report
+    for diagnostic in result.diagnostics + result.residual + [o.diagnostic for o in result.repairs]:
+        diagnostic.run = diagnostic.anchor = None
     result.warnings = pre_warnings + result.warnings
     result.lossy_decode = report.lossy_decode
     if pre_warnings and result.status == PARSE_OK:

@@ -831,6 +831,22 @@ def word_text(node: UnifiedNode) -> str:
     return node.prop("text", node.literal or "")
 
 
+# a `*`, `?` or `[` that no backslash escapes
+_GLOB_CHAR_RE = re.compile(r"(?<!\\)(?:\\\\)*[*?[]")
+
+
+def read_word(source: str) -> tuple[str, bool]:
+    """The logical text of ``source``, the source text of one shell word,
+    and whether the shell expands it as a glob: whether a ``*``, ``?`` or
+    ``[`` of it is outside quotes and not escaped."""
+    tok = _Lexer(source, 0, len(source))._word()
+    glob = any(
+        seg.kind == "bare" and _GLOB_CHAR_RE.search(source, seg.start, seg.end)
+        for seg in tok.segments
+    )
+    return tok.value, glob
+
+
 _VAR_REF_RE = re.compile(r"^\$(?:\{([A-Za-z_][A-Za-z0-9_]*)[^}]*\}|([A-Za-z_][A-Za-z0-9_]*))")
 
 

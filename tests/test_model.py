@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from conftest import read_text
@@ -10,7 +12,7 @@ from slimdock.model import (
     UnifiedNode,
     span_text,
 )
-from slimdock.runner import analyze_text
+from slimdock.runner import analyze_text, fix_text, process_files
 
 
 class TestSpanText:
@@ -87,7 +89,6 @@ class TestTreeSurgery:
         a = UnifiedNode(NodeKind.SC_SCRIPT)
         b = UnifiedNode(NodeKind.SC_WORD)
         a.add_child(b)
-        assert b.parent is a
         assert a.children == [b]
         assert a.child_index(b) == 0
 
@@ -138,3 +139,54 @@ class TestTreeVocabulary:
                 seen.update((node.kind, key) for key in node.props)
         # every listed prop is set somewhere, so the table is not stale
         assert seen == {(kind, key) for kind, keys in TREE_PROPS.items() for key in keys}
+
+
+# a chain RUN; a repair that rolls back (`&& rm a\` turns the word `a\`
+# into `a `); an unterminated quote, read as SC-UNPARSED; exec form; a heredoc
+ACYCLIC_INPUTS = {
+    "chain": "FROM debian\nRUN apt-get install -y x && tar -xzf a.tgz && mkdir /usr/src/a\n",
+    "rollback": "# escape=`\nFROM debian\nRUN apt-get install -y x && tar -xzf a\\\n",
+    "unparsed": "FROM debian\nRUN echo 'open && apt-get install -y x\n",
+    "exec form": 'FROM debian\nRUN ["pip", "install", "x"]\n',
+    "heredoc": "FROM debian\nRUN <<EOF\napt-get install -y x\nEOF\n",
+}
+
+
+def cyclic_garbage(call):
+    """How many objects ``call()`` leaves that only the cyclic collector
+    can free."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestNoCycles:
+    """A node links to its children only, and a batch report holds no
+    tree: reference counting frees every tree once its report is built."""
+
+    @pytest.mark.parametrize("run", [analyze_text, fix_text])
+    @pytest.mark.parametrize("text", ACYCLIC_INPUTS.values(), ids=ACYCLIC_INPUTS)
+    def test_analysis_leaves_no_cyclic_garbage(self, run, text):
+        assert cyclic_garbage(lambda: run(text, "Dockerfile")) == 0
+
+    def test_inputs_take_the_paths_named(self):
+        statuses = {name: [o.status for o in fix_text(text, "Dockerfile").repairs]
+                    for name, text in ACYCLIC_INPUTS.items()}
+        assert statuses["rollback"] == ["rolled-back"] * 3
+        (run,) = analyze_text(ACYCLIC_INPUTS["unparsed"], "Dockerfile")[0].runs()
+        assert [n.kind for n in run.walk()][-1] is NodeKind.SC_UNPARSED
+
+    def test_batch_leaves_no_cyclic_garbage(self, fixture_paths):
+        paths = sorted(fixture_paths.values())[:6]
+        reports = []
+        assert cyclic_garbage(lambda: reports.extend(process_files(paths, fix=True))) == 0
+        assert len(reports) == 6 and any(r.repairs for r in reports)
+        outcomes = [o.diagnostic for r in reports for o in r.repairs]
+        assert all(d.run is None and d.anchor is None
+                   for r in reports for d in r.diagnostics + r.residual + outcomes)

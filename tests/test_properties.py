@@ -3,6 +3,7 @@ repair reported applied is gone when the fixed file is parsed again, and
 that the residual of a fix is what a lint of the fixed file reports."""
 
 import json
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -134,13 +135,19 @@ def anchored_dockerfiles(draw):
     return text + newline if draw(st.booleans()) else text
 
 
-def smell(diagnostic):
+def smell(diagnostic, run_starts):
     """RUN ordinal, rule, anchor label, and the anchor's ordinal among the
-    RUN's nodes with that label: one smell, before and after a reprint."""
+    RUN's nodes with that label: one smell, before and after a reprint.
+    ``run_starts`` are the start offsets of the RUNs of the text that the
+    diagnostic's span is in."""
     run, label = diagnostic.run, diagnostic.anchor.label
-    runs = [n for n in run.parent.children if n.kind is NodeKind.DOCKER_RUN]
+    ordinal = bisect_right(run_starts, diagnostic.span.start) - 1
     same = [n for n in run.walk() if label in n.annotations]
-    return runs.index(run), diagnostic.rule, label, same.index(diagnostic.anchor.node)
+    return ordinal, diagnostic.rule, label, same.index(diagnostic.anchor.node)
+
+
+def run_starts(text):
+    return [run.span.start for run in parse_dockerfile(text, "<gen>").runs()]
 
 
 # -- properties ----------------------------------------------------------------
@@ -169,9 +176,10 @@ def test_fix_is_idempotent(text):
 def test_applied_repairs_are_gone_on_reparse(text):
     assert print_minimal(parse_and_enrich(text), text) == text
     report = fix_text(text, "<gen>")
-    left = {smell(d) for d in report.residual}
+    before, after = run_starts(text), run_starts(report.fixed)
+    left = {smell(d, after) for d in report.residual}
     applied = [o for o in report.repairs if o.status == "applied"]
-    assert [o.diagnostic.rule for o in applied if smell(o.diagnostic) in left] == []
+    assert [o.diagnostic.rule for o in applied if smell(o.diagnostic, before) in left] == []
     if not applied:
         assert report.fixed == text
     assert fix_text(report.fixed, "<gen>").fixed == report.fixed
@@ -269,7 +277,7 @@ def shell_nodes(run):
 def assert_reread_is_fresh(text, spliced=False):
     runs = reread_runs(text)
     for read, fresh, windowed in runs:
-        validate_tree(read.parent)
+        validate_tree(read)
         assert shell_nodes(read) == shell_nodes(fresh)
     if spliced:
         assert runs and all(windowed for _, _, windowed in runs)

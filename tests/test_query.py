@@ -166,6 +166,73 @@ class TestPathCovers:
     def test_covers(self, operand, target, expected):
         assert path_covers(operand, target) is expected
 
+    @pytest.mark.parametrize(
+        "operand,target,target_glob,expected",
+        [
+            # an operand whose `*` was quoted removes a file named `*`
+            ("/usr/src/*", "/usr/src/x", False, False),
+            ("/usr/src/*", "/usr/src", False, False),
+            ("/var/lib/apt/lists/*", "/var/lib/apt/lists/*", True, False),
+            ("/usr/src/[ab]", "/usr/src/a", False, False),
+            # ... which is the same path as a target with that name
+            ("/usr/src/*", "/usr/src/*", False, True),
+            # a directory covers its contents, glob or not
+            ("/usr/src/a", "/usr/src/a/*", False, True),
+            ("/var/lib/apt/lists", "/var/lib/apt/lists/*", True, True),
+        ],
+    )
+    def test_operand_that_is_not_a_glob(self, operand, target, target_glob, expected):
+        assert path_covers(operand, target, False, target_glob) is expected
+
+
+class TestQuotedGlobOperands:
+    """An rm operand is a glob only where its `*`, `?` or `[` is unquoted."""
+
+    @pytest.mark.parametrize(
+        "text,smells",
+        [
+            ("RUN mkdir /usr/src/x && rm -rf '/usr/src/*'", True),
+            ("RUN mkdir /usr/src/x && rm -rf /usr/src/\\*", True),
+            ("RUN mkdir /usr/src/x && rm -rf /usr/src/*", False),
+            ("RUN mkdir '/usr/src/*' && rm -rf '/usr/src/*'", False),
+            ('RUN apt-get install x && rm -rf "/var/lib/apt/lists/*"', True),
+            ("RUN apt-get install x && rm -rf /var/lib/apt/lists/*", False),
+            ('RUN apt-get install x && rm -rf "/var/lib/apt/lists"/*', False),
+        ],
+    )
+    def test_rows(self, text, smells):
+        found = {d.rule for d in detect(parse_and_enrich(text))}
+        cleanups = {RuleId.mkdirUsrSrcThenRemove, RuleId.aptGetInstallThenRemoveAptLists}
+        assert bool(found & cleanups) is smells
+
+
+class TestCaptured:
+    """The variable a statement's output is assigned to, from the walk
+    down: through a substitution held by an assignment, and the lists and
+    pipelines in it."""
+
+    @pytest.mark.parametrize(
+        "text,name",
+        [
+            ("RUN D=$(mktemp -d)", "D"),
+            ("RUN D=$(cd /tmp && mktemp -d)", "D"),
+            ("RUN D=$(true || mktemp -d)", "D"),
+            ("RUN D=$(mktemp -d | tee log)", "D"),
+            ("RUN D=$(mktemp -d; true)", "D"),
+            ('RUN D="$(mktemp -d)"', "D"),
+            ("RUN D=`mktemp -d`", "D"),
+            ("RUN D=$(E=$(mktemp -d) && echo $E)", "E"),
+            ("RUN mktemp -d", None),
+            ('RUN echo "$(mktemp -d)"', None),
+            ("RUN D=$( (mktemp -d) )", None),
+            ("RUN D=$(if true; then mktemp -d; fi)", None),
+        ],
+    )
+    def test_mktemp(self, text, name):
+        index = RunIndex(run_of(text))
+        (anchor,) = index.anchors("SC-MKTEMP")
+        assert index.captured(anchor.statement_position) == name
+
 
 class TestRemovedAfter:
     """A later rm covers a target when an operand covers it (path_covers)

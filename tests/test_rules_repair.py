@@ -82,6 +82,42 @@ class TestAppendRepairs:
         assert [len(o.edits) > 0 for o in report.repairs] == [True, True, True, False, True, False]
         assert report.residual == []
 
+    @pytest.mark.parametrize(
+        "text, fixed, edited",
+        [
+            # `rm -rf /usr/src/a` already removes what is in it
+            (
+                "RUN mkdir /usr/src/a && mkdir '/usr/src/a/*'\n",
+                "RUN mkdir /usr/src/a && mkdir '/usr/src/a/*' && rm -rf /usr/src/a\n",
+                [True, False],
+            ),
+            (
+                "RUN mkdir /usr/src/* && mkdir /usr/src/x\n",
+                "RUN mkdir /usr/src/* && mkdir /usr/src/x && rm -rf /usr/src/*\n",
+                [True, False],
+            ),
+            # the other way round, neither covers the other
+            (
+                "RUN mkdir /usr/src/a/b && mkdir /usr/src/a\n",
+                "RUN mkdir /usr/src/a/b && mkdir /usr/src/a && rm -rf /usr/src/a/b"
+                " && rm -rf /usr/src/a\n",
+                [True, True],
+            ),
+            # a quoted `*` removes a file named `*`, not what is in /usr/src
+            (
+                "RUN mkdir /usr/src/x && rm -rf '/usr/src/*'\n",
+                "RUN mkdir /usr/src/x && rm -rf '/usr/src/*' && rm -rf /usr/src/x\n",
+                [True],
+            ),
+        ],
+    )
+    def test_cleanup_an_appended_rm_covers_is_not_appended(self, text, fixed, edited):
+        report = fix_text(text, "<t>")
+        assert report.fixed == fixed
+        assert [o.status for o in report.repairs] == ["applied"] * len(edited)
+        assert [len(o.edits) > 0 for o in report.repairs] == edited
+        assert report.residual == []
+
 
 class TestOperandQuoting:
     """An inserted rm operand expands to what the anchor's operand expanded
