@@ -106,11 +106,13 @@ class Anchor:
     ordinal: int
 
 
-# the nodes through which a substitution's output stays its statements'
+# a substitution's output is that of its statements, also of those in
+# the lists and pipelines it holds
 _CAPTURING = frozenset(
     {NodeKind.SC_COMMAND_SUBSTITUTION, NodeKind.SC_SEQ, NodeKind.SC_AND,
      NodeKind.SC_OR, NodeKind.SC_PIPELINE}
 )
+_ASSIGNMENT, _UNPARSED = NodeKind.SC_ASSIGNMENT, NodeKind.SC_UNPARSED
 
 
 class RunIndex:
@@ -120,39 +122,36 @@ class RunIndex:
     def __init__(self, root: UnifiedNode):
         self._anchors: dict[str, list[Anchor]] = {}
         self._last: dict[str, int] = {}
-        self._captured: dict[int, str] = {}
+        self._captured: dict[int, str] = {}  # by id() of the statement
         self._removals: tuple[dict, dict] | None = None
-        # node, its statement and that statement's position, and the name
-        # of the assignment whose substitution the node's output goes to
-        stack: list[tuple[UnifiedNode, UnifiedNode | None, int, str | None]] = [
-            (root, None, -1, None)
-        ]
+        stack: list[tuple[UnifiedNode, UnifiedNode | None, int]] = [(root, None, -1)]
         position = 0
         while stack:
-            node, statement, statement_position, captured = stack.pop()
+            node, statement, statement_position = stack.pop()
             kind = node.kind
             if kind in STATEMENT_KINDS:
                 statement, statement_position = node, position
-                if captured is not None:
-                    self._captured[position] = captured
+            elif kind is _ASSIGNMENT:
+                self._capture(node)
             for label in node.annotations:
                 same = self._anchors.setdefault(label, [])
                 same.append(Anchor(node, statement or node, label, position,
                                    statement_position if statement else position, len(same)))
             position += 1
-            if kind is NodeKind.SC_UNPARSED:
-                continue
-            if kind is NodeKind.SC_ASSIGNMENT:
-                name = node.prop("name")
-                stack.extend(
-                    (child, statement, statement_position,
-                     name if child.kind is NodeKind.SC_COMMAND_SUBSTITUTION else None)
-                    for child in reversed(node.children)
-                )
-            else:
-                captured = captured if kind in _CAPTURING else None
-                stack.extend((child, statement, statement_position, captured)
+            if kind is not _UNPARSED:
+                stack.extend((child, statement, statement_position)
                              for child in reversed(node.children))
+
+    def _capture(self, assignment: UnifiedNode) -> None:
+        """Record the assignment's name for the statements whose output its
+        substitutions (its children) capture."""
+        stack = list(assignment.children)
+        while stack:
+            node = stack.pop()
+            if node.kind in STATEMENT_KINDS:
+                self._captured[id(node)] = assignment.prop("name")
+            elif node.kind in _CAPTURING:
+                stack.extend(node.children)
 
     def anchors(self, label: str) -> list[Anchor]:
         """Nodes carrying ``label``, in document order."""
@@ -166,10 +165,10 @@ class RunIndex:
             self._last[label] = last
         return last > position
 
-    def captured(self, statement_position: int) -> str | None:
-        """The variable ``V`` when the statement at ``statement_position``
-        runs in `V=$(...)`, on its own or in a list or pipeline there."""
-        return self._captured.get(statement_position)
+    def captured(self, statement: UnifiedNode) -> str | None:
+        """The variable ``V`` when ``statement`` runs in `V=$(...)`, on its
+        own or in a list or pipeline there."""
+        return self._captured.get(id(statement))
 
     def removed_after(
         self, position: int, target: str, recursive: bool, glob: bool = False

@@ -244,7 +244,7 @@ _MKTEMP_D = checked_label("SC-MKTEMP-F-D")
 def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
     if not statement_has(anchor.statement, _MKTEMP_D):
         return None
-    var = scope.index.captured(anchor.statement_position)
+    var = scope.index.captured(anchor.statement)
     if var is None:
         return None  # result not captured: nothing nameable to remove
     if scope.index.removed_variable_after(anchor.statement_position, var):

@@ -833,12 +833,15 @@ def word_text(node: UnifiedNode) -> str:
 
 # a `*`, `?` or `[` that no backslash escapes
 _GLOB_CHAR_RE = re.compile(r"(?<!\\)(?:\\\\)*[*?[]")
+_QUOTING_RE = re.compile(r"['\"\\$`]")
 
 
 def read_word(source: str) -> tuple[str, bool]:
     """The logical text of ``source``, the source text of one shell word,
     and whether the shell expands it as a glob: whether a ``*``, ``?`` or
     ``[`` of it is outside quotes and not escaped."""
+    if not _QUOTING_RE.search(source):  # one bare run: the text is the source
+        return source, bool(_GLOB_CHAR_RE.search(source))
     tok = _Lexer(source, 0, len(source))._word()
     glob = any(
         seg.kind == "bare" and _GLOB_CHAR_RE.search(source, seg.start, seg.end)

@@ -231,7 +231,7 @@ class TestCaptured:
     def test_mktemp(self, text, name):
         index = RunIndex(run_of(text))
         (anchor,) = index.anchors("SC-MKTEMP")
-        assert index.captured(anchor.statement_position) == name
+        assert index.captured(anchor.statement) == name
 
 
 class TestRemovedAfter:
