@@ -235,12 +235,6 @@ class UnifiedNode:
         self.children.append(child)
         return child
 
-    def child_index(self, child: "UnifiedNode") -> int:
-        try:
-            return self.children.index(child)  # nodes compare by identity
-        except ValueError:
-            raise ValueError("node is not a child of this parent") from None
-
     def moved(self, delta: int, into: SourceSpan) -> "UnifiedNode":
         """A copy of this subtree ``delta`` characters later, in the source
         of ``into``: spans moved, ``literal``, ``props`` and annotations

@@ -657,8 +657,7 @@ def _flag_text(flag: str, anchor: Anchor) -> str:
     cmd, word = anchor.statement, anchor.node
     if cmd.prop("exec_array"):
         return ", " + json.dumps(flag)
-    after = cmd.child_index(word) + 1
-    touching = after < len(cmd.children) and cmd.children[after].span.start == word.span.end
+    touching = any(child.span.start == word.span.end for child in cmd.children)
     return " " + flag + " " if touching else " " + flag
 
 

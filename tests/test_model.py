@@ -90,7 +90,6 @@ class TestTreeSurgery:
         b = UnifiedNode(NodeKind.SC_WORD)
         a.add_child(b)
         assert a.children == [b]
-        assert a.child_index(b) == 0
 
 
 class TestAnnotations:
