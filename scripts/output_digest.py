@@ -16,11 +16,21 @@ The inputs are the Dockerfiles under ``tests/data`` plus, for each
 ``long_runs``, ``large_files``).  With
 ``--against FILE``, an earlier output of this script, it lists the inputs
 whose digest differs instead and exits 1 if there are any.
+``--drop-prop KIND:NAME`` (repeatable, and each takes several) leaves the
+prop ``NAME`` of every node of kind ``KIND`` out of the digest, so that
+sources without a prop that a change deletes can be digested as if they
+never had it.
 
 Run it from a checkout, against that checkout's sources::
 
     PYTHONPATH=src python3 scripts/output_digest.py --seed 9 --seed 10 > before.txt
     PYTHONPATH=src python3 scripts/output_digest.py --seed 9 --seed 10 --against before.txt
+
+or run this script on other sources (``PYTHONPATH=other/src``), dropping
+the props those sources have and these do not::
+
+    PYTHONPATH=other/src python3 scripts/output_digest.py \\
+        --drop-prop DOCKER-RUN:_line DOCKER-RUN:_flags_end > before.txt
 """
 
 from __future__ import annotations
@@ -68,12 +78,14 @@ def _diagnostic(d):
     return [d.rule.value, d.line, d.column, d.fixable, _span(d.span), d.message]
 
 
-def record(text: str, name: str) -> dict:
-    """Everything lint and fix report for one input."""
+def record(text: str, name: str, drop: frozenset = frozenset()) -> dict:
+    """Everything lint and fix report for one input, less the props
+    ``drop`` names as ``(kind, name)``."""
     ast, lint = analyze_text(text, name)
     nodes = [
         [node.kind.value, _span(node.span), node.literal, sorted(node.annotations),
-         _canon(node.props), len(node.children)]
+         _canon({k: v for k, v in node.props.items() if (node.kind.value, k) not in drop}),
+         len(node.children)]
         for node in ast.root.walk()
     ]
     fix = fix_text(text, name)
@@ -87,8 +99,8 @@ def record(text: str, name: str) -> dict:
     }
 
 
-def digest(text: str, name: str) -> str:
-    blob = json.dumps(record(text, name), sort_keys=True, ensure_ascii=True)
+def digest(text: str, name: str, drop: frozenset = frozenset()) -> str:
+    blob = json.dumps(record(text, name, drop), sort_keys=True, ensure_ascii=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -121,15 +133,26 @@ def read_digests(path: str) -> dict[str, str]:
     return out
 
 
+def kind_prop(value: str) -> tuple[str, str]:
+    kind, colon, name = value.partition(":")
+    if not (kind and colon and name):
+        raise argparse.ArgumentTypeError(f"expected KIND:NAME, got {value!r}")
+    return kind, name
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, action="append", default=[],
                         help="add the generated workloads at this seed (repeatable)")
     parser.add_argument("--against", metavar="FILE",
                         help="an earlier output; list the inputs that differ from it")
+    parser.add_argument("--drop-prop", type=kind_prop, nargs="+", action="extend", default=[],
+                        metavar="KIND:NAME",
+                        help="leave this prop of every node of this kind out (repeatable)")
     args = parser.parse_args(argv)
 
-    lines = [f"{digest(text, name)}  {name}" for name, text in inputs(args.seed)]
+    drop = frozenset(args.drop_prop)
+    lines = [f"{digest(text, name, drop)}  {name}" for name, text in inputs(args.seed)]
     if args.against is None:
         total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         print("\n".join(lines))

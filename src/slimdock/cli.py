@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .rules import RULES, RuleId, parse_rule_name
 from .runner import (
@@ -130,18 +131,27 @@ def _diagnostic_json(d) -> dict:
     }
 
 
-def _exit_code_lint(reports: list[FileReport]) -> int:
-    if any(r.error or r.status == PARSE_FAILED for r in reports):
+def _exit_code(reports: list[FileReport], remaining: int, failed: bool = False) -> int:
+    """2 if a file failed (or ``failed``), else 1 if smells ``remaining``, else 0."""
+    if failed or any(r.error or r.status == PARSE_FAILED for r in reports):
         return 2
-    if any(r.diagnostics for r in reports):
-        return 1
-    return 0
+    return 1 if remaining else 0
+
+
+def _print_notes(report: FileReport, verbose: bool) -> None:
+    """A file's error and, with ``verbose``, its warnings, on stderr."""
+    if report.error:
+        print(f"{report.path}: error: {report.error}", file=sys.stderr)
+    if verbose:
+        for w in report.warnings:
+            print(f"warning: {w}", file=sys.stderr)
 
 
 def _cmd_lint(args, rules, globs) -> int:
     paths = discover(args.paths, globs)
     reports = process_files(paths, rules, fix=False)
-    code = _exit_code_lint(reports)
+    total = sum(len(r.diagnostics) for r in reports)
+    code = _exit_code(reports, total)
     if args.format == "json":
         payload = {
             "files": [
@@ -156,23 +166,17 @@ def _cmd_lint(args, rules, globs) -> int:
             ],
             "summary": {
                 "files": len(reports),
-                "diagnostics": sum(len(r.diagnostics) for r in reports),
+                "diagnostics": total,
                 "exit_code": code,
             },
         }
         print(json.dumps(payload, indent=2))
         return code
-    total = 0
     for report in reports:
         for d in report.diagnostics:
-            total += 1
             fixable = " (fixable)" if d.fixable else ""
             print(f"{report.path}:{d.line}:{d.column}: {d.rule.value}: {d.message}{fixable}")
-        if report.error:
-            print(f"{report.path}: error: {report.error}", file=sys.stderr)
-        if args.verbose:
-            for w in report.warnings:
-                print(f"warning: {w}", file=sys.stderr)
+        _print_notes(report, args.verbose)
     print(f"{total} smell(s) in {len(reports)} file(s)")
     return code
 
@@ -208,11 +212,9 @@ def _cmd_fix(args, rules, globs) -> int:
     for failure in write_failures:
         print(f"error: {failure}", file=sys.stderr)
 
-    code = 0
-    if any(r.error or r.status == PARSE_FAILED for r in reports) or write_failures:
-        code = 2
-    elif any(r.residual for r in reports):
-        code = 1
+    residual = sum(len(r.residual) for r in reports)
+    code = _exit_code(reports, residual, bool(write_failures))
+    statuses = Counter(o.status for r in reports for o in r.repairs)
 
     if args.format == "json":
         payload = {
@@ -238,46 +240,31 @@ def _cmd_fix(args, rules, globs) -> int:
             ],
             "summary": {
                 "files": len(reports),
-                "applied": sum(
-                    1 for r in reports for o in r.repairs if o.status == "applied"
-                ),
-                "rolled_back": sum(
-                    1 for r in reports for o in r.repairs if o.status == "rolled-back"
-                ),
-                "not_fixable": sum(
-                    1 for r in reports for o in r.repairs if o.status == "not-fixable"
-                ),
-                "residual": sum(len(r.residual) for r in reports),
+                "applied": statuses["applied"],
+                "rolled_back": statuses["rolled-back"],
+                "not_fixable": statuses["not-fixable"],
+                "residual": residual,
                 "exit_code": code,
             },
         }
         print(json.dumps(payload, indent=2))
         return code
 
-    applied = rolled_back = not_fixable = 0
     for report in reports:
         for outcome in report.repairs:
             d = outcome.diagnostic
             if outcome.status == "applied":
-                applied += 1
                 print(f"{report.path}:{d.line}: fixed {d.rule.value}")
             elif outcome.status == "rolled-back":
-                rolled_back += 1
                 print(f"{report.path}:{d.line}: rolled back {d.rule.value} ({outcome.reason})")
             else:
-                not_fixable += 1
                 print(f"{report.path}:{d.line}: not fixable {d.rule.value} ({outcome.reason})")
         if (args.diff or not (args.in_place or args.output_dir)) and report.changed:
             sys.stdout.write(report.diff())
-        if report.error:
-            print(f"{report.path}: error: {report.error}", file=sys.stderr)
-        if args.verbose:
-            for w in report.warnings:
-                print(f"warning: {w}", file=sys.stderr)
-    residual = sum(len(r.residual) for r in reports)
+        _print_notes(report, args.verbose)
     print(
-        f"applied {applied}, rolled back {rolled_back}, not fixable {not_fixable}, "
-        f"residual {residual}"
+        f"applied {statuses['applied']}, rolled back {statuses['rolled-back']}, "
+        f"not fixable {statuses['not-fixable']}, residual {residual}"
     )
     return code
 

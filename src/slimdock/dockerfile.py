@@ -7,6 +7,11 @@ here: the payload handed to the shell parser is the logical instruction
 text, while a segment map keeps every shell node's span in file
 coordinates so the whole tree shares one coordinate system.
 
+Each RUN's form (shell, exec ``sh -c`` or exec array) is decided here, and
+the trees that need no shell parse are built here: an exec array's command,
+and an opaque script for an ``sh -c`` string with JSON escapes.
+``enrich.build_unified_ast`` parses the shell regions of the other RUNs.
+
 Parsing never hard-fails. Unrecognizable keywords become DOCKER-UNKNOWN
 nodes, an empty file parses to an empty DOCKER-FILE with a warning, and
 variable references in arguments stay literal tokens (rules operate
@@ -203,15 +208,14 @@ def _find_heredoc_tokens(payload: str) -> list[tuple[str, bool]]:
     return out
 
 
-def _scan_exec_array(payload: str) -> list[tuple[str, int, int, bool]] | None:
-    """Tolerant JSON-array-of-strings scan.
+def _scan_exec_array(payload: str, i: int) -> list[tuple[str, int, int]] | None:
+    """Tolerant JSON-array-of-strings scan of ``payload[i:]``.
 
-    Returns (decoded, start, end, had_escapes) per element, offsets into
-    ``payload`` and inclusive of the quotes. None means "not exec form"
-    (Docker falls back to shell form in that case). Strings are read by
-    the standard JSON reader, which here also takes raw control characters.
+    Returns (decoded, start, end) per element, offsets into ``payload``
+    and inclusive of the quotes. None means "not exec form" (Docker falls
+    back to shell form in that case). Strings are read by the standard
+    JSON reader, which here also takes raw control characters.
     """
-    i = 0
     n = len(payload)
 
     def skip_ws(j: int) -> int:
@@ -223,7 +227,7 @@ def _scan_exec_array(payload: str) -> list[tuple[str, int, int, bool]] | None:
     if i >= n or payload[i] != "[":
         return None
     i = skip_ws(i + 1)
-    elems: list[tuple[str, int, int, bool]] = []
+    elems: list[tuple[str, int, int]] = []
     if i < n and payload[i] == "]":
         return elems if skip_ws(i + 1) >= n else None
     while True:
@@ -235,7 +239,7 @@ def _scan_exec_array(payload: str) -> list[tuple[str, int, int, bool]] | None:
             value, i = scanstring(payload, i + 1, False)
         except JSONDecodeError:  # a bad escape, or no closing quote
             return None
-        elems.append((value, start, i, "\\" in payload[start:i]))
+        elems.append((value, start, i))
         i = skip_ws(i)
         if i < n and payload[i] == ",":
             i += 1
@@ -344,7 +348,7 @@ class _FileParser:
 
         node = UnifiedNode(kind, self.sm.span(kw_start, span_end))
         if kind is NodeKind.DOCKER_RUN:
-            self._stash_run_payload(node, seg_text, heredoc_script, kw_start)
+            self._stash_run_payload(node, seg_text, heredoc_script)
         return node, last_i + 1
 
     def _assemble(self, i: int, content_start: int) -> tuple[list[tuple[int, int]], int]:
@@ -417,44 +421,45 @@ class _FileParser:
     # -- per-kind payload handling -----------------------------------------
 
     def _stash_run_payload(
-        self,
-        node: UnifiedNode,
-        seg_text: SegmentedText,
-        heredoc_script: SegmentedText | None,
-        kw_start: int,
+        self, node: UnifiedNode, seg_text: SegmentedText, heredoc_script: SegmentedText | None
     ) -> None:
-        """Record what the unified-AST builder needs to embed the shell tree.
-
-        The shell parse itself happens in enrich.build_unified_ast; the
-        run form (shell / exec-shell / exec-array) is decided here so it
-        is available straight from parse_dockerfile.
-        """
-        node.props["_line"] = self.sm.position(kw_start)[0]
-        if heredoc_script is not None:
-            node.props["run_form"] = "shell"
-            node.props["_script_src"] = heredoc_script
-            node.props["_script_region"] = (0, len(heredoc_script.clean))
-            return
+        """Decide the RUN's form (shell / exec-shell / exec-array) and build
+        the trees that need no shell parse. Any other RUN keeps the text
+        (``_script_src``) and the region of it (``_script_region``) that
+        enrich.build_unified_ast parses as shell."""
         payload = seg_text.clean
         flags_end = _RUN_FLAGS_RE.match(payload).end()
-        elems = _scan_exec_array(payload[flags_end:])
-        if elems is not None:
-            elems = [(v, s + flags_end, e + flags_end, esc) for (v, s, e, esc) in elems]
-            if len(elems) >= 3 and elems[0][0] in _SHELLS_FOR_EXEC and elems[1][0] == "-c":
-                node.props["run_form"] = "exec-shell"
-                _value, s, e, had_escape = elems[2]
+        elems = None if heredoc_script else _scan_exec_array(payload, flags_end)
+        if elems is None:
+            src = heredoc_script or seg_text
+            node.props["run_form"] = "shell"
+            node.props["_script_src"] = src
+            node.props["_script_region"] = (0 if heredoc_script else flags_end, len(src.clean))
+            return
+        if len(elems) >= 3 and elems[0][0] in _SHELLS_FOR_EXEC and elems[1][0] == "-c":
+            node.props["run_form"] = "exec-shell"
+            _value, s, e = elems[2]
+            if "\\" not in payload[s:e]:
                 node.props["_script_src"] = seg_text
                 node.props["_script_region"] = (s + 1, e - 1)
-                node.props["_script_escaped"] = had_escape
-            else:
-                node.props["run_form"] = "exec-array"
-                node.props["_exec_elems"] = elems
-                node.props["_script_src"] = seg_text
-                node.props["_flags_end"] = flags_end
+                return
+            # escapes shift offsets inside the JSON string: keep it opaque
+            script = UnifiedNode(NodeKind.SC_SCRIPT, seg_text.span(s + 1, e - 1))
+            script.add_child(UnifiedNode(NodeKind.SC_UNPARSED, script.span))
+            node.add_child(script)
+            self.warnings.append(
+                f"{self.path}:{node.span.start_line}: exec-form payload with escapes left unparsed"
+            )
             return
-        node.props["run_form"] = "shell"
-        node.props["_script_src"] = seg_text
-        node.props["_script_region"] = (flags_end, len(payload))
+        node.props["run_form"] = "exec-array"
+        start, end = (elems[0][1], elems[-1][2]) if elems else (flags_end, flags_end)
+        cmd = UnifiedNode(NodeKind.SC_SIMPLE_COMMAND, seg_text.span(start, end))
+        cmd.props["exec_array"] = True
+        for value, s, e in elems:
+            word = UnifiedNode(NodeKind.SC_WORD, seg_text.span(s, e), literal=payload[s:e])
+            word.props["text"] = value
+            cmd.add_child(word)
+        node.add_child(cmd)
 
 
 def _is_leading_heredoc(payload: str) -> bool:

@@ -1,9 +1,9 @@
 """Unified-AST construction and semantic enrichment.
 
-``build_unified_ast`` embeds each RUN payload's shell tree under its
-DOCKER-RUN node (``embed_run`` does one RUN; shell form and exec ``sh -c``
-form get an SC-SCRIPT; other exec forms get one SC-SIMPLE-COMMAND built
-from the array), with all spans rebased into file coordinates.
+``build_unified_ast`` parses the shell region of each RUN (shell form, or
+the string of an exec ``sh -c``) into an SC-SCRIPT under its DOCKER-RUN
+node (``embed_run`` does one RUN), with spans in file coordinates. The
+Dockerfile parser decides each RUN's form and builds the other trees.
 
 ``enrich`` then attaches semantic annotations: for every simple command
 whose effective command (the first operand of wrappers like ``sudo -Eu
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 
 from . import shell
-from .dockerfile import DockerfileAst
+from .dockerfile import DockerfileAst, parse_dockerfile
 from .model import NodeKind, UnifiedNode
 from .schemas import (
     WRAPPERS,
@@ -52,48 +52,17 @@ def build_unified_ast(ast: DockerfileAst) -> DockerfileAst:
 
 
 def embed_run(ast: DockerfileAst, run: UnifiedNode) -> None:
-    """Embed the shell tree of one RUN of ``ast``, unless it has one."""
-    form = run.prop("run_form")
+    """Parse the shell region of one RUN of ``ast`` into its tree, unless
+    the RUN has one (the parser builds the exec-form trees)."""
+    if run.children:
+        return
     src = run.prop("_script_src")
-    if src is None or run.children:
-        return
-    line = run.prop("_line", 1)
-    shell_warnings: list[str] = []
-
-    if form == "exec-array":
-        elems = run.prop("_exec_elems") or []
-        cmd = UnifiedNode(NodeKind.SC_SIMPLE_COMMAND)
-        if elems:
-            cmd.span = src.span(elems[0][1], elems[-1][2])
-        else:
-            flags_end = run.prop("_flags_end", 0)
-            cmd.span = src.span(flags_end, flags_end)
-        cmd.props["exec_array"] = True
-        for value, s, e, _esc in elems:
-            word = UnifiedNode(NodeKind.SC_WORD, src.span(s, e), literal=src.clean[s:e])
-            word.props["text"] = value
-            cmd.add_child(word)
-        run.add_child(cmd)
-        return
-
-    start, end = run.prop("_script_region")
-    if form == "exec-shell" and run.prop("_script_escaped"):
-        # escapes shift offsets inside the JSON string; keep it opaque
-        # rather than attach wrong spans
-        script = UnifiedNode(NodeKind.SC_SCRIPT, src.span(start, end))
-        script.add_child(UnifiedNode(NodeKind.SC_UNPARSED, src.span(start, end)))
-        ast.warnings.append(
-            f"{ast.path}:{line}: exec-form payload with escapes left unparsed"
-        )
-        run.add_child(script)
-        return
-
+    warnings: list[str] = []
     script = shell.parse_shell(
-        src.clean, span_builder=src.span, warnings=shell_warnings, region=(start, end)
+        src.clean, span_builder=src.span, warnings=warnings, region=run.prop("_script_region")
     )
     run.add_child(script)
-    for w in shell_warnings:
-        ast.warnings.append(f"{ast.path}:{line}: {w}")
+    ast.warnings += [f"{ast.path}:{run.span.start_line}: {w}" for w in warnings]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +258,4 @@ def enrich(ast: DockerfileAst) -> DockerfileAst:
 
 def parse_and_enrich(text: str, path: str = "<memory>") -> DockerfileAst:
     """Convenience pipeline: parse, embed shell trees, and annotate."""
-    from .dockerfile import parse_dockerfile
-
     return enrich(build_unified_ast(parse_dockerfile(text, path)))

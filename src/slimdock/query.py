@@ -12,6 +12,7 @@ tables are built on first use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Iterator
@@ -46,6 +47,10 @@ _RM_RECURSIVE = checked_label("SC-RM-F-RECURSIVE")
 _RM_PATH = checked_label("SC-RM-PATH")
 
 
+_GLOB_CHAR_RE = re.compile(r"[*?[]|$")  # the first glob character, else the end
+_STARS_RE = re.compile(r"\*+")
+
+
 def _normalize_path(p: str) -> str:
     if p.startswith("./"):
         p = p[2:]
@@ -60,17 +65,26 @@ def path_covers(
     """True when removing ``operand`` removes ``target``.
 
     A directory covers its contents (``x`` covers ``x/*``). A glob operand
-    also covers what it equals or matches, the target read as a name, and
-    its contents glob covers the directory (``x/*`` covers ``x``). An
-    operand that is not a glob (a `*`, `?` or `[` of it was quoted) is one
-    path: it covers the same path, but not a glob target of the same text.
+    also covers what it equals or matches, and its contents glob covers
+    the directory (``x/*`` covers ``x``). An operand that is not a glob (a
+    `*`, `?` or `[` of it was quoted) is one path: it covers the same path.
+    A glob target is no name: it is covered by a glob operand of its text
+    (a run of `*` read as one) or by what covers its literal directory, the
+    part before the last `/` ahead of its first `*`, `?` or `[`.
     """
     o = _normalize_path(operand)
     t = _normalize_path(target)
+    if target_glob:
+        if operand_glob and _STARS_RE.sub("*", o) == _STARS_RE.sub("*", t):
+            return True
+        cut = t.rfind("/", 0, _GLOB_CHAR_RE.search(t).start())
+        if cut < 0:
+            return False
+        t = t[:cut] or "/"
     if t.endswith("/*") and t[:-2] == o:
         return True
     if not operand_glob:
-        return o == t and not target_glob
+        return o == t
     return o == t or fnmatchcase(t, o) or (o.endswith("/*") and o[:-2] == t)
 
 

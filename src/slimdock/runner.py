@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate, groupby
 
 from .dockerfile import DockerfileAst, SegmentedText, parse_dockerfile
-from .enrich import build_unified_ast, embed_run, enrich, enrich_node
+from .enrich import embed_run, enrich_node, parse_and_enrich
 from .model import NodeKind, UnifiedNode, span_text
 from .printer import print_minimal, unified_diff
 from .rules import (
@@ -96,7 +96,7 @@ def analyze_text(
     text: str, path: str, rules: list[RuleId] | None = None
 ) -> tuple[DockerfileAst, FileReport]:
     """Parse + unify + enrich + detect; the lint pipeline for one file."""
-    ast = enrich(build_unified_ast(parse_dockerfile(text, path)))
+    ast = parse_and_enrich(text, path)
     report = FileReport(path=path, original=text)
     report.warnings = list(ast.warnings)
     report.status = _parse_status(ast)
@@ -225,7 +225,7 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
     if (
         not chain_shape(run)
         or new.prop("run_form") != run.prop("run_form")
-        or new.prop("_script_escaped")
+        or new.children  # the parser built it: an `sh -c` string with JSON escapes
     ):
         return None
     top = run_script(run).children[0]

@@ -57,7 +57,35 @@ class TestBasicParsing:
         if elements is None:
             assert run.prop("run_form") == "shell"
         else:
-            assert [e[0] for e in run.prop("_exec_elems")] == elements
+            (cmd,) = run.children
+            assert [w.prop("text") for w in cmd.children] == elements
+
+    def test_parser_builds_the_exec_array_command(self):
+        src = 'RUN --network=none ["pip", "install", "x"]\n'
+        ast = parse_dockerfile(src)
+        (run,) = ast.runs()
+        (cmd,) = run.children
+        assert cmd.kind is NodeKind.SC_SIMPLE_COMMAND and cmd.prop("exec_array")
+        assert span_text(src, cmd.span) == '"pip", "install", "x"'
+        assert [(w.literal, w.prop("text")) for w in cmd.children] == [
+            ('"pip"', "pip"), ('"install"', "install"), ('"x"', "x")
+        ]
+        assert set(run.props) == {"run_form"}
+        assert build_unified_ast(ast).runs()[0].children == [cmd]
+
+    def test_parser_leaves_an_escaped_sh_c_string_opaque(self):
+        src = 'FROM x\nRUN ["sh", "-c", "echo \\"a\\""]\n'
+        ast = parse_dockerfile(src)
+        (run,) = ast.runs()
+        (script,) = run.children
+        assert script.kind is NodeKind.SC_SCRIPT
+        assert [c.kind for c in script.children] == [NodeKind.SC_UNPARSED]
+        assert span_text(src, script.span) == 'echo \\"a\\"'
+        assert ast.warnings == ["<memory>:2: exec-form payload with escapes left unparsed"]
+        assert set(run.props) == {"run_form"}
+        build_unified_ast(ast)
+        assert run.children == [script]
+        assert len(ast.warnings) == 1
 
     def test_invalid_json_array_falls_back_to_shell(self):
         ast = parse_dockerfile("RUN [ -f /x ] && echo present")

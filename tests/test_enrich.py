@@ -75,6 +75,17 @@ class TestBuildUnifiedAst:
                 return
         raise AssertionError("wget word not found")
 
+    def test_shell_warning_names_the_keyword_line(self):
+        # after a continued instruction, a heredoc and CRLF lines; the RUN
+        # is continued too, and its open quote is on its second line
+        src = (
+            "FROM x\nRUN a \\\n  b\nRUN <<EOF\necho\nEOF\r\nRUN x\r\n"
+            "RUN echo ok && \\\n  echo 'open\n"
+        )
+        ast = build_unified_ast(parse_dockerfile(src, "D"))
+        (warning,) = ast.warnings
+        assert warning.startswith("D:8: shell parse degraded to opaque text:")
+
     def test_idempotent(self):
         ast = build_unified_ast(parse_dockerfile("RUN echo hi"))
         before = len(ast.runs()[0].children)

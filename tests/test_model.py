@@ -114,8 +114,7 @@ class TestAnnotations:
 # step or report reads. A kind that is not listed carries none.
 TREE_PROPS = {
     NodeKind.DOCKER_FILE: {"enrich_stats"},
-    NodeKind.DOCKER_RUN: {"run_form", "_line", "_script_src", "_script_region",
-                          "_script_escaped", "_exec_elems", "_flags_end"},
+    NodeKind.DOCKER_RUN: {"run_form", "_script_src", "_script_region"},
     NodeKind.SC_SIMPLE_COMMAND: {"exec_array"},
     NodeKind.SC_WORD: {"text", "value"},
     NodeKind.SC_ASSIGNMENT: {"name"},
@@ -127,8 +126,8 @@ class TestTreeVocabulary:
     def test_props_are_what_the_program_reads(self, roundtrip_paths):
         texts = [read_text(path) for path in roundtrip_paths] + [
             "FROM x\nRUN tar --file=a.tgz -x\n",  # value
-            'FROM x\nRUN ["pip", "install", "x"]\n',  # exec_array, _exec_elems
-            'FROM x\nRUN ["sh", "-c", "echo \\"a\\""]\n',  # _script_escaped
+            'FROM x\nRUN ["pip", "install", "x"]\n',  # exec_array
+            'FROM x\nRUN ["sh", "-c", "echo \\"a\\""]\n',  # escaped: no _script_* prop
         ]
         seen = set()
         for text in texts:

@@ -1,4 +1,5 @@
-"""scripts/output_digest.py gives the same digests on every run."""
+"""scripts/output_digest.py gives the same digests on every run, and
+leaves out the props it is told to drop."""
 
 import glob
 import os
@@ -29,3 +30,15 @@ def test_digest_of_test_data_is_stable(tmp_path):
     before = tmp_path / "before.txt"
     before.write_text(first)
     assert run_digest("--against", str(before)) == (0, f"0 of {files} inputs differ\n")
+
+
+def test_drop_prop_leaves_out_what_nodes_carry(tmp_path):
+    files = len(glob.glob(os.path.join(ROOT, "tests", "data", "*", "*.Dockerfile")))
+    before = tmp_path / "before.txt"
+    before.write_text(run_digest()[1])
+    code, out = run_digest("--drop-prop", "SC-WORD:text", "--against", str(before))
+    *differs, summary = out.splitlines()
+    assert code == 1 and differs
+    assert summary == f"{len(differs)} of {files} inputs differ"
+    nothing = ("--drop-prop", "SC-WORD:none", "--drop-prop", "DOCKER-RUN:none", "SC-WORD:other")
+    assert run_digest(*nothing, "--against", str(before)) == (0, f"0 of {files} inputs differ\n")

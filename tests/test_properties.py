@@ -13,7 +13,7 @@ from slimdock.enrich import embed_run, enrich_node, parse_and_enrich
 from slimdock.model import NodeKind, validate_tree
 from slimdock.printer import print_minimal
 from slimdock.rules import repair
-from slimdock.runner import PARSE_FAILED, _reanalyze, analyze_text, fix_text
+from slimdock.runner import PARSE_FAILED, _reanalyze, _reread, _Shift, analyze_text, fix_text
 from conftest import read_text
 from test_scaling import chain
 
@@ -324,6 +324,19 @@ def test_reread_of_a_window_with_a_comment_falls_back(text):
     runs = reread_runs(text)
     assert runs and not any(windowed for _, _, windowed in runs)
     assert_reread_is_fresh(text)
+
+
+def test_reread_declines_an_escaped_sh_c_string():
+    """The parser leaves an `sh -c` string with JSON escapes opaque: a
+    printed RUN that gains one keeps that tree, and is read as a whole."""
+    text = 'RUN ["sh", "-c", "a && b"]\n'
+    ast, _ = analyze_text(text, "<t>")
+    (run,) = ast.runs()
+    (new,) = parse_dockerfile('RUN ["sh", "-c", "a && b \\"c\\""]\n').runs()
+    opaque = list(new.children)
+    shift = _Shift([(text.index('b"') + 1, 0, 0, ' \\"c\\"')])
+    assert _reread(run, new, shift) is None
+    assert new.children == opaque and opaque[0].children[0].kind is NodeKind.SC_UNPARSED
 
 
 @settings(max_examples=300, deadline=None)

@@ -206,6 +206,48 @@ class TestQuotedGlobOperands:
         assert bool(found & cleanups) is smells
 
 
+class TestGlobTargets:
+    """A glob target is no name: a glob operand covers it when it is the
+    same glob (a run of `*` read as one), or when it covers the target's
+    literal directory."""
+
+    @pytest.mark.parametrize(
+        "operand,smells",
+        [
+            ("/var/lib/apt/lists/?", True),
+            ("/var/lib/apt/lists/[*]", True),
+            ("/var/lib/apt/lists/*.deb", True),
+            ('"/var/lib/apt/lists/*"', True),
+            ("*", False),
+            ("**", False),
+            ("/var/lib/apt/lists/**", False),
+            ("/var/lib/apt/*", False),
+            ("/var/lib/apt/lists", False),
+            ("/var/lib/apt/lists/", False),
+        ],
+    )
+    def test_apt_lists_rows(self, operand, smells):
+        found = {d.rule for d in detect(parse_and_enrich("RUN apt-get install -y x && rm -rf " + operand))}
+        assert (RuleId.aptGetInstallThenRemoveAptLists in found) is smells
+
+    @pytest.mark.parametrize(
+        "operand,target,expected",
+        [
+            ("/usr/src/a/?", "/usr/src/a/?", True),
+            ("/usr/src/a/**", "/usr/src/a/*", True),
+            ("/usr/src/a/*", "/usr/src/a/?", True),
+            ("/usr/src/*", "/usr/src/a/*.deb", True),
+            ("/usr/src", "/usr/src/a/[ab]", False),
+            ("/usr/src/a/?", "/usr/src/a/*", False),
+            ("/usr/src/a/[*]", "/usr/src/a/*", False),
+            ("/usr/src/a/*.deb", "/usr/src/a/*", False),
+            ("/usr/src/a*", "*", False),  # no literal directory
+        ],
+    )
+    def test_covers(self, operand, target, expected):
+        assert path_covers(operand, target, True, True) is expected
+
+
 class TestCaptured:
     """The variable a statement's output is assigned to, from the walk
     down: through a substitution held by an assignment, and the lists and

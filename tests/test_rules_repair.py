@@ -323,6 +323,14 @@ class TestNotFixable:
         out = fix('RUN ["sh", "-c", "pip install flask"]\n')
         assert out == 'RUN ["sh", "-c", "pip install --no-cache-dir flask"]\n'
 
+    def test_exec_shell_repair_that_breaks_the_json_rolls_back(self):
+        # the quotes of the appended `rm -rf "$T"` end the JSON string, so
+        # the printed RUN reads as shell form
+        text = 'RUN ["sh", "-c", "T=$(mktemp -d) && make -C $T"]\n'
+        report = fix_text(text, "<t>")
+        assert [(o.status, o.reason) for o in report.repairs] == [("rolled-back", "still-detected")]
+        assert report.fixed == text
+
 
 class TestVerifyOrRollback:
     def test_successful_verify_stands(self):
