@@ -249,7 +249,11 @@ def _scan_exec_array(payload: str, i: int) -> list[tuple[str, int, int]] | None:
         return None
 
 
-class _FileParser:
+class FileParser:
+    """Reads one Dockerfile text: ``parse`` reads all of it, and
+    ``instruction_at`` one instruction of it; its lines and source map are
+    built once, here."""
+
     def __init__(self, text: str, path: str):
         self.text = text
         self.path = path
@@ -293,6 +297,11 @@ class _FileParser:
         )
 
     # -- one instruction (with continuations) ------------------------------
+
+    def instruction_at(self, offset: int) -> UnifiedNode:
+        """The instruction read from the line that holds ``offset``, as
+        ``parse`` reads an instruction that starts on that line."""
+        return self._parse_instruction(self.sm.position(offset)[0] - 1)[0]
 
     def _parse_instruction(self, i: int) -> tuple[UnifiedNode, int]:
         text = self.text
@@ -475,4 +484,4 @@ def parse_dockerfile(text: str, path: str = "<memory>") -> DockerfileAst:
     and emits a warning when invalid UTF-8 had to be replaced. Every node's
     span locates it in ``text``; repairs insert text at those offsets.
     """
-    return _FileParser(text, path).parse()
+    return FileParser(text, path).parse()

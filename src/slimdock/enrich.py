@@ -47,22 +47,23 @@ _ASSIGN_WORD_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 def build_unified_ast(ast: DockerfileAst) -> DockerfileAst:
     """Embed every RUN payload's shell tree; safe to call twice."""
     for run in ast.runs():
-        embed_run(ast, run)
+        ast.warnings += embed_run(run, ast.path)
     return ast
 
 
-def embed_run(ast: DockerfileAst, run: UnifiedNode) -> None:
-    """Parse the shell region of one RUN of ``ast`` into its tree, unless
-    the RUN has one (the parser builds the exec-form trees)."""
+def embed_run(run: UnifiedNode, path: str) -> list[str]:
+    """Parse the shell region of one RUN of the file ``path`` into its
+    tree, unless the RUN has one (the parser builds the exec-form trees);
+    the parse's warnings, each naming the RUN's line."""
     if run.children:
-        return
+        return []
     src = run.prop("_script_src")
     warnings: list[str] = []
     script = shell.parse_shell(
         src.clean, span_builder=src.span, warnings=warnings, region=run.prop("_script_region")
     )
     run.add_child(script)
-    ast.warnings += [f"{ast.path}:{run.span.start_line}: {w}" for w in warnings]
+    return [f"{path}:{run.span.start_line}: {w}" for w in warnings]
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ _RM_PATH = checked_label("SC-RM-PATH")
 
 _GLOB_CHAR_RE = re.compile(r"[*?[]|$")  # the first glob character, else the end
 _STARS_RE = re.compile(r"\*+")
+_GLOB_CHARS = frozenset("*?[")
 
 
 def _normalize_path(p: str) -> str:
@@ -65,8 +66,10 @@ def path_covers(
     """True when removing ``operand`` removes ``target``.
 
     A directory covers its contents (``x`` covers ``x/*``). A glob operand
-    also covers what it equals or matches, and its contents glob covers
-    the directory (``x/*`` covers ``x``). An operand that is not a glob (a
+    also covers what it equals or matches, an absolute one also what it
+    matches a directory of (``/var/*`` covers ``/var/lib/apt/lists``, but
+    ``/var/*/lists`` does not), and its contents glob covers the directory
+    (``x/*`` covers ``x``). An operand that is not a glob (a
     `*`, `?` or `[` of it was quoted) is one path: it covers the same path.
     A glob target is no name: it is covered by a glob operand of its text
     (a run of `*` read as one) or by what covers its literal directory, the
@@ -85,7 +88,19 @@ def path_covers(
         return True
     if not operand_glob:
         return o == t
-    return o == t or fnmatchcase(t, o) or (o.endswith("/*") and o[:-2] == t)
+    return o == t or _glob_covers(o, t) or (o.endswith("/*") and o[:-2] == t)
+
+
+def _glob_covers(o: str, t: str) -> bool:
+    """Whether the glob ``o`` matches ``t`` or, if it is absolute and has a
+    glob character, a directory that holds ``t``: component by component,
+    so that no `*`, `?` or `[...]` matches a `/`. A relative glob is
+    matched as one string, since the directory it is relative to is
+    unknown."""
+    if not o.startswith("/") or _GLOB_CHARS.isdisjoint(o):
+        return fnmatchcase(t, o)
+    want, have = o.split("/"), t.split("/")
+    return len(want) <= len(have) and all(map(fnmatchcase, have, want))
 
 
 def _walk_matchable(root: UnifiedNode) -> Iterator[UnifiedNode]:

@@ -28,7 +28,7 @@ change failure semantics). Flag additions are always safe and are applied
 regardless of the chain shape.
 
 A repair is checked where its effect is seen: ``runner.fix_text`` prints
-the repaired file, detects again in each RUN whose text changed
+the repaired file, detects again in each RUN that holds an insertion
 (``detect_run``), and rolls back each repair whose smell is still there
 or whose inserted text changed how the RUN's original words read.
 """
@@ -538,25 +538,28 @@ def detect_run(
     ``run``, but for gemUpdateNoDocument, which asks ``gemrc_configured()``."""
     scope = Scope(RunIndex(run), gemrc_configured)
     insertable = chain_shape(run)
-    keyed: list[tuple[tuple[int, int, int], SmellDiagnostic]] = []
-    for rule in RULES:
-        if rules is not None and rule.id not in rules:
-            continue
-        for anchor, extras in rule.smells(scope):
-            diagnostic = SmellDiagnostic(
-                rule=rule.id,
-                file=path,
-                span=anchor.statement.span,
-                anchor=anchor,
-                message=rule.description,
-                fixable=rule.kind == "flag" or insertable,
-                run=run,
-                extras=extras,
-            )
-            key = (anchor.statement_position, anchor.position, _RULE_INDEX[rule.id])
-            keyed.append((key, diagnostic))
-    keyed.sort(key=lambda item: item[0])
-    return [diagnostic for _, diagnostic in keyed]
+    diagnostics = [
+        SmellDiagnostic(
+            rule=rule.id,
+            file=path,
+            span=anchor.statement.span,
+            anchor=anchor,
+            message=rule.description,
+            fixable=rule.kind == "flag" or insertable,
+            run=run,
+            extras=extras,
+        )
+        for rule in RULES
+        if rules is None or rule.id in rules
+        for anchor, extras in rule.smells(scope)
+    ]
+    return sorted(diagnostics, key=detect_order)
+
+
+def detect_order(diagnostic: SmellDiagnostic) -> tuple[int, int, int]:
+    """Where ``detect_run`` puts ``diagnostic`` among those of its RUN."""
+    anchor = diagnostic.anchor
+    return anchor.statement_position, anchor.position, _RULE_INDEX[diagnostic.rule]
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +713,6 @@ def verify_or_rollback(
     ast: DockerfileAst, diagnostic: SmellDiagnostic, outcome: RepairOutcome
 ) -> RepairOutcome:
     """``outcome`` unchanged: ``runner.fix_text`` verifies every repair on
-    the reparse of the printed file, and rolls back by rebuilding without
+    the re-read of the printed file, and rolls back by rebuilding without
     the repairs whose smell is still detected there."""
     return outcome

@@ -4,11 +4,12 @@ One FileReport per input file: parse status, warnings, diagnostics, and in
 fix mode the repair outcomes plus the residual diagnostics, exactly what a
 lint of the repaired output reports. Repairs record text insertions and
 leave the tree as it was; the repaired text is the original with them
-spliced in (``printer.print_minimal``). Of that text, only the RUNs whose
-text changed are analysed again, and of those only the chain elements a
-repair touched are parsed again. That is where every repair is
-verified: one whose smell is still detected there is rolled back by
-repairing the file again without it. A file that is not valid UTF-8 is
+spliced in (``printer.print_minimal``). Of that text, only the RUNs that
+hold an insertion are read again, each on its own, and of those only the
+chain elements a repair touched are parsed again; the other RUNs keep
+their trees and diagnostics. That is where every repair is verified: one
+whose smell is still detected there is rolled back by repairing the file
+again without it. A file that is not valid UTF-8 is
 analysed with U+FFFD in place of its bad bytes, and marked
 ``lossy_decode`` so that the CLI does not write that text back.
 
@@ -31,9 +32,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, groupby
 
-from .dockerfile import DockerfileAst, SegmentedText, parse_dockerfile
+from .dockerfile import DockerfileAst, FileParser, SegmentedText
 from .enrich import embed_run, enrich_node, parse_and_enrich
-from .model import NodeKind, UnifiedNode, span_text
+from .model import NodeKind, UnifiedNode
 from .printer import print_minimal, unified_diff
 from .rules import (
     RULES,
@@ -42,6 +43,7 @@ from .rules import (
     SmellDiagnostic,
     chain_shape,
     detect,
+    detect_order,
     detect_run,
     repair,
     run_script,
@@ -111,16 +113,17 @@ def analyze_text(
 def fix_text(
     text: str, path: str, rules: list[RuleId] | None = None
 ) -> FileReport:
-    """Detect, repair in document order, reprint, and verify on the reparse.
+    """Detect, repair in document order, reprint, and verify on a re-read.
 
-    The text is analysed once; of the printed output, only the RUNs whose
-    text the repairs changed are analysed again (``_reanalyze``), and of
-    such a RUN only the chain elements the repairs touched are parsed again
-    (``_reread``). That gives the residual list, exactly what a lint of the
-    output reports, and verifies the repairs (``_unverified``). A failed
-    one is rolled back by repairing again, from the same analysis, without
-    it; every round rolls back at least one more repair, so the loop ends.
-    A file whose repairs all roll back reprints byte-identically.
+    The text is parsed and analysed once; of the printed output, only the
+    RUNs that hold an insertion are read again, each on its own
+    (``_reanalyze``), and of such a RUN only the chain elements the repairs
+    touched are parsed again (``_reread``). That gives the residual list,
+    exactly what a lint of the output reports, and verifies the repairs
+    (``_unverified``). A failed one is rolled back by repairing again, from
+    the same analysis, without it; every round rolls back at least one
+    more repair, so the loop ends. A file whose repairs all roll back
+    reprints byte-identically.
     """
     ast, first = analyze_text(text, path, rules)
     if first.status == PARSE_FAILED:
@@ -153,41 +156,58 @@ def _reanalyze(
 ) -> tuple[list[UnifiedNode] | None, list[SmellDiagnostic], dict[int, Windows]]:
     """What ``analyze_text(fixed)`` finds, given ``ast`` and its ``diagnostics``:
     per RUN, the tree it reads as (None if the instructions changed: then
-    every applied repair fails), and the diagnostics, spans in ``fixed``. A
-    RUN with the same text and escape keeps its tree and diagnostics, moved
-    by the text inserted before it (detected again if the gemrc fact
-    changed). Any other RUN gets its tree from ``_reread`` and is detected
+    every applied repair fails), and the diagnostics, spans in ``fixed``.
+    Only a RUN that holds an insertion, ends included, is read again; the
+    rest of ``fixed`` is the original text, so it reads the same if each
+    such RUN reads as a RUN over its moved span and no insertion lies
+    outside every RUN. Its tree comes from ``_reread``, and it is detected
     anew; its windows, by RUN ordinal, pair the elements a window replaced
-    with the elements read from it."""
+    with the elements read from it. Any other RUN keeps its tree and
+    diagnostics, moved by the text inserted before it; if the gemrc fact
+    flipped, only its gemUpdateNoDocument ones, the one check that reads
+    the fact, are dropped or looked for again."""
     if not ast.insertions:
         return ast.runs(), list(diagnostics), {}
-    reparsed = parse_dockerfile(fixed, ast.path)
-    if [n.kind for n in ast.root.children] != [n.kind for n in reparsed.root.children]:
-        return None, [], {}
-    same_escape = reparsed.escape_char == ast.escape_char
     shift = _Shift(ast.insertions)
-    pairs = list(zip(ast.runs(), reparsed.runs()))
-    read_as, windows = [], {}
-    for i, (run, new) in enumerate(pairs):
-        edited = not same_escape or span_text(ast.source, run.span) != span_text(fixed, new.span)
-        if edited:
-            windows[i] = _reread(run, new, shift) if same_escape else None
-            if windows[i] is None:  # the whole payload is the window
-                embed_run(reparsed, new)
-                enrich_node(new)
-                windows[i] = [([run], [new])]
-        read_as.append(new if edited else run)
-    fact = functools.cache(lambda: writes_gemrc_no_document(read_as))
-    redetect = ast.gemrc is not None and ast.gemrc != fact()
-    kept = {id(run): list(found) for run, found in groupby(diagnostics, lambda d: d.run)}
-    residual = []
-    for (run, new), tree in zip(pairs, read_as):
-        if tree is new:
-            residual += detect_run(ast.path, new, rules, fact)
+    printed = FileParser(fixed, ast.path)
+    runs = ast.runs()
+    read_as, windows, held = [], {}, 0
+    for i, run in enumerate(runs):
+        start, end = run.span.start, run.span.end
+        inside = bisect_right(shift.offsets, end) - bisect_left(shift.offsets, start)
+        if not inside:
+            read_as.append(run)
             continue
-        found = detect_run(ast.path, run, rules, fact) if redetect else kept.get(id(run), ())
-        delta = new.span.start - run.span.start
-        residual += [replace(d, span=d.span.moved(delta, new.span)) for d in found]
+        held += inside
+        start, end = start + shift(start), end + shift(end, through=True)
+        new = printed.instruction_at(start)
+        if new.kind is not NodeKind.DOCKER_RUN or (new.span.start, new.span.end) != (start, end):
+            return None, [], {}
+        windows[i] = _reread(run, new, shift)
+        if windows[i] is None:  # the whole payload is the window
+            embed_run(new, ast.path)
+            enrich_node(new)
+            windows[i] = [([run], [new])]
+        read_as.append(new)
+    if held != len(shift.offsets):
+        return None, [], {}  # an insertion outside every RUN
+    fact = functools.cache(lambda: writes_gemrc_no_document(read_as))
+    flipped = ast.gemrc is not None and ast.gemrc != fact()
+    gem = [r for r in (RuleId if rules is None else rules) if r == RuleId.gemUpdateNoDocument]
+    kept = {id(run): list(found) for run, found in groupby(diagnostics, lambda d: d.run)}
+    whole = printed.sm.span(0, len(fixed))
+    residual = []
+    for run, tree in zip(runs, read_as):
+        if tree is not run:
+            residual += detect_run(ast.path, tree, rules, fact)
+            continue
+        found = kept.get(id(run), [])
+        if flipped:
+            found = [d for d in found if d.rule is not RuleId.gemUpdateNoDocument]
+            if not fact():
+                found = sorted(found + detect_run(ast.path, run, gem, fact), key=detect_order)
+        delta = shift(run.span.start)
+        residual += [replace(d, span=d.span.moved(delta, whole)) for d in found]
     return read_as, residual, windows
 
 

@@ -12,7 +12,7 @@ from slimdock.dockerfile import parse_dockerfile
 from slimdock.enrich import embed_run, enrich_node, parse_and_enrich
 from slimdock.model import NodeKind, validate_tree
 from slimdock.printer import print_minimal
-from slimdock.rules import repair
+from slimdock.rules import RuleId, repair
 from slimdock.runner import PARSE_FAILED, _reanalyze, _reread, _Shift, analyze_text, fix_text
 from conftest import read_text
 from test_scaling import chain
@@ -213,6 +213,48 @@ def test_residual_is_lint_of_fixed(text):
     assert_residual_is_lint_of_fixed(text)
 
 
+def test_a_gemrc_flip_keeps_the_unedited_runs_other_smells():
+    """The gemrc line inserted into the third line configures gem: the
+    second line's gemUpdateNoDocument drops out, its other smell stays."""
+    text = "FROM ruby\nRUN gem update --system || true\nRUN gem update --system\n"
+    report = fix_text(text, "<gen>")
+    assert [(d.rule, d.line) for d in report.residual] == [(RuleId.gemUpdateSystemRmRootGem, 2)]
+    assert_residual_is_lint_of_fixed(text)
+
+
+def reanalyze(text, offset, inserted):
+    """``_reanalyze`` of ``text`` with one crafted insertion; and the
+    printed text."""
+    ast, lint = analyze_text(text, "<gen>")
+    ast.insertions = [(offset, 0, 0, inserted)]
+    fixed = print_minimal(ast, text)
+    return _reanalyze(ast, lint.diagnostics, fixed, None), fixed
+
+
+def test_a_garbled_gemrc_line_brings_back_an_unedited_runs_smell():
+    text = (
+        "FROM ruby\nRUN echo 'gem: --no-document' > /etc/gemrc && make\n"
+        "RUN gem update --system\n"
+    )
+    (read_as, residual, _), fixed = reanalyze(text, text.index(" && make"), "x")
+    assert "/etc/gemrcx" in fixed and read_as is not None
+    assert (RuleId.gemUpdateNoDocument, 3) in [(d.rule, d.line) for d in residual]
+    assert seen(residual) == seen(analyze_text(fixed, "<gen>")[1].diagnostics)
+
+
+@pytest.mark.parametrize("text, at, inserted", [
+    # outside every RUN: a comment line before the first instruction
+    ("FROM debian\nRUN make\n", "FROM", "# note\n"),
+    # the RUN line now ends in the escape character: the next RUN joins it
+    ("FROM debian\nRUN make\nRUN echo hi\n", "\nRUN echo", " \\"),
+    # a heredoc opens, and takes the next lines up to its delimiter
+    ("FROM debian\nRUN make\nRUN echo hi \\\nEOF\n", "\nRUN echo", " <<EOF"),
+])
+def test_an_insertion_that_changes_the_instructions_fails_every_repair(text, at, inserted):
+    (read_as, residual, windows), _ = reanalyze(text, text.index(at), inserted)
+    assert (read_as, residual, windows) == (None, [], {})
+
+
 @settings(max_examples=60, deadline=None)
 @given(dockerfiles())
 def test_enrichment_idempotent(text):
@@ -258,7 +300,7 @@ def reread_runs(text):
     found = []
     for i, pairs in windows.items():
         new = fresh.runs()[i]
-        embed_run(fresh, new)
+        embed_run(new, "<gen>")
         enrich_node(new)
         found.append((read_as[i], new, pairs[0][0] != [ast.runs()[i]]))
     return found
@@ -274,10 +316,17 @@ def shell_nodes(run):
     ]
 
 
+def run_node(run):
+    """What the DOCKER-RUN node itself holds: span, form and script text."""
+    src = run.prop("_script_src")
+    return run.span, run.prop("run_form"), run.prop("_script_region"), src and src.clean
+
+
 def assert_reread_is_fresh(text, spliced=False):
     runs = reread_runs(text)
     for read, fresh, windowed in runs:
         validate_tree(read)
+        assert run_node(read) == run_node(fresh)
         assert shell_nodes(read) == shell_nodes(fresh)
     if spliced:
         assert runs and all(windowed for _, _, windowed in runs)

@@ -224,6 +224,13 @@ class TestGlobTargets:
             ("/var/lib/apt/*", False),
             ("/var/lib/apt/lists", False),
             ("/var/lib/apt/lists/", False),
+            # an absolute glob matches per path component, and covers
+            # what a directory it matches holds
+            ("/var/*/lists", True),
+            ("/v*s", True),
+            ("/var/*", False),
+            ("/*", False),
+            ("/var/lib/*/lists", False),
         ],
     )
     def test_apt_lists_rows(self, operand, smells):
@@ -237,6 +244,8 @@ class TestGlobTargets:
             ("/usr/src/a/**", "/usr/src/a/*", True),
             ("/usr/src/a/*", "/usr/src/a/?", True),
             ("/usr/src/*", "/usr/src/a/*.deb", True),
+            ("/usr/s?c", "/usr/src/a/*.deb", True),
+            ("/usr/*/b", "/usr/src/a/b/*", False),
             ("/usr/src", "/usr/src/a/[ab]", False),
             ("/usr/src/a/?", "/usr/src/a/*", False),
             ("/usr/src/a/[*]", "/usr/src/a/*", False),
