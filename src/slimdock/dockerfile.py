@@ -7,6 +7,11 @@ here: the payload handed to the shell parser is the logical instruction
 text, while a segment map keeps every shell node's span in file
 coordinates so the whole tree shares one coordinate system.
 
+A RUN or COPY that opens heredocs extends through their bodies, each read
+to its delimiter line by ``shell.heredoc_body``. A leading heredoc
+(``RUN <<EOF``) is the RUN's script; any other RUN hands the shell parser
+its command line and the bodies, which the shell lexer steps over as data.
+
 Each RUN's form (shell, exec ``sh -c`` or exec array) is decided here, and
 the trees that need no shell parse are built here: an exec array's command,
 and an opaque script for an ``sh -c`` string with JSON escapes.
@@ -28,6 +33,7 @@ from operator import itemgetter
 from typing import Any
 
 from .model import NodeKind, SourceMap, SourceSpan, UnifiedNode
+from .shell import heredoc_body
 
 _KEYWORDS = {
     "from": NodeKind.DOCKER_FROM,
@@ -130,23 +136,6 @@ class SegmentedText:
         while idx + 1 < len(cum) and cum[idx + 1] < end:
             idx += 1
         return self.source_map.span(s, self._source_in(idx, end - 1) + 1)
-
-
-def _lines_of(text: str) -> list[tuple[int, int, int]]:
-    """(start, end-without-newline, end-with-newline) for each line."""
-    if not text:
-        return [(0, 0, 0)]
-    lines = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        nl = text.find("\n", pos)
-        if nl < 0:
-            lines.append((pos, n, n))
-            break
-        lines.append((pos, nl, nl + 1))
-        pos = nl + 1
-    return lines
 
 
 def _is_blank(text: str, line: tuple[int, int, int]) -> bool:
@@ -259,7 +248,11 @@ class FileParser:
         self.path = path
         self.sm = SourceMap(text)
         self.warnings: list[str] = []
-        self.lines = _lines_of(text)
+        # (start, end-without-newline, end-with-newline) per line
+        starts = self.sm.line_starts
+        self.lines = [(s, e - 1, e) for s, e in zip(starts, starts[1:])]
+        if starts[-1] < len(text) or not text:
+            self.lines.append((starts[-1], len(text), len(text)))
         self.escape = _scan_directives(text, self.lines, self.warnings)
 
     def parse(self) -> DockerfileAst:
@@ -392,40 +385,21 @@ class FileParser:
     def _consume_heredoc_bodies(
         self, last_i: int, tokens: list[tuple[str, bool]]
     ) -> tuple[list[tuple[int, int]], int, int, list[tuple[int, int]]] | None:
-        """Consume body lines for each heredoc delimiter, in order.
-
-        Returns (all_body_segments_with_newlines, new_last_line_index,
-        new_span_end, first_body_segments_without_delimiter)."""
-        text = self.text
-        i = last_i + 1
-        all_segments: list[tuple[int, int]] = []
-        first_body: list[tuple[int, int]] = []
-        if last_i < len(self.lines):
-            # the newline that ends the command line starts the body
-            _, e, ne = self.lines[last_i]
-            if ne > e:
-                all_segments.append((e, ne))
-        span_end = self.lines[last_i][1]
-        for idx, (delim, strip_tabs) in enumerate(tokens):
-            found = False
-            while i < len(self.lines):
-                s, e, ne = self.lines[i]
-                line_text = text[s:e].rstrip("\r")
-                check = line_text.lstrip("\t") if strip_tabs else line_text
-                if check == delim:
-                    all_segments.append((s, ne))
-                    span_end = e
-                    i += 1
-                    found = True
-                    break
-                all_segments.append((s, ne))
-                if idx == 0:
-                    first_body.append((s, ne))
-                span_end = e
-                i += 1
-            if not found:
+        """The bodies of the heredocs ``tokens``, in order, from the line
+        after ``last_i`` (``shell.heredoc_body``), or None if one is
+        unterminated: (the range from the newline that ends the command
+        line through the last delimiter line and its newline, that line's
+        index and end, the first body without its delimiter line)."""
+        _, cmd_end, pos = self.lines[last_i]
+        first_body = None
+        for delim, strip_tabs in tokens:
+            body = heredoc_body(self.text, pos, len(self.text), delim, strip_tabs)
+            if body is None:
                 return None
-        return all_segments, i - 1, span_end, first_body
+            first_body = first_body or [(pos, body[0])]
+            pos = min(body[1] + 1, len(self.text))
+        last_i = self.sm.position(body[1])[0] - 1
+        return [(cmd_end, pos)], last_i, body[1], first_body
 
     # -- per-kind payload handling -----------------------------------------
 

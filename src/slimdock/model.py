@@ -150,22 +150,23 @@ class SourceSpan:
 
 
 class SourceMap:
-    """Derives line/column positions for offsets of one source text."""
+    """Derives line/column positions for offsets of one source text, from
+    ``line_starts``: the offset at which each line starts."""
 
     def __init__(self, text: str):
         self.text = text
-        self._line_starts = [0]
+        self.line_starts = [0]
         nl = text.find("\n")
         while nl >= 0:
-            self._line_starts.append(nl + 1)
+            self.line_starts.append(nl + 1)
             nl = text.find("\n", nl + 1)
 
     def position(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) of ``offset``; offset may equal len(text)."""
         if offset < 0 or offset > len(self.text):
             raise SpanError(f"offset {offset} out of range 0..{len(self.text)}")
-        line_idx = bisect.bisect_right(self._line_starts, offset) - 1
-        return line_idx + 1, offset - self._line_starts[line_idx] + 1
+        line_idx = bisect.bisect_right(self.line_starts, offset) - 1
+        return line_idx + 1, offset - self.line_starts[line_idx] + 1
 
     def span(self, start: int, end: int) -> SourceSpan:
         """A span of this text; SpanError if it is inverted or out of range."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from itertools import accumulate, takewhile
 from typing import Iterator
 
 from . import schemas  # noqa: F401  registers the labels checked below
@@ -47,7 +48,6 @@ _RM_RECURSIVE = checked_label("SC-RM-F-RECURSIVE")
 _RM_PATH = checked_label("SC-RM-PATH")
 
 
-_GLOB_CHAR_RE = re.compile(r"[*?[]|$")  # the first glob character, else the end
 _STARS_RE = re.compile(r"\*+")
 _GLOB_CHARS = frozenset("*?[")
 
@@ -63,44 +63,40 @@ def _normalize_path(p: str) -> str:
 def path_covers(
     operand: str, target: str, operand_glob: bool = True, target_glob: bool = False
 ) -> bool:
-    """True when removing ``operand`` removes ``target``.
-
-    A directory covers its contents (``x`` covers ``x/*``). A glob operand
-    also covers what it equals or matches, an absolute one also what it
-    matches a directory of (``/var/*`` covers ``/var/lib/apt/lists``, but
-    ``/var/*/lists`` does not), and its contents glob covers the directory
-    (``x/*`` covers ``x``). An operand that is not a glob (a
-    `*`, `?` or `[` of it was quoted) is one path: it covers the same path.
-    A glob target is no name: it is covered by a glob operand of its text
-    (a run of `*` read as one) or by what covers its literal directory, the
-    part before the last `/` ahead of its first `*`, `?` or `[`.
+    """True when removing ``operand`` removes ``target``: when the
+    operand's ``/``-components match a prefix of the target's, so that a
+    directory covers what it holds (``x`` covers ``x/*``). A glob component
+    of a glob target is no name: only the same glob (a run of `*` read as
+    one), or `*`, matches it. Any other component of a glob operand
+    matches as a pattern, so no `*`, `?` or `[...]` matches a `/`
+    (``/var/*`` covers ``/var/lib/apt/lists``, but ``/var/*/lists`` does
+    not). Any other component matches only itself: an operand that is not
+    a glob (a `*`, `?` or `[` of it was quoted) is a path. A relative glob
+    is matched as one string, since the directory it is relative to is
+    unknown: against the target and each directory that holds it (of a
+    glob target, those with no glob). A contents glob covers its directory
+    (``x/*`` covers ``x``).
     """
     o = _normalize_path(operand)
     t = _normalize_path(target)
-    if target_glob:
-        if operand_glob and _STARS_RE.sub("*", o) == _STARS_RE.sub("*", t):
-            return True
-        cut = t.rfind("/", 0, _GLOB_CHAR_RE.search(t).start())
-        if cut < 0:
-            return False
-        t = t[:cut] or "/"
-    if t.endswith("/*") and t[:-2] == o:
+    if operand_glob and o.endswith("/*") and o[:-2] == t:
         return True
-    if not operand_glob:
-        return o == t
-    return o == t or _glob_covers(o, t) or (o.endswith("/*") and o[:-2] == t)
+    # the root's one component is its empty name
+    want, have = o.rstrip("/").split("/"), t.rstrip("/").split("/")
+    if operand_glob and want[0] and not _GLOB_CHARS.isdisjoint(o):
+        names = takewhile(_GLOB_CHARS.isdisjoint, have) if target_glob else have
+        return any(o == d or fnmatchcase(d, o) for d in accumulate(names, "{}/{}".format))
+    return (
+        bool(o)
+        and len(want) <= len(have)
+        and all(_component_covers(w, h, operand_glob, target_glob) for w, h in zip(want, have))
+    )
 
 
-def _glob_covers(o: str, t: str) -> bool:
-    """Whether the glob ``o`` matches ``t`` or, if it is absolute and has a
-    glob character, a directory that holds ``t``: component by component,
-    so that no `*`, `?` or `[...]` matches a `/`. A relative glob is
-    matched as one string, since the directory it is relative to is
-    unknown."""
-    if not o.startswith("/") or _GLOB_CHARS.isdisjoint(o):
-        return fnmatchcase(t, o)
-    want, have = o.split("/"), t.split("/")
-    return len(want) <= len(have) and all(map(fnmatchcase, have, want))
+def _component_covers(want: str, have: str, operand_glob: bool, target_glob: bool) -> bool:
+    if target_glob and not _GLOB_CHARS.isdisjoint(have):  # no name: its glob, or `*`
+        return operand_glob and _STARS_RE.sub("*", want) in ("*", _STARS_RE.sub("*", have))
+    return want == have or (operand_glob and fnmatchcase(have, want))
 
 
 def _walk_matchable(root: UnifiedNode) -> Iterator[UnifiedNode]:

@@ -141,8 +141,8 @@ def fix_text(
                 outcome = repair(ast, diagnostic)
             report.repairs.append(outcome)
         report.fixed = print_minimal(ast, text)
-        read_as, report.residual, windows = _reanalyze(ast, first.diagnostics, report.fixed, rules)
-        unverified = _unverified(ordinals, report, read_as, windows)
+        read_as, report.residual, garbled = _reanalyze(ast, first.diagnostics, report.fixed, rules)
+        unverified = _unverified(ordinals, report, read_as, garbled)
         if not unverified:
             return report
         failed |= unverified
@@ -153,25 +153,26 @@ Windows = list[tuple[list[UnifiedNode], list[UnifiedNode]]]
 
 def _reanalyze(
     ast: DockerfileAst, diagnostics: list[SmellDiagnostic], fixed: str, rules: list[RuleId] | None
-) -> tuple[list[UnifiedNode] | None, list[SmellDiagnostic], dict[int, Windows]]:
+) -> tuple[list[UnifiedNode] | None, list[SmellDiagnostic], set[int]]:
     """What ``analyze_text(fixed)`` finds, given ``ast`` and its ``diagnostics``:
     per RUN, the tree it reads as (None if the instructions changed: then
-    every applied repair fails), and the diagnostics, spans in ``fixed``.
+    every applied repair fails), the diagnostics, spans in ``fixed``, and
+    the ordinals of the RUNs where an original word does not read the same.
     Only a RUN that holds an insertion, ends included, is read again; the
     rest of ``fixed`` is the original text, so it reads the same if each
     such RUN reads as a RUN over its moved span and no insertion lies
-    outside every RUN. Its tree comes from ``_reread``, and it is detected
-    anew; its windows, by RUN ordinal, pair the elements a window replaced
-    with the elements read from it. Any other RUN keeps its tree and
+    outside every RUN. Its tree comes from ``_reread``, it is detected
+    anew, and the words of each window are checked (``_words_kept``).
+    Any other RUN keeps its tree and
     diagnostics, moved by the text inserted before it; if the gemrc fact
     flipped, only its gemUpdateNoDocument ones, the one check that reads
     the fact, are dropped or looked for again."""
     if not ast.insertions:
-        return ast.runs(), list(diagnostics), {}
+        return ast.runs(), list(diagnostics), set()
     shift = _Shift(ast.insertions)
     printed = FileParser(fixed, ast.path)
     runs = ast.runs()
-    read_as, windows, held = [], {}, 0
+    read_as, garbled, held = [], set(), 0
     for i, run in enumerate(runs):
         start, end = run.span.start, run.span.end
         inside = bisect_right(shift.offsets, end) - bisect_left(shift.offsets, start)
@@ -182,15 +183,17 @@ def _reanalyze(
         start, end = start + shift(start), end + shift(end, through=True)
         new = printed.instruction_at(start)
         if new.kind is not NodeKind.DOCKER_RUN or (new.span.start, new.span.end) != (start, end):
-            return None, [], {}
-        windows[i] = _reread(run, new, shift)
-        if windows[i] is None:  # the whole payload is the window
+            return None, [], set()
+        windows = _reread(run, new, shift)
+        if windows is None:  # the whole payload is the window
             embed_run(new, ast.path)
             enrich_node(new)
-            windows[i] = [([run], [new])]
+            windows = [([run], [new])]
+        if not all(_words_kept(old, read, shift) for old, read in windows):
+            garbled.add(i)
         read_as.append(new)
     if held != len(shift.offsets):
-        return None, [], {}  # an insertion outside every RUN
+        return None, [], set()  # an insertion outside every RUN
     fact = functools.cache(lambda: writes_gemrc_no_document(read_as))
     flipped = ast.gemrc is not None and ast.gemrc != fact()
     gem = [r for r in (RuleId if rules is None else rules) if r == RuleId.gemUpdateNoDocument]
@@ -208,7 +211,7 @@ def _reanalyze(
                 found = sorted(found + detect_run(ast.path, run, gem, fact), key=detect_order)
         delta = shift(run.span.start)
         residual += [replace(d, span=d.span.moved(delta, whole)) for d in found]
-    return read_as, residual, windows
+    return read_as, residual, garbled
 
 
 class _Shift:
@@ -360,31 +363,32 @@ def _unverified(
     ordinals: dict[int, int],
     report: FileReport,
     read_as: list[UnifiedNode] | None,
-    windows: dict[int, Windows],
+    garbled: set[int],
 ) -> set[tuple]:
     """Keys of the applied repairs that ``read_as``, the tree each RUN reads
     as in ``report.fixed``, does not confirm: all of them if the
     instructions changed; those whose smell is in the residual; and those
-    of a RUN where the original words of a window's elements are not all
-    found, in order, among the words read from that window (an inserted
-    word that changed how the text reads)."""
+    of a RUN in ``garbled``, where an inserted word changed how an original
+    word reads."""
     applied = [o for o in report.repairs if o.status == "applied"]
     keys = {_smell_key(ordinals, o.diagnostic) for o in applied}
     if read_as is None:
         return keys
     read_ordinals = _run_ordinals(read_as)
     remaining = {_smell_key(read_ordinals, d) for d in report.residual}
-    edited = {ordinals[id(o.diagnostic.run)] for o in applied if o.edits}
-    garbled = {i for i in edited if not all(_words_kept(old, read) for old, read in windows[i])}
     return {key for key in keys if key in remaining or key[0] in garbled}
 
 
-def _words_kept(old: list[UnifiedNode], read: list[UnifiedNode]) -> bool:
-    """The words of the subtrees ``old`` are a subsequence of the words of
-    the subtrees ``read``."""
-    words = (word_text(n) for root in read for n in root.walk() if n.kind is NodeKind.SC_WORD)
+def _words_kept(old: list[UnifiedNode], read: list[UnifiedNode], shift: _Shift) -> bool:
+    """Each word of the subtrees ``old`` is read from the subtrees ``read``
+    where the insertions moved it, with the same text."""
+    word = NodeKind.SC_WORD
+    at = {n.span.start: word_text(n) for root in read for n in root.walk() if n.kind is word}
     return all(
-        word_text(n) in words for root in old for n in root.walk() if n.kind is NodeKind.SC_WORD
+        at.get(n.span.start + shift(n.span.start, through=True)) == word_text(n)
+        for root in old
+        for n in root.walk()
+        if n.kind is word
     )
 
 

@@ -9,7 +9,13 @@ nodes: a rule reads them from word text. Compound statements
 block whose inner statements are parsed normally. Anything outside the
 subset degrades to SC-UNPARSED instead of failing: the smallest enclosing
 statement for local constructs (heredocs, process substitution, arrays),
-the whole script for pathological input (unterminated quotes).
+the whole script for pathological input (unterminated quotes or heredocs).
+
+A heredoc body is data, never read as shell: at the newline that ends a
+line, the lexer steps over the body of each ``<<``/``<<-`` of that line,
+in order, to its delimiter line (``heredoc_body``, which the Dockerfile
+parser reads delimiters with too). The statement that opens a heredoc is
+SC-UNPARSED, and the rest of its line is read as usual.
 
 AND/OR/SEQ lists are flattened (n-ary), so "a && b && c" is one SC-AND
 with three children; a cleanup step is inserted at the end of one of them.
@@ -22,9 +28,9 @@ or runs into ``<``/``>``, is scanned segment by segment.
 
 Span guarantee: every parsed node carries a span into the payload text,
 and sibling spans are in order and disjoint, with the text between them
-(whitespace, operators, and backslash-newline continuations, which the
-lexer reads as whitespace) in the gaps. Repairs insert text at the ends
-of these spans.
+(whitespace, operators, heredoc bodies, and backslash-newline
+continuations, which the lexer reads as whitespace) in the gaps. Repairs
+insert text at the ends of these spans.
 """
 
 from __future__ import annotations
@@ -126,6 +132,7 @@ class _Lexer:
         text, end = self.text, self.end
         match = _TOKEN_RE.match
         toks: list[Tok] = []
+        heredocs: list[int] = []  # the `<<`/`<<-` tokens of the current line
         while True:
             m = match(text, self.i, end)
             kind = m.lastgroup
@@ -140,10 +147,28 @@ class _Lexer:
             elif kind == "redir":
                 fd = m.group("fd")
                 toks.append(Tok("redir", start, self.i, value[len(fd):] if fd else value, fd=fd))
+                if toks[-1].value in ("<<", "<<-"):
+                    heredocs.append(len(toks) - 1)
             else:
                 toks.append(Tok(kind, start, self.i, value))
                 if kind == "eof":
                     return toks
+                if heredocs and value == "\n":
+                    self._skip_bodies(toks, heredocs)
+                    heredocs = []
+
+    def _skip_bodies(self, toks: list[Tok], heredocs: list[int]) -> None:
+        """Step over the bodies of the heredocs opened at ``toks[k]``, ``k``
+        in ``heredocs``, in order, to the end of the last delimiter line."""
+        pos = self.i
+        for redir, delim in (toks[k : k + 2] for k in heredocs):
+            body = None
+            if delim.kind == "word":
+                body = heredoc_body(self.text, pos, self.end, delim.value, redir.value == "<<-")
+            if body is None:
+                raise ShellUnterminated("heredoc", redir.start)
+            self.i = body[1]
+            pos = self.i + 1
 
     def _peek(self, offset: int = 0) -> str:
         j = self.i + offset
@@ -625,8 +650,8 @@ class _Parser:
                     seen_word = True
                     children.append(self._word_node(tok))
             elif tok.kind == "redir":
-                if tok.value in ("<<", "<<-"):
-                    return self._degrade_heredoc(first_index)
+                if tok.value in ("<<", "<<-"):  # the lexer stepped over the body
+                    return self._degrade_statement(first_index, "heredoc statement left unparsed")
                 after = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
                 if after is not None and after.kind == "op" and after.value == "(":
                     # process substitution: outside the subset
@@ -723,48 +748,15 @@ class _Parser:
             j += 1
         return j
 
-    def _degrade_statement(self, first_index: int) -> UnifiedNode:
+    def _degrade_statement(
+        self, first_index: int, warning: str = "statement outside supported shell subset"
+    ) -> UnifiedNode:
         end_index = self._statement_end_index(first_index)
         start = self.toks[first_index].start
         end = self.toks[end_index - 1].end if end_index > first_index else start
         self.i = end_index
-        self.warnings.append("statement outside supported shell subset")
+        self.warnings.append(warning)
         return UnifiedNode(NodeKind.SC_UNPARSED, self.spans(start, end))
-
-    def _degrade_heredoc(self, first_index: int) -> UnifiedNode:
-        """Swallow a heredoc statement (operator line plus body) as SC-UNPARSED."""
-        redir = self._take()
-        delim_tok = self._peek()
-        if delim_tok.kind != "word":
-            raise ShellUnterminated("heredoc", redir.start)
-        self._take()
-        delim = delim_tok.value
-        strip_tabs = redir.value == "<<-"
-        nl = self.text.find("\n", delim_tok.end, self.end)
-        if nl < 0:
-            raise ShellUnterminated("heredoc", redir.start)
-        pos = nl + 1
-        body_end = -1
-        while pos <= self.end:
-            line_end = self.text.find("\n", pos, self.end)
-            if line_end < 0:
-                line_end = self.end
-            line = self.text[pos:line_end]
-            if strip_tabs:
-                line = line.lstrip("\t")
-            if line.rstrip("\r ") == delim:
-                body_end = line_end
-                break
-            if line_end >= self.end:
-                break
-            pos = line_end + 1
-        if body_end < 0:
-            raise ShellUnterminated("heredoc", redir.start)
-        start = self.toks[first_index].start
-        while self.i < len(self.toks) and self.toks[self.i].kind != "eof" and self.toks[self.i].start < body_end:
-            self.i += 1
-        self.warnings.append("heredoc statement left unparsed")
-        return UnifiedNode(NodeKind.SC_UNPARSED, self.spans(start, body_end))
 
 
 def _is_bare(tok: Tok) -> bool:
@@ -824,6 +816,25 @@ def parse_shell(
         return root
     _attach_sequence(root, stmts, span_builder)
     return root
+
+
+def heredoc_body(
+    text: str, pos: int, end: int, delim: str, strip_tabs: bool
+) -> tuple[int, int] | None:
+    """The start and end of the first line of ``text[pos:end]``, from
+    ``pos``, that reads as the heredoc delimiter ``delim``, or None. A line
+    reads as it once its trailing carriage returns are stripped, and, with
+    ``strip_tabs`` (``<<-``), its leading tabs. The lines before it are the
+    body."""
+    while True:
+        nl = text.find("\n", pos, end)
+        line_end = end if nl < 0 else nl
+        line = text[pos:line_end].rstrip("\r")
+        if (line.lstrip("\t") if strip_tabs else line) == delim:
+            return pos, line_end
+        if nl < 0:
+            return None
+        pos = nl + 1
 
 
 def word_text(node: UnifiedNode) -> str:

@@ -179,6 +179,13 @@ class TestHeredocs:
         assert [c.kind for c in first.children[0].children] == [NodeKind.SC_UNPARSED]
         assert second.children[0].children[0].kind is NodeKind.SC_SIMPLE_COMMAND
 
+    def test_multi_heredoc_run_keeps_its_span_and_script_text(self):
+        src = "RUN cat <<A <<-B > /f\na\nA\n\tb\n\tB\nRUN echo after\n"
+        first, second = parse_dockerfile(src).runs()
+        assert span_text(src, first.span) == "RUN cat <<A <<-B > /f\na\nA\n\tb\n\tB"
+        assert first.prop("_script_src").clean == "cat <<A <<-B > /f\na\nA\n\tb\n\tB\n"
+        assert span_text(src, second.span) == "RUN echo after"
+
     def test_unterminated_heredoc_warns(self):
         ast = parse_dockerfile("RUN <<EOF\nno closing marker\n")
         assert any("heredoc" in w for w in ast.warnings)

@@ -206,10 +206,26 @@ class TestQuotedGlobOperands:
         assert bool(found & cleanups) is smells
 
 
+class TestLiteralDirectories:
+    """An operand that is no glob covers what its directory holds."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "RUN apt-get install -y x && rm -rf /var/lib/apt",
+            "RUN mkdir /usr/src/app && rm -rf /usr/src",
+            "RUN mkdir /usr/src/app/b && rm -rf '/usr/src/app'",
+        ],
+    )
+    def test_rows(self, text):
+        found = {d.rule for d in detect(parse_and_enrich(text))}
+        assert not found & {RuleId.mkdirUsrSrcThenRemove, RuleId.aptGetInstallThenRemoveAptLists}
+
+
 class TestGlobTargets:
-    """A glob target is no name: a glob operand covers it when it is the
-    same glob (a run of `*` read as one), or when it covers the target's
-    literal directory."""
+    """A glob target is no name: a glob component of it is covered only by
+    the same glob (a run of `*` read as one) or by `*`, and a directory
+    covers what it holds."""
 
     @pytest.mark.parametrize(
         "operand,smells",
@@ -246,11 +262,12 @@ class TestGlobTargets:
             ("/usr/src/*", "/usr/src/a/*.deb", True),
             ("/usr/s?c", "/usr/src/a/*.deb", True),
             ("/usr/*/b", "/usr/src/a/b/*", False),
-            ("/usr/src", "/usr/src/a/[ab]", False),
+            # a literal directory covers what it holds
+            ("/usr/src", "/usr/src/a/[ab]", True),
             ("/usr/src/a/?", "/usr/src/a/*", False),
             ("/usr/src/a/[*]", "/usr/src/a/*", False),
             ("/usr/src/a/*.deb", "/usr/src/a/*", False),
-            ("/usr/src/a*", "*", False),  # no literal directory
+            ("/usr/src/a*", "*", False),  # an absolute glob, a relative target
         ],
     )
     def test_covers(self, operand, target, expected):

@@ -167,6 +167,32 @@ class TestAptListsScope:
         assert rules_found(text) == []
 
 
+class TestHeredocBodies:
+    """A heredoc body is data, never linted; the statement that opens one
+    is an unparsed region, and the rest of its line is read."""
+
+    @pytest.mark.parametrize(
+        "text, found",
+        [
+            ("FROM x\nRUN cat <<A <<B > /f\na\nA\napt-get install -y q\nB\n", []),
+            ("FROM x\nRUN cat <<A > /f && cat <<B > /g\nnpm install\nA\npip install x\nB\n", []),
+            ("FROM x\nRUN <<A <<B\npip install x\nA\nnpm install\nB\n", []),
+            # a `'` in the body leaves the command line readable
+            (
+                "FROM x\nRUN apt-get install -y x && cat <<EOF > /f\ndon't\nEOF\n",
+                [(RuleId.aptGetInstallUseNoRec, 2), (RuleId.aptGetInstallThenRemoveAptLists, 2)],
+            ),
+            ("FROM x\nRUN cat <<EOF > /f && pip install y\nbody\nEOF\n", [(RuleId.pipUseNoCacheDir, 2)]),
+            # `<< EOF` opens no heredoc for Docker: no body follows
+            ("FROM x\nRUN pip install x && cat << EOF\n", [(RuleId.pipUseNoCacheDir, 2)]),
+            # a leading heredoc is the script
+            ("FROM x\nRUN <<A\npip install x\nA\n", [(RuleId.pipUseNoCacheDir, 3)]),
+        ],
+    )
+    def test_rows(self, text, found):
+        assert [(d.rule, d.line) for d in detect(parse_and_enrich(text))] == found
+
+
 class TestGpg:
     def test_verify_without_rm(self):
         found = rules_found("RUN gpg --verify app.tar.asc && tar -xf app.tar && rm app.tar")

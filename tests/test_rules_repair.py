@@ -96,6 +96,12 @@ class TestAppendRepairs:
                 "RUN mkdir /usr/src/* && mkdir /usr/src/x && rm -rf /usr/src/*\n",
                 [True, False],
             ),
+            # a literal directory covers what it holds
+            (
+                "RUN mkdir /usr/src/a && mkdir /usr/src/a/b\n",
+                "RUN mkdir /usr/src/a && mkdir /usr/src/a/b && rm -rf /usr/src/a\n",
+                [True, False],
+            ),
             # the other way round, neither covers the other
             (
                 "RUN mkdir /usr/src/a/b && mkdir /usr/src/a\n",
@@ -484,6 +490,9 @@ class TestReparseVerification:
             ("RUN mkdir -p /usr/src/a\\\\ && make\nRUN apt-get install -y x\n", None),
             ("RUN mkdir -p /usr/src/a\\\\ && make\nENV X=1\n", None),
             ("RUN tar -xzf 'a\\' && make\n", "RUN tar -xzf 'a\\' && rm 'a\\' && make\n"),
+            # the appended `rm -rf /usr/src/'a\'` has the text of the `a\`
+            # it garbles; the word is checked where it was printed
+            ("# escape=`\nFROM debian\nRUN mkdir -p /usr/src/'a\\' && mkdir -p /usr/src/a\\\n", None),
         ],
     )
     def test_rolled_back_or_verified(self, src, fixed):
@@ -496,4 +505,37 @@ class TestReparseVerification:
             assert report.fixed == fixed
             assert report.residual == []
             assert source_words_kept(src, report.fixed)
+        assert fix(report.fixed) == report.fixed
+
+
+class TestHeredocBodies:
+    """A heredoc body is data: it is never repaired. The statement that
+    opens one is an unparsed region, and the rest of its line is read."""
+
+    @pytest.mark.parametrize(
+        "text, fixed, statuses",
+        [
+            ("FROM x\nRUN cat <<A <<B > /f\na\nA\napt-get install -y q\nB\n", None, []),
+            ("FROM x\nRUN cat <<A > /f && cat <<B > /g\nnpm install\nA\npip install x\nB\n", None, []),
+            ("FROM x\nRUN <<A <<B\npip install x\nA\nnpm install\nB\n", None, []),
+            (
+                "FROM x\nRUN apt-get install -y x && cat <<EOF > /f\ndon't\nEOF\n",
+                "FROM x\nRUN apt-get install --no-install-recommends -y x && cat <<EOF > /f\ndon't\nEOF\n",
+                ["applied", "not-fixable"],
+            ),
+            (
+                "FROM x\nRUN cat <<EOF > /f && pip install y\nbody\nEOF\n",
+                "FROM x\nRUN cat <<EOF > /f && pip install --no-cache-dir y\nbody\nEOF\n",
+                ["applied"],
+            ),
+            # a leading heredoc is the script
+            ("FROM x\nRUN <<A\npip install x\nA\n", "FROM x\nRUN <<A\npip install --no-cache-dir x\nA\n", ["applied"]),
+        ],
+    )
+    def test_fixed_text(self, text, fixed, statuses):
+        report = fix_text(text, "<t>")
+        assert report.fixed == (fixed or text)
+        assert [o.status for o in report.repairs] == statuses
+        unfixed = [o.diagnostic.rule for o in report.repairs if o.status != "applied"]
+        assert [d.rule for d in report.residual] == unfixed
         assert fix(report.fixed) == report.fixed

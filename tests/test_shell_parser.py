@@ -223,6 +223,31 @@ class TestLexer:
     def test_edge_case_tokens(self, text, region, tokens):
         assert lex(text, region) == tokens
 
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            # the bodies of `<<A` and `<<B` follow the line, in order
+            ("cat <<A <<B\na\nA\nb\nB\nx", [
+                ("word", 0, 3, "cat", None), ("redir", 4, 6, "<<", None), ("word", 6, 7, "A", None),
+                ("redir", 8, 10, "<<", None), ("word", 10, 11, "B", None), ("op", 11, 12, "\n", None),
+                ("op", 19, 20, "\n", None), ("word", 20, 21, "x", None), ("eof", 21, 21, "", None),
+            ]),
+            # a quote in a body is data; `<<-` strips the delimiter's tabs
+            ("cat <<-E\ndon't\n\tE\r", [
+                ("word", 0, 3, "cat", None), ("redir", 4, 7, "<<-", None), ("word", 7, 8, "E", None),
+                ("op", 8, 9, "\n", None), ("eof", 18, 18, "", None),
+            ]),
+            # a quoted delimiter is its unquoted text
+            ("cat <<'E' >f\n$x\nE", [
+                ("word", 0, 3, "cat", None), ("redir", 4, 6, "<<", None), ("word", 6, 9, "E", None),
+                ("redir", 10, 11, ">", None), ("word", 11, 12, "f", None), ("op", 12, 13, "\n", None),
+                ("eof", 17, 17, "", None),
+            ]),
+        ],
+    )
+    def test_heredoc_bodies_are_no_tokens(self, text, tokens):
+        assert lex(text) == tokens
+
     def test_no_token_reads_past_the_region(self):
         # the variable name stops at the region end, not at the text's
         assert lex("echo $ab", (0, 7)) == [
@@ -248,10 +273,12 @@ class TestLexer:
         st.integers(0, 16),
     )
     @example("a \\\n# c\n b 2>&1 |& c", 0, 0)
+    @example("a <<a\n'x\na\n|b", 0, 0)
     def test_tokens_tile_the_region(self, text, cut_start, cut_end):
         """Token spans are in order and disjoint, inside the region, and
         the gaps between them hold only blanks, backslash-newlines and
-        comments."""
+        comments, or, after a newline, heredoc bodies through a delimiter
+        line."""
         start = min(cut_start, len(text))
         end = max(start, len(text) - cut_end)
         try:
@@ -259,10 +286,13 @@ class TestLexer:
         except ShellUnterminated:
             return
         assert toks[-1].kind == "eof" and toks[-1].start == toks[-1].end == end
+        delims = {d.value for r, d in zip(toks, toks[1:]) if r.kind == "redir" and r.value in ("<<", "<<-")}
         pos = start
-        for tok in toks:
+        for k, tok in enumerate(toks):
             assert pos <= tok.start <= tok.end <= end
-            assert self._TRIVIA_RE.fullmatch(text, pos, tok.start), (text, pos, tok)
+            if not self._TRIVIA_RE.fullmatch(text, pos, tok.start):
+                last_line = text[pos : tok.start].rsplit("\n", 1)[-1].rstrip("\r").lstrip("\t")
+                assert k and toks[k - 1].value == "\n" and last_line in delims, (text, pos, tok)
             pos = tok.end
 
 
@@ -281,6 +311,27 @@ class TestDegradation:
         assert seq.children[0].kind is NodeKind.SC_UNPARSED
         assert seq.children[1].kind is NodeKind.SC_SIMPLE_COMMAND
         assert word_text(seq.children[1].children[0]) == "echo"
+
+    def test_heredoc_bodies_are_never_read_as_commands(self):
+        src = "cat <<A <<B > /f && echo x\na\nA\napt-get install -y q\nB\necho after"
+        root, warnings = parse(src)
+        (seq,) = root.children
+        first, second = seq.children
+        assert first.kind is NodeKind.SC_AND
+        assert [span_text(src, c.span) for c in first.children] == ["cat <<A <<B > /f", "echo x"]
+        assert first.children[0].kind is NodeKind.SC_UNPARSED
+        assert span_text(src, second.span) == "echo after"
+        assert warnings == ["heredoc statement left unparsed"]
+
+    def test_heredoc_with_no_body_in_the_region_degrades_its_statement(self):
+        root, warnings = parse("cat << EOF && echo x")
+        (node,) = root.children
+        assert [c.kind for c in node.children] == [NodeKind.SC_UNPARSED, NodeKind.SC_SIMPLE_COMMAND]
+
+    def test_unterminated_heredoc_makes_whole_script_unparsed(self):
+        root, warnings = parse("cat <<EOF && echo x\nbody\n")
+        assert kinds(root) == [NodeKind.SC_UNPARSED]
+        assert "unterminated heredoc" in warnings[0]
 
     def test_process_substitution_degrades_statement(self):
         root, warnings = parse("diff <(sort a) <(sort b) && echo same")
