@@ -321,10 +321,8 @@ def _cmd_stats(args, rules, globs) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(_stats_table(stats))
-        if args.verbose:
-            for report in reports:
-                for w in report.warnings:
-                    print(f"warning: {w}", file=sys.stderr)
+    for report in reports:
+        _print_notes(report, args.verbose and args.format == "text")
     return 0
 
 

@@ -9,8 +9,10 @@ coordinates so the whole tree shares one coordinate system.
 
 A RUN or COPY that opens heredocs extends through their bodies, each read
 to its delimiter line by ``shell.heredoc_body``. A leading heredoc
-(``RUN <<EOF``) is the RUN's script; any other RUN hands the shell parser
-its command line and the bodies, which the shell lexer steps over as data.
+(``RUN <<EOF``, after any ``--mount``-style flags) is the RUN's script; any
+other RUN hands the shell parser its command line, past the flags, and the
+bodies, which the shell lexer steps over as data. ``<<\\EOF`` opens a
+heredoc as ``<<'EOF'`` does; a here-string (``<<<``) opens none.
 
 Each RUN's form (shell, exec ``sh -c`` or exec array) is decided here, and
 the trees that need no shell parse are built here: an exec array's command,
@@ -61,7 +63,8 @@ _SHELLS_FOR_EXEC = {"sh", "bash", "/bin/sh", "/bin/bash", "/usr/bin/sh", "/usr/b
 _KEYWORD_RE = re.compile(r"[ \t\ufeff]*([A-Za-z][A-Za-z_-]*)")
 _DIRECTIVE_RE = re.compile(r"#\s*([A-Za-z][A-Za-z0-9]*)\s*=\s*(\S+)\s*$")
 _RUN_FLAGS_RE = re.compile(r"\s*(?:--\S+\s+)*")
-_HEREDOC_TOKEN_RE = re.compile(r"<<(-?)([\"']?)([A-Za-z_][A-Za-z0-9_]*)\2")
+# `<<EOF`, `<<"EOF"`, `<<'EOF'` or `<<\EOF`, each also as `<<-`
+_HEREDOC_TOKEN_RE = re.compile(r"<<(-?)(?:\\|([\"']?))([A-Za-z_][A-Za-z0-9_]*)(?(2)\2)")
 
 
 @dataclass
@@ -185,7 +188,9 @@ def _find_heredoc_tokens(payload: str) -> list[tuple[str, bool]]:
                     i += 1
                 i += 1
             i += 1
-        elif ch == "<" and payload.startswith("<<", i) and not payload.startswith("<<<", i):
+        elif ch == "<" and payload.startswith("<<<", i):  # a here-string
+            i += 3
+        elif ch == "<" and payload.startswith("<<", i):
             m = _HEREDOC_TOKEN_RE.match(payload, i)
             if m:
                 out.append((m.group(3), m.group(1) == "-"))
@@ -326,7 +331,7 @@ class FileParser:
         payload = seg_text.clean
 
         # heredocs extend the instruction through their body lines
-        heredoc_script: SegmentedText | None = None
+        heredoc_script: SegmentedText | None = None  # a leading heredoc's body
         if kind in (NodeKind.DOCKER_RUN, NodeKind.DOCKER_COPY) and "<<" in payload:
             tokens = _find_heredoc_tokens(payload)
             if tokens:
@@ -343,8 +348,8 @@ class FileParser:
                                 text, first_body, self.sm, anchor=content_start
                             )
                         else:
-                            # command line plus body: shell parser sees it all
-                            heredoc_script = SegmentedText(
+                            # command line plus bodies: shell parser sees it all
+                            seg_text = SegmentedText(
                                 text, segments + body_segments, self.sm, anchor=content_start
                             )
 
@@ -409,7 +414,9 @@ class FileParser:
         """Decide the RUN's form (shell / exec-shell / exec-array) and build
         the trees that need no shell parse. Any other RUN keeps the text
         (``_script_src``) and the region of it (``_script_region``) that
-        enrich.build_unified_ast parses as shell."""
+        enrich.build_unified_ast parses as shell: all of a leading heredoc's
+        body, or else the text past the flags. A RUN that opens heredocs
+        outside quotes is never an exec array."""
         payload = seg_text.clean
         flags_end = _RUN_FLAGS_RE.match(payload).end()
         elems = None if heredoc_script else _scan_exec_array(payload, flags_end)
@@ -446,7 +453,8 @@ class FileParser:
 
 
 def _is_leading_heredoc(payload: str) -> bool:
-    stripped = payload.strip()
+    """Whether the RUN's command, past its flags, is one heredoc alone."""
+    stripped = payload[_RUN_FLAGS_RE.match(payload).end() :].strip()
     m = _HEREDOC_TOKEN_RE.match(stripped)
     return bool(m and m.end() == len(stripped))
 

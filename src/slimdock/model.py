@@ -1,9 +1,10 @@
 """Core source model shared by every other module.
 
-Defines source spans, the unified node type that mixes Dockerfile-level and
-shell-level constructs in one tree, and the annotation label registry.
-The tree is built by the parsers and annotated by enrichment; after that it
-is only read: repairs record text insertions on the ``DockerfileAst``.
+Defines source spans and the unified node type that mixes Dockerfile-level
+and shell-level constructs in one tree. The tree is built by the parsers
+and annotated by enrichment, which adds labels from ``schemas.LABELS`` to
+a node's ``annotations``; after that it is only read: repairs record text
+insertions on the ``DockerfileAst``.
 
 Offsets are indices into the decoded source text (the text is decoded from
 UTF-8 once, at ingestion); slicing ``text[start:end]`` is always exact and
@@ -23,10 +24,6 @@ class SlimdockError(Exception):
 
 class SpanError(SlimdockError):
     """An out-of-bounds or inverted span. Signals a parser bug."""
-
-
-class AnnotationError(SlimdockError):
-    """An annotation label that is not in the registry."""
 
 
 @unique
@@ -188,23 +185,6 @@ def span_text(source: str, span: SourceSpan) -> str:
     return source[span.start : span.end]
 
 
-# ---------------------------------------------------------------------------
-# Annotation label registry
-# ---------------------------------------------------------------------------
-
-_ANNOTATION_REGISTRY: set[str] = set()
-
-
-def register_annotation_labels(labels: Iterator[str] | list[str] | set[str]) -> None:
-    """Add labels to the controlled vocabulary (startup-time only)."""
-    for label in labels:
-        _ANNOTATION_REGISTRY.add(label)
-
-
-def is_registered_label(label: str) -> bool:
-    return label in _ANNOTATION_REGISTRY
-
-
 class UnifiedNode:
     """One AST node spanning both the Dockerfile and shell grammars.
 
@@ -246,16 +226,6 @@ class UnifiedNode:
         for child in self.children:
             copy.add_child(child.moved(delta, into))
         return copy
-
-    # -- annotations -----------------------------------------------------
-
-    def annotate(self, label: str) -> None:
-        if not is_registered_label(label):
-            raise AnnotationError(f"unknown annotation label: {label!r}")
-        self.annotations.add(label)
-
-    def has_annotation(self, label: str) -> bool:
-        return label in self.annotations
 
     # -- traversal -------------------------------------------------------
 

@@ -5,9 +5,11 @@ nodes together with their enclosing command statement, and the variable
 each statement's output is assigned to (`V=$(...)`). Positions count
 the nodes of that walk, so comparing two statements' positions compares
 their document order. Nodes inside SC-UNPARSED regions are never
-indexed. "Is there a cleanup after this statement?" is answered from the
-last position at which each label, and each rm operand, occurs; those
-tables are built on first use.
+indexed. A check asks what its own statement carries with ``labelled``,
+which leaves out the statements nested in it (`$(...)`); no check walks
+the tree. "Is there a cleanup after this statement?" is answered from the
+last position at which each label, and each rm operand, occurs. The
+tables behind ``labelled`` and these lookups are built on first use.
 """
 
 from __future__ import annotations
@@ -16,16 +18,9 @@ import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from itertools import accumulate, takewhile
-from typing import Iterator
 
-from . import schemas  # noqa: F401  registers the labels checked below
-from .model import (
-    STATEMENT_KINDS,
-    NodeKind,
-    SlimdockError,
-    UnifiedNode,
-    is_registered_label,
-)
+from .model import STATEMENT_KINDS, NodeKind, SlimdockError, UnifiedNode
+from .schemas import LABELS
 from .shell import read_word, variable_reference
 
 
@@ -34,11 +29,11 @@ class PatternConfigError(SlimdockError):
 
 
 def checked_label(label: str) -> str:
-    """``label`` itself, or PatternConfigError when it is not registered.
+    """``label`` itself, or PatternConfigError when no schema declares it.
 
     Rules pass every label they use through this at import, so a
     misconfigured rule fails at startup; the lookups below trust them."""
-    if not is_registered_label(label):
+    if label not in LABELS:
         raise PatternConfigError(f"unknown annotation label {label!r}")
     return label
 
@@ -99,21 +94,6 @@ def _component_covers(want: str, have: str, operand_glob: bool, target_glob: boo
     return want == have or (operand_glob and fnmatchcase(have, want))
 
 
-def _walk_matchable(root: UnifiedNode) -> Iterator[UnifiedNode]:
-    """Pre-order walk that refuses to descend into SC-UNPARSED regions."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if node.kind is not NodeKind.SC_UNPARSED:
-            stack.extend(reversed(node.children))
-
-
-def statement_has(statement: UnifiedNode, label: str) -> bool:
-    """Whether any matchable node of the statement's subtree carries ``label``."""
-    return any(label in node.annotations for node in _walk_matchable(statement))
-
-
 @dataclass(frozen=True)
 class Anchor:
     """A labelled node, its enclosing statement and their walk positions.
@@ -148,6 +128,7 @@ class RunIndex:
         self._anchors: dict[str, list[Anchor]] = {}
         self._last: dict[str, int] = {}
         self._captured: dict[int, str] = {}  # by id() of the statement
+        self._labelled: dict[str, dict[int, list[UnifiedNode]]] = {}  # by label, then id() of the statement
         self._removals: tuple[dict, dict] | None = None
         stack: list[tuple[UnifiedNode, UnifiedNode | None, int]] = [(root, None, -1)]
         position = 0
@@ -181,6 +162,16 @@ class RunIndex:
     def anchors(self, label: str) -> list[Anchor]:
         """Nodes carrying ``label``, in document order."""
         return self._anchors.get(label, [])
+
+    def labelled(self, statement: UnifiedNode, label: str) -> list[UnifiedNode]:
+        """The nodes of ``statement`` itself, not of a statement nested in
+        it, that carry ``label``, in document order."""
+        table = self._labelled.get(label)
+        if table is None:
+            table = self._labelled[label] = {}
+            for anchor in self.anchors(label):
+                table.setdefault(id(anchor.statement), []).append(anchor.node)
+        return table.get(id(statement), [])
 
     def later(self, label: str, position: int) -> bool:
         """Some statement after ``position`` carries ``label``."""
@@ -219,13 +210,12 @@ class RunIndex:
             operands: dict[tuple[str, bool], list[int]] = {}
             variables: dict[str, int] = {}
             for anchor in self.anchors(_RM):
-                where = anchor.statement_position
-                nodes = list(_walk_matchable(anchor.statement))
-                recursive = any(_RM_RECURSIVE in n.annotations for n in nodes)
-                in_shell = not anchor.statement.prop("exec_array")
-                for node in nodes:
+                where, statement = anchor.statement_position, anchor.statement
+                recursive = bool(self.labelled(statement, _RM_RECURSIVE))
+                in_shell = not statement.prop("exec_array")
+                for node in self.labelled(statement, _RM_PATH):
                     text = node.prop("text")
-                    if _RM_PATH not in node.annotations or text is None:
+                    if text is None:
                         continue
                     glob = in_shell and read_word(node.literal)[1]
                     last = operands.setdefault((text, glob), [-1, -1])

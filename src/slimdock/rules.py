@@ -46,7 +46,7 @@ from . import shell
 from .dockerfile import DockerfileAst
 from .enrich import command_words
 from .model import NodeKind, SourceSpan, UnifiedNode
-from .query import Anchor, RunIndex, checked_label, path_covers, statement_has
+from .query import Anchor, RunIndex, checked_label, path_covers
 
 
 @unique
@@ -215,7 +215,7 @@ def _flag_rule(
         checked_label(flag)
 
     def check(scope: Scope, anchor: Anchor) -> dict | None:
-        return None if statement_has(anchor.statement, flags[anchor.label]) else {}
+        return None if scope.index.labelled(anchor.statement, flags[anchor.label]) else {}
 
     return Rule(rule_id, description, "flag", tuple(flags), check, flag_text=flag_text)
 
@@ -242,7 +242,7 @@ _MKTEMP_D = checked_label("SC-MKTEMP-F-D")
 
 
 def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
-    if not statement_has(anchor.statement, _MKTEMP_D):
+    if not scope.index.labelled(anchor.statement, _MKTEMP_D):
         return None
     var = scope.index.captured(anchor.statement)
     if var is None:
@@ -257,17 +257,11 @@ def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
 _TAR_ARCHIVE = checked_label("SC-TAR-ARCHIVE")
 
 
-def _archive_of(statement: UnifiedNode) -> UnifiedNode | None:
-    for node in statement.walk():
-        if node.kind is NodeKind.SC_WORD and node.has_annotation(_TAR_ARCHIVE):
-            return node
-    return None
-
-
 def _tar(scope: Scope, anchor: Anchor) -> dict | None:
-    word = _archive_of(anchor.statement)
-    if word is None:
+    archives = scope.index.labelled(anchor.statement, _TAR_ARCHIVE)
+    if not archives:
         return None
+    word = archives[0]
     archive = word.prop("value")  # set when the option word holds it
     if archive is None:
         archive = shell.word_text(word)
@@ -301,13 +295,12 @@ _GPG_FILE = checked_label("SC-GPG-FILE")
 
 
 def _gpg_asc(scope: Scope, anchor: Anchor) -> dict | None:
-    if not statement_has(anchor.statement, _GPG_VERIFY):
+    if not scope.index.labelled(anchor.statement, _GPG_VERIFY):
         return None
-    for node in anchor.statement.walk():
-        if node.kind is NodeKind.SC_WORD and node.has_annotation(_GPG_FILE):
-            asc = shell.word_text(node)
-            if asc.endswith(".asc") and not shell.contains_variable(asc):
-                break
+    for node in scope.index.labelled(anchor.statement, _GPG_FILE):
+        asc = shell.word_text(node)
+        if asc.endswith(".asc") and not shell.contains_variable(asc):
+            break
     else:
         return None
     if scope.index.removed_after(anchor.statement_position, asc, recursive=False):
@@ -337,7 +330,7 @@ _GEM_NO_DOCUMENT = checked_label("SC-GEM-F-NO-DOCUMENT")
 
 
 def _gem_rm_root(scope: Scope, anchor: Anchor) -> dict | None:
-    if not statement_has(anchor.statement, _GEM_SYSTEM):
+    if not scope.index.labelled(anchor.statement, _GEM_SYSTEM):
         return None
     if scope.index.removed_after(anchor.statement_position, _ROOT_GEM, recursive=True):
         return None
@@ -371,9 +364,9 @@ def _redirects_to_gemrc(cmd: UnifiedNode) -> bool:
 
 
 def _gem_no_document(scope: Scope, anchor: Anchor) -> dict | None:
-    if not statement_has(anchor.statement, _GEM_SYSTEM):
+    if not scope.index.labelled(anchor.statement, _GEM_SYSTEM):
         return None
-    if statement_has(anchor.statement, _GEM_NO_DOCUMENT):
+    if scope.index.labelled(anchor.statement, _GEM_NO_DOCUMENT):
         return None
     if scope.gemrc_configured():
         return None

@@ -2,9 +2,10 @@
 
 Each schema describes one tool: its name aliases, subcommand table, flag
 table (short/long forms and whether a flag consumes a value), and the role
-of positional arguments. The tables are data, not logic: registering a
-schema extends the annotation vocabulary, and ``query.checked_label``
-makes a rule that reads a label no schema registers fail at import.
+of positional arguments. The tables are data, not logic: ``LABELS``, the
+annotation vocabulary, is every label they declare, and
+``query.checked_label`` makes a rule that reads a label no schema
+declares fail at import.
 
 A schema lists what a rule reads and no more: the command and subcommand
 names (the command names make the enrichment coverage figure, and a
@@ -25,15 +26,14 @@ the walk reads them:
 own options, looked up by basename (`/usr/bin/env pip ...` too). The walk
 reads a wrapper's option words as it reads a schema's, clusters included
 (`sudo -Eu app pip ...`), and takes its first operand as the command it
-runs. A wrapper has no schema and registers no labels: it is never the
-command that gets enriched. See ``register_schema`` to add a tool.
+runs. A wrapper has no schema and declares no labels: it is never the
+command that gets enriched. A tool is added by adding its schema to
+``SCHEMAS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .model import register_annotation_labels
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _sub(canon: str, **children: SubSpec) -> SubSpec:
 
 _F = FlagSpec
 
-SCHEMAS: list[CommandSchema] = [
+SCHEMAS: tuple[CommandSchema, ...] = (
     CommandSchema(
         names=("apt-get",),
         label="APT-GET",
@@ -304,7 +304,7 @@ SCHEMAS: list[CommandSchema] = [
     CommandSchema(names=("curl",), label="CURL"),
     CommandSchema(names=("cd",), label="CD"),
     CommandSchema(names=("echo",), label="ECHO"),
-]
+)
 
 #: Each wrapper's options, read like a schema's. A wrapper has no labels,
 #: so its flags have no canon, but for LOOKUP: ``command -v yarn`` only
@@ -333,8 +333,6 @@ WRAPPERS: dict[str, tuple[FlagSpec, ...]] = {
 #: Applied to a bare ``yarn`` with no subcommand, which means ``yarn install``.
 YARN_IMPLICIT_INSTALL = "SC-YARN-INSTALL"
 
-_BY_NAME: dict[str, CommandSchema] = {}
-
 
 def _labels_for(schema: CommandSchema) -> set[str]:
     labels = {schema.command_label()}
@@ -356,16 +354,11 @@ def _labels_for(schema: CommandSchema) -> set[str]:
     return labels
 
 
-def register_schema(schema: CommandSchema) -> None:
-    """Add a schema to the registry and its labels to the vocabulary."""
-    for name in schema.names:
-        _BY_NAME[name] = schema
-    register_annotation_labels(_labels_for(schema))
+#: Every label enrichment may put on a node.
+LABELS = frozenset(label for schema in SCHEMAS for label in _labels_for(schema))
+
+_BY_NAME = {name: schema for schema in SCHEMAS for name in schema.names}
 
 
 def schema_for(command: str) -> CommandSchema | None:
     return _BY_NAME.get(command)
-
-
-for _schema in SCHEMAS:
-    register_schema(_schema)

@@ -226,6 +226,17 @@ class TestStats:
     def test_missing_root_exit_2(self, tmp_path):
         assert main(["stats", str(tmp_path / "nope")]) == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unreadable_file_is_named(self, tmp_path, capsys, fmt):
+        write(tmp_path, "a/Dockerfile", CLEAN)
+        os.makedirs(tmp_path / "b")
+        broken = tmp_path / "b" / "Dockerfile"
+        os.symlink(tmp_path / "missing", broken)
+        assert main(["stats", "--format", fmt, str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert f"{broken}: error: " in err
+        assert f"{broken}" not in out
+
 
 class TestRulesListing:
     def test_lists_all_fourteen(self, capsys):

@@ -1,11 +1,12 @@
 """Unified AST construction and command/flag/argument annotation."""
 
+import importlib.util
 import inspect
+import os
 import re
 
 import pytest
 
-import slimdock.model as model_mod
 import slimdock.query as query_mod
 import slimdock.rules as rules_mod
 from slimdock.dockerfile import parse_dockerfile
@@ -19,8 +20,20 @@ from slimdock.model import NodeKind
 from slimdock.printer import print_minimal
 from slimdock.rules import RuleId
 from slimdock.runner import analyze_text, fix_text
-from slimdock.schemas import SCHEMAS
+from slimdock.schemas import LABELS, SCHEMAS
 from slimdock.shell import word_text
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def digest_inputs(seeds):
+    """(name, text) of every input ``scripts/output_digest.py`` reads:
+    ``tests/data`` and the benchmark workloads generated at ``seeds``."""
+    path = os.path.join(ROOT, "scripts", "output_digest.py")
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.inputs(seeds)
 
 
 def first_command(text):
@@ -143,10 +156,10 @@ class TestEnrichment:
     ])
     def test_tar_reading(self, command, archive):
         words = command_words(first_command(f"RUN {command}"))
-        named = [w.prop("value", word_text(w)) for w in words if w.has_annotation("SC-TAR-ARCHIVE")]
+        named = [w.prop("value", word_text(w)) for w in words if "SC-TAR-ARCHIVE" in w.annotations]
         assert named == ([archive] if archive else [])
         # a word that carries the archive itself is the -f/--file word
-        assert all(w.has_annotation("SC-TAR-F-FILE") for w in words if w.prop("value"))
+        assert all("SC-TAR-F-FILE" in w.annotations for w in words if w.prop("value"))
 
     @pytest.mark.parametrize("command, path", [
         ("mkdir -p -- /usr/src/app", "/usr/src/app"),
@@ -154,7 +167,7 @@ class TestEnrichment:
     ])
     def test_mkdir_path_read(self, command, path):
         cmd = first_command(f"RUN {command}")
-        paths = [word_text(w) for w in command_words(cmd) if w.has_annotation("SC-MKDIR-PATH")]
+        paths = [word_text(w) for w in command_words(cmd) if "SC-MKDIR-PATH" in w.annotations]
         assert paths[-1] == path and "--" not in paths
 
     @pytest.mark.parametrize("word", ["-fr", "-vr", "-dR", "-Ir", "-ir"])
@@ -310,7 +323,16 @@ class TestVocabulary:
                 if flag.semantic:
                     needed.add(flag.semantic)
         # everything else, roles included, must be read by a rule or query
-        assert sorted(model_mod._ANNOTATION_REGISTRY - needed) == []
+        assert sorted(LABELS - needed) == []
+
+    def test_every_annotation_is_declared(self):
+        # enrichment adds labels unchecked: one built outside the schema
+        # tables would show here
+        seen = set()
+        for name, text in digest_inputs([9]):
+            for node in parse_and_enrich(text, name).root.walk():
+                seen |= node.annotations
+        assert seen and sorted(seen - LABELS) == []
 
     def test_old_style_tar_needs_every_short_letter(self):
         text = "RUN tar xzvpf a.tgz\n"

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import read_text
 from slimdock.model import (
-    AnnotationError,
     NodeKind,
     SourceMap,
     SourceSpan,
@@ -90,24 +89,6 @@ class TestTreeSurgery:
         b = UnifiedNode(NodeKind.SC_WORD)
         a.add_child(b)
         assert a.children == [b]
-
-
-class TestAnnotations:
-    def test_registered_label_roundtrip(self):
-        node = UnifiedNode(NodeKind.SC_WORD)
-        node.annotate("SC-APT-GET")
-        assert node.has_annotation("SC-APT-GET")
-
-    def test_annotation_idempotent(self):
-        node = UnifiedNode(NodeKind.SC_WORD)
-        node.annotate("SC-NPM-CACHE-CLEAN")
-        node.annotate("SC-NPM-CACHE-CLEAN")
-        assert len(node.annotations) == 1
-
-    def test_unknown_label_rejected(self):
-        node = UnifiedNode(NodeKind.SC_WORD)
-        with pytest.raises(AnnotationError):
-            node.annotate("SC-NOT-A-THING")
 
 
 # The props each node kind may carry: what some rule, repair, verification

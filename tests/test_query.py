@@ -9,7 +9,6 @@ from slimdock.query import (
     RunIndex,
     checked_label,
     path_covers,
-    statement_has,
 )
 from slimdock.rules import RULES, Rule, RuleId, detect
 
@@ -30,8 +29,9 @@ class TestFindAll:
 
     def test_must_not_exist_defeated_by_flag(self):
         run = run_of("RUN npm cache clean --force")
-        (anchor,) = RunIndex(run).anchors("SC-NPM-CACHE-CLEAN")
-        assert statement_has(anchor.statement, "SC-NPM-F-FORCE")
+        index = RunIndex(run)
+        (anchor,) = index.anchors("SC-NPM-CACHE-CLEAN")
+        assert index.labelled(anchor.statement, "SC-NPM-F-FORCE")
         assert detect(parse_and_enrich("RUN npm cache clean --force")) == []
 
     def test_two_pip_installs_two_matches_in_order(self):
@@ -80,7 +80,7 @@ class TestFindAll:
         before = [a.node for a in RunIndex(run).anchors("SC-PIP-INSTALL")]
         for node in run.walk():
             if node.kind is NodeKind.SC_WORD:
-                node.annotate("SC-ECHO")  # unrelated label
+                node.annotations.add("SC-ECHO")  # unrelated label
         after = [a.node for a in RunIndex(run).anchors("SC-PIP-INSTALL")]
         assert before == after
 
@@ -121,8 +121,9 @@ class TestHolds:
 
     def test_in_node(self):
         run = run_of("RUN apk add --no-cache curl")
-        (anchor,) = RunIndex(run).anchors("SC-APK-ADD")
-        assert statement_has(anchor.statement, "SC-APK-F-NO-CACHE")
+        index = RunIndex(run)
+        (anchor,) = index.anchors("SC-APK-ADD")
+        assert index.labelled(anchor.statement, "SC-APK-F-NO-CACHE")
 
     def test_before(self):
         run = run_of("RUN echo 'gem: --no-document' >> /etc/gemrc && gem update --system")

@@ -187,6 +187,47 @@ class TestHeredocBodies:
             ("FROM x\nRUN pip install x && cat << EOF\n", [(RuleId.pipUseNoCacheDir, 2)]),
             # a leading heredoc is the script
             ("FROM x\nRUN <<A\npip install x\nA\n", [(RuleId.pipUseNoCacheDir, 3)]),
+            # the RUN's flags come before its command line or leading heredoc
+            (
+                "FROM x\nRUN --mount=type=cache,target=/c pip install x && cat <<EOF > /f\nb\nEOF\n",
+                [(RuleId.pipUseNoCacheDir, 2)],
+            ),
+            (
+                "FROM x\nRUN --mount=type=cache,target=/root/.cache <<EOF\npip install y\nEOF\n",
+                [(RuleId.pipUseNoCacheDir, 3)],
+            ),
+            # `<<\EOF` opens a heredoc, a here-string `<<<EOF` none
+            ("FROM x\nRUN cat <<\\EOF > /etc/apt/x.conf\nRUN apt-get install -y q\nEOF\n", []),
+            ("FROM x\nRUN cat <<-\\EOF > /etc/apt/x.conf\nRUN apt-get install -y q\nEOF\n", []),
+            (
+                "FROM x\nRUN cat <<<EOF\nRUN apt-get install -y q\nEOF\n",
+                [(RuleId.aptGetInstallUseNoRec, 3), (RuleId.aptGetInstallThenRemoveAptLists, 3)],
+            ),
+        ],
+    )
+    def test_rows(self, text, found):
+        assert [(d.rule, d.line) for d in detect(parse_and_enrich(text))] == found
+
+
+class TestOwnCommand:
+    """A check reads its own command, not one substituted in it."""
+
+    @pytest.mark.parametrize(
+        "text, found",
+        [
+            (
+                "FROM x\nRUN pip install $(pip download --no-cache-dir x)\n",
+                [(RuleId.pipUseNoCacheDir, 2)],
+            ),
+            (
+                "FROM x\nRUN gem update --system $(gem update --system --no-document)\n",
+                [
+                    (RuleId.gemUpdateSystemRmRootGem, 2),
+                    (RuleId.gemUpdateNoDocument, 2),
+                    (RuleId.gemUpdateSystemRmRootGem, 2),
+                ],
+            ),
+            ("FROM x\nRUN pip install --no-cache-dir $(echo y)\n", []),
         ],
     )
     def test_rows(self, text, found):

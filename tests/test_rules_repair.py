@@ -530,6 +530,26 @@ class TestHeredocBodies:
             ),
             # a leading heredoc is the script
             ("FROM x\nRUN <<A\npip install x\nA\n", "FROM x\nRUN <<A\npip install --no-cache-dir x\nA\n", ["applied"]),
+            # the RUN's flags come before its command line or leading heredoc
+            (
+                "FROM x\nRUN --mount=type=cache,target=/c pip install x && cat <<EOF > /f\nb\nEOF\n",
+                "FROM x\nRUN --mount=type=cache,target=/c pip install --no-cache-dir x && cat <<EOF > /f\nb\nEOF\n",
+                ["applied"],
+            ),
+            (
+                "FROM x\nRUN --mount=type=cache,target=/root/.cache <<EOF\npip install y\nEOF\n",
+                "FROM x\nRUN --mount=type=cache,target=/root/.cache <<EOF\npip install --no-cache-dir y\nEOF\n",
+                ["applied"],
+            ),
+            # `<<\EOF` opens a heredoc, a here-string `<<<EOF` none
+            ("FROM x\nRUN cat <<\\EOF > /etc/apt/x.conf\nRUN apt-get install -y q\nEOF\n", None, []),
+            ("FROM x\nRUN cat <<-\\EOF > /etc/apt/x.conf\nRUN apt-get install -y q\nEOF\n", None, []),
+            (
+                "FROM x\nRUN cat <<<EOF\nRUN apt-get install -y q\nEOF\n",
+                "FROM x\nRUN cat <<<EOF\n"
+                "RUN apt-get install --no-install-recommends -y q && rm -rf /var/lib/apt/lists/*\nEOF\n",
+                ["applied", "applied"],
+            ),
         ],
     )
     def test_fixed_text(self, text, fixed, statuses):
