@@ -8,7 +8,9 @@ text, while a segment map keeps every shell node's span in file
 coordinates so the whole tree shares one coordinate system.
 
 A RUN or COPY that opens heredocs extends through their bodies, each read
-to its delimiter line by ``shell.heredoc_body``. A leading heredoc
+to its delimiter line by ``shell.heredoc_body``, the delimiter being the
+word after ``<<`` as the shell lexer reads it (``shell.heredoc_delimiter``).
+A leading heredoc
 (``RUN <<EOF``, after any ``--mount``-style flags) is the RUN's script; any
 other RUN hands the shell parser its command line, past the flags, and the
 bodies, which the shell lexer steps over as data. ``<<\\EOF`` opens a
@@ -35,7 +37,7 @@ from operator import itemgetter
 from typing import Any
 
 from .model import NodeKind, SourceMap, SourceSpan, UnifiedNode
-from .shell import heredoc_body
+from .shell import heredoc_body, heredoc_delimiter
 
 _KEYWORDS = {
     "from": NodeKind.DOCKER_FROM,
@@ -63,8 +65,8 @@ _SHELLS_FOR_EXEC = {"sh", "bash", "/bin/sh", "/bin/bash", "/usr/bin/sh", "/usr/b
 _KEYWORD_RE = re.compile(r"[ \t\ufeff]*([A-Za-z][A-Za-z_-]*)")
 _DIRECTIVE_RE = re.compile(r"#\s*([A-Za-z][A-Za-z0-9]*)\s*=\s*(\S+)\s*$")
 _RUN_FLAGS_RE = re.compile(r"\s*(?:--\S+\s+)*")
-# `<<EOF`, `<<"EOF"`, `<<'EOF'` or `<<\EOF`, each also as `<<-`
-_HEREDOC_TOKEN_RE = re.compile(r"<<(-?)(?:\\|([\"']?))([A-Za-z_][A-Za-z0-9_]*)(?(2)\2)")
+# the operator of a heredoc; ``shell.heredoc_delimiter`` reads the word after it
+_HEREDOC_OP_RE = re.compile(r"<<-?")
 
 
 @dataclass
@@ -191,12 +193,12 @@ def _find_heredoc_tokens(payload: str) -> list[tuple[str, bool]]:
         elif ch == "<" and payload.startswith("<<<", i):  # a here-string
             i += 3
         elif ch == "<" and payload.startswith("<<", i):
-            m = _HEREDOC_TOKEN_RE.match(payload, i)
-            if m:
-                out.append((m.group(3), m.group(1) == "-"))
-                i = m.end()
-            else:
-                i += 2
+            op = _HEREDOC_OP_RE.match(payload, i)
+            i = op.end()
+            delim = heredoc_delimiter(payload, i)
+            if delim:
+                out.append((delim[0], op.group() == "<<-"))
+                i = delim[1]
         else:
             i += 1
     return out
@@ -455,8 +457,9 @@ class FileParser:
 def _is_leading_heredoc(payload: str) -> bool:
     """Whether the RUN's command, past its flags, is one heredoc alone."""
     stripped = payload[_RUN_FLAGS_RE.match(payload).end() :].strip()
-    m = _HEREDOC_TOKEN_RE.match(stripped)
-    return bool(m and m.end() == len(stripped))
+    op = _HEREDOC_OP_RE.match(stripped)
+    delim = op and heredoc_delimiter(stripped, op.end())
+    return bool(delim and delim[1] == len(stripped))
 
 
 def parse_dockerfile(text: str, path: str = "<memory>") -> DockerfileAst:

@@ -24,8 +24,9 @@ They are one of four shapes:
 Element insertions are applied only when the RUN's top level is a single
 command or a pure AND-chain; a top-level `;`, `||`, compound statement, or
 unparsed region makes the repair not-fixable (appending after those would
-change failure semantics). Flag additions are always safe and are applied
-regardless of the chain shape.
+change failure semantics). Nor is a trailing cleanup appended to a chain
+with a top-level `exit`, or `exec` of a command: it would never run. Flag
+additions are always safe and are applied regardless of the chain shape.
 
 A repair is checked where its effect is seen: ``runner.fix_text`` prints
 the repaired file, detects again in each RUN that holds an insertion
@@ -159,9 +160,24 @@ def chain_shape(run: UnifiedNode) -> bool:
     )
 
 
+def _ends_shell(run: UnifiedNode) -> bool:
+    """Whether an element of the chain of ``run`` (``chain_shape``) is
+    `exit`, or `exec` of a command: the shell ends there, so a statement
+    appended to the chain never runs."""
+    top = run_script(run).children[0]
+    for element in top.children if top.kind is NodeKind.SC_AND else [top]:
+        words = command_words(element) if element.kind is NodeKind.SC_SIMPLE_COMMAND else []
+        name = shell.word_text(words[0]) if words else None
+        if name == "exit" or (name == "exec" and len(words) > 1):
+            return True
+    return False
+
+
 def _not_fixable_reason(run: UnifiedNode) -> str:
     if run.prop("run_form") == "exec-array":
         return "exec-form array has no shell chain to extend"
+    if chain_shape(run):
+        return "RUN chain has a top-level exit or exec, after which nothing runs"
     return "RUN top level is not a simple command or pure AND-chain"
 
 
@@ -531,6 +547,7 @@ def detect_run(
     ``run``, but for gemUpdateNoDocument, which asks ``gemrc_configured()``."""
     scope = Scope(RunIndex(run), gemrc_configured)
     insertable = chain_shape(run)
+    appendable = insertable and not _ends_shell(run)
     diagnostics = [
         SmellDiagnostic(
             rule=rule.id,
@@ -538,7 +555,7 @@ def detect_run(
             span=anchor.statement.span,
             anchor=anchor,
             message=rule.description,
-            fixable=rule.kind == "flag" or insertable,
+            fixable=rule.kind == "flag" or (appendable if rule.kind == "append" else insertable),
             run=run,
             extras=extras,
         )

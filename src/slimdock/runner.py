@@ -102,7 +102,9 @@ def analyze_text(
     report = FileReport(path=path, original=text)
     report.warnings = list(ast.warnings)
     report.status = _parse_status(ast)
-    if report.status != PARSE_FAILED:
+    if report.status == PARSE_FAILED:
+        report.error = "no known instruction"
+    else:
         report.diagnostics = detect(ast, rules)
     matched, total = ast.root.prop("enrich_stats", (0, 0))
     report.enriched_commands = matched

@@ -13,9 +13,10 @@ the whole script for pathological input (unterminated quotes or heredocs).
 
 A heredoc body is data, never read as shell: at the newline that ends a
 line, the lexer steps over the body of each ``<<``/``<<-`` of that line,
-in order, to its delimiter line (``heredoc_body``, which the Dockerfile
-parser reads delimiters with too). The statement that opens a heredoc is
-SC-UNPARSED, and the rest of its line is read as usual.
+in order, to its delimiter line (``heredoc_body``). The Dockerfile parser
+reads delimiter words and bodies with the same readers
+(``heredoc_delimiter``, ``heredoc_body``). The statement that opens a
+heredoc is SC-UNPARSED, and the rest of its line is read as usual.
 
 AND/OR/SEQ lists are flattened (n-ary), so "a && b && c" is one SC-AND
 with three children; a cleanup step is inserted at the end of one of them.
@@ -24,7 +25,13 @@ The lexer reads each token with one match of a compiled pattern: the
 trivia before it (blanks, backslash-newline continuations and ``#``
 comments), then a plain word, a redirection, an operator or the end of
 the region. Only a word that holds a quote, ``$``, backquote or backslash,
-or runs into ``<``/``>``, is scanned segment by segment.
+or runs into ``<``/``>``, is scanned segment by segment. One quote-aware
+matcher reads every bracket: ``$(...)``, ``$((...))`` (an opaque segment)
+and ``${...}``.
+
+The parser reads every statement list (the script, a subshell, a
+substitution, a block's body) with one loop, ``parse_statements``, which
+stops only at the end of the region or at the stop tokens it is given.
 
 Span guarantee: every parsed node carries a span into the payload text,
 and sibling spans are in order and disjoint, with the text between them
@@ -46,11 +53,6 @@ SpanBuilder = Callable[[int, int], SourceSpan]
 
 class ShellUnterminated(Exception):
     """Unterminated quote/substitution/heredoc; degrades the whole script."""
-
-    def __init__(self, what: str, pos: int):
-        super().__init__(f"unterminated {what} at offset {pos}")
-        self.what = what
-        self.pos = pos
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -166,7 +168,7 @@ class _Lexer:
             if delim.kind == "word":
                 body = heredoc_body(self.text, pos, self.end, delim.value, redir.value == "<<-")
             if body is None:
-                raise ShellUnterminated("heredoc", redir.start)
+                raise ShellUnterminated(f"unterminated heredoc at offset {redir.start}")
             self.i = body[1]
             pos = self.i + 1
 
@@ -224,7 +226,7 @@ class _Lexer:
         self.i += 1
         j = self.text.find("'", self.i, self.end)
         if j < 0:
-            raise ShellUnterminated("single quote", start)
+            raise ShellUnterminated(f"unterminated single quote at offset {start}")
         inner = self.text[self.i : j]
         self.i = j + 1
         return Seg("single", start, self.i, inner)
@@ -249,7 +251,7 @@ class _Lexer:
                 logical.append(run.group())
                 self.i = run.end()
             if self.i >= self.end:
-                raise ShellUnterminated("double quote", start)
+                raise ShellUnterminated(f"unterminated double quote at offset {start}")
             ch = self.text[self.i]
             if ch == '"':
                 flush()
@@ -279,13 +281,11 @@ class _Lexer:
     def _dollar(self) -> Seg:
         start = self.i
         self.i += 1
-        if self._peek() == "(" and self._peek(1) == "(":
-            end = self._match_arith(start)
-            return Seg("arith", start, end, self.text[start:end])
         if self._peek() == "(":
             inner_start = self.i + 1
-            end = self._scan_matching(self.i, "(", ")")
-            self.i = end
+            end = self.i = self._scan_matching(self.i, "(", ")")
+            if self.text[inner_start] == "(":  # $(( ... )): arithmetic
+                return Seg("arith", start, end, self.text[start:end])
             return Seg("subst", start, end, self.text[start:end], inner=(inner_start, end - 1))
         if self._peek() == "{":
             self.i = self._scan_matching(self.i, "{", "}")
@@ -296,22 +296,6 @@ class _Lexer:
         else:
             return Seg("bare", start, self.i, "$")
         return Seg("var", start, self.i, self.text[start : self.i])
-
-    def _match_arith(self, start: int) -> int:
-        # $(( ... )): scan to the matching )), counting parens
-        depth = 0
-        j = self.i
-        while j < self.end:
-            ch = self.text[j]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    self.i = j + 1
-                    return j + 1
-            j += 1
-        raise ShellUnterminated("arithmetic expansion", start)
 
     def _scan_matching(self, open_pos: int, open_ch: str, close_ch: str) -> int:
         """Find the offset just past the delimiter matching text[open_pos].
@@ -329,7 +313,7 @@ class _Lexer:
             if ch == "'":
                 k = self.text.find("'", j + 1, self.end)
                 if k < 0:
-                    raise ShellUnterminated("single quote", j)
+                    raise ShellUnterminated(f"unterminated single quote at offset {j}")
                 j = k + 1
                 continue
             if ch == '"':
@@ -339,7 +323,7 @@ class _Lexer:
                         j += 1
                     j += 1
                 if j >= self.end:
-                    raise ShellUnterminated("double quote", j)
+                    raise ShellUnterminated(f"unterminated double quote at offset {j}")
                 j += 1
                 continue
             if ch == open_ch:
@@ -349,7 +333,7 @@ class _Lexer:
                 if depth == 0:
                     return j + 1
             j += 1
-        raise ShellUnterminated(f"'{open_ch}'", open_pos)
+        raise ShellUnterminated(f"unterminated '{open_ch}' at offset {open_pos}")
 
     def _backtick(self) -> Seg:
         start = self.i
@@ -363,7 +347,7 @@ class _Lexer:
                 self.i = j + 1
                 return Seg("subst", start, self.i, self.text[start : self.i], inner=(start + 1, j))
             j += 1
-        raise ShellUnterminated("backquote", start)
+        raise ShellUnterminated(f"unterminated backquote at offset {start}")
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +365,6 @@ class _Parser:
         warnings: list[str],
     ):
         self.text = text
-        self.start = start
-        self.end = end
         self.spans = spans
         self.warnings = warnings
         self.toks = _Lexer(text, start, end).tokens()
@@ -411,19 +393,11 @@ class _Parser:
 
     # -- statement sequences ----------------------------------------------
 
-    def parse_program(self) -> list[UnifiedNode]:
-        stmts = self.parse_statements(frozenset(), frozenset())
-        tok = self._peek()
-        if tok.kind != "eof":
-            # stray closer at top level: skip it into the gap and continue
-            self.warnings.append(f"unexpected {tok.value!r} in shell payload")
-            self._take()
-            stmts.extend(self.parse_program())
-        return stmts
-
     def parse_statements(
         self, stop_ops: frozenset[str], stop_words: frozenset[str]
     ) -> list[UnifiedNode]:
+        """The statements up to the end of the region, an op of
+        ``stop_ops`` or a bare word of ``stop_words``, which is not taken."""
         stmts: list[UnifiedNode] = []
         while True:
             while self._peek().kind == "op" and self._peek().value in (";", "&", "\n", ";;"):
@@ -458,7 +432,7 @@ class _Parser:
     def parse_pipeline(
         self, stop_ops: frozenset[str], stop_words: frozenset[str]
     ) -> UnifiedNode:
-        first = self.parse_command(stop_ops, stop_words)
+        first = self.parse_command()
         if not (self._peek().kind == "op" and self._peek().value in ("|", "|&")):
             return first
         node = UnifiedNode(NodeKind.SC_PIPELINE, first.span)
@@ -470,15 +444,14 @@ class _Parser:
             if self._at_stop(stop_ops, stop_words):
                 self.warnings.append("dangling '|' in shell payload")
                 break
-            node.add_child(self.parse_command(stop_ops, stop_words))
+            node.add_child(self.parse_command())
         node.span = node.children[0].span.through(node.children[-1].span)
         return node
 
     # -- commands -----------------------------------------------------------
 
-    def parse_command(
-        self, stop_ops: frozenset[str], stop_words: frozenset[str]
-    ) -> UnifiedNode:
+    def parse_command(self) -> UnifiedNode:
+        """One command; the caller has checked that no stop token is next."""
         tok = self._peek()
         if tok.kind == "op" and tok.value == "(":
             return self._parse_subshell()
@@ -488,7 +461,7 @@ class _Parser:
             return self._parse_block(tok.value)
         if self._looks_like_function():
             return self._degrade_function()
-        return self._parse_simple(stop_ops, stop_words)
+        return self._parse_simple()
 
     def _parse_subshell(self) -> UnifiedNode:
         open_tok = self._take()
@@ -499,42 +472,30 @@ class _Parser:
             end = close.end
         else:
             self.warnings.append("unterminated subshell")
-            end = self.toks[self.i].start if self.i < len(self.toks) else self.end
+            end = close.start
         node = UnifiedNode(NodeKind.SC_SUBSHELL, self.spans(open_tok.start, end))
         _attach_sequence(node, stmts, self.spans)
         return node
 
     def _parse_block(self, opener: str) -> UnifiedNode:
+        """A block from its opener through its closer, or to the end of the
+        region. A statement list in it ends at its closer, a middle word, or
+        a stop word of another block, which is skipped with a warning."""
         middles, closer = _STRUCT_WORDS[opener]
         open_tok = self._take()
         children = self._for_header() if opener == "for" else []
-        end = open_tok.end
         stop_words = frozenset(middles | {closer, "do", "then"})
         while True:
-            while self._peek().kind == "op" and self._peek().value in (";", "&", "\n", ";;"):
-                self._take()
-            tok = self._peek()
+            children.extend(self.parse_statements(frozenset(), stop_words))
+            tok = self._take()
             if tok.kind == "eof":
                 self.warnings.append(f"unterminated {opener!r} block")
-                end = max(end, self.toks[self.i - 1].end if self.i else end)
                 break
-            if tok.kind == "word" and _is_bare(tok) and tok.value == closer:
-                self._take()
-                end = tok.end
+            if tok.value == closer:
                 break
-            if tok.kind == "word" and _is_bare(tok) and tok.value in middles:
-                self._take()
-                end = tok.end
-                continue
-            stmts = self.parse_statements(frozenset(), stop_words)
-            if not stmts:
-                # no progress: unexpected token, skip it defensively
-                skipped = self._take()
-                if skipped.kind == "eof":
-                    break
-                self.warnings.append(f"skipping {skipped.value!r} in {opener!r} block")
-                continue
-            children.extend(stmts)
+            if tok.value not in middles:
+                self.warnings.append(f"skipping {tok.value!r} in {opener!r} block")
+        end = self.toks[self.i - 1].end  # the closer, or the last token
         node = UnifiedNode(NodeKind.SC_COMPOUND, self.spans(open_tok.start, end))
         for child in children:
             node.add_child(child)
@@ -556,45 +517,27 @@ class _Parser:
         return [UnifiedNode(NodeKind.SC_UNPARSED, self.spans(header[0].start, header[-1].end))]
 
     def _parse_case(self) -> UnifiedNode:
+        """A ``case`` through its ``esac``, nested ones counted, with the
+        tokens between them as one SC-UNPARSED node."""
         open_tok = self._take()
+        first = self.i
         depth = 1
-        inner_start: int | None = None
-        inner_end = open_tok.end
-        end = open_tok.end
-        while True:
+        while depth:
             tok = self._take()
             if tok.kind == "eof":
-                raise ShellUnterminated("case statement", open_tok.start)
-            if tok.kind == "word" and _is_bare(tok):
-                if tok.value == "case":
-                    depth += 1
-                elif tok.value == "esac":
-                    depth -= 1
-                    if depth == 0:
-                        end = tok.end
-                        break
-            if inner_start is None:
-                inner_start = tok.start
-            inner_end = tok.end
-        node = UnifiedNode(NodeKind.SC_COMPOUND, self.spans(open_tok.start, end))
-        if inner_start is not None and inner_end > inner_start:
-            node.add_child(UnifiedNode(NodeKind.SC_UNPARSED, self.spans(inner_start, inner_end)))
+                raise ShellUnterminated(f"unterminated case statement at offset {open_tok.start}")
+            if tok.kind == "word" and _is_bare(tok) and tok.value in ("case", "esac"):
+                depth += 1 if tok.value == "case" else -1
+        node = UnifiedNode(NodeKind.SC_COMPOUND, self.spans(open_tok.start, tok.end))
+        inner = self.toks[first : self.i - 1]
+        if inner:
+            node.add_child(UnifiedNode(NodeKind.SC_UNPARSED, self.spans(inner[0].start, inner[-1].end)))
         return node
 
     def _looks_like_function(self) -> bool:
-        tok = self._peek()
-        if tok.kind != "word":
-            return False
-        nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
-        nxt2 = self.toks[self.i + 2] if self.i + 2 < len(self.toks) else None
-        return (
-            nxt is not None
-            and nxt.kind == "op"
-            and nxt.value == "("
-            and nxt2 is not None
-            and nxt2.kind == "op"
-            and nxt2.value == ")"
-        )
+        """Whether a word, ``(`` and ``)`` come next: ``name()``."""
+        after = [(tok.kind, tok.value) for tok in self.toks[self.i + 1 : self.i + 3]]
+        return self._peek().kind == "word" and after == [("op", "("), ("op", ")")]
 
     def _degrade_function(self) -> UnifiedNode:
         """Whole function definitions are out of the subset: one SC-UNPARSED."""
@@ -625,15 +568,13 @@ class _Parser:
 
     # -- simple commands ----------------------------------------------------
 
-    def _parse_simple(
-        self, stop_ops: frozenset[str], stop_words: frozenset[str]
-    ) -> UnifiedNode:
+    def _parse_simple(self) -> UnifiedNode:
         first_index = self.i
         children: list[UnifiedNode] = []
         seen_word = False
         while True:
             tok = self._peek()
-            if tok.kind in ("eof",):
+            if tok.kind == "eof":
                 break
             if tok.kind == "op":
                 if tok.value == "(" and children:
@@ -641,25 +582,21 @@ class _Parser:
                     return self._degrade_statement(first_index)
                 break
             if tok.kind == "word":
-                if tok.value in stop_words and _is_bare(tok) and not children:
-                    break
                 self._take()
                 if not seen_word and _ASSIGN_RE.match(tok.value) and tok.segments and tok.segments[0].kind == "bare":
                     children.append(self._assignment_node(tok))
                 else:
                     seen_word = True
                     children.append(self._word_node(tok))
-            elif tok.kind == "redir":
+            else:  # a redirection
                 if tok.value in ("<<", "<<-"):  # the lexer stepped over the body
                     return self._degrade_statement(first_index, "heredoc statement left unparsed")
-                after = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
-                if after is not None and after.kind == "op" and after.value == "(":
+                after = self.toks[self.i + 1]  # the eof token at least
+                if after.kind == "op" and after.value == "(":
                     # process substitution: outside the subset
                     return self._degrade_statement(first_index)
                 self._take()
                 children.append(self._redirection_node(tok))
-            else:  # pragma: no cover - defensive
-                break
         if not children:
             # no progress possible: consume one token as unparsed
             tok = self._take()
@@ -702,7 +639,7 @@ class _Parser:
         inner_start, inner_end = seg.inner
         sub = _Parser(self.text, inner_start, inner_end, self.spans, self.warnings)
         try:
-            stmts = sub.parse_program()
+            stmts = sub.parse_statements(frozenset(), frozenset())
         except ShellUnterminated as exc:
             self.warnings.append(f"substitution parse degraded: {exc}")
             stmts = [UnifiedNode(NodeKind.SC_UNPARSED, self.spans(inner_start, inner_end))]
@@ -729,10 +666,11 @@ class _Parser:
     # -- degradation ---------------------------------------------------------
 
     def _statement_end_index(self, from_index: int) -> int:
-        """Token index just past the current statement, paren-aware."""
+        """Token index just past the current statement, paren-aware; at
+        most that of the eof token, which ends every token list."""
         depth = 0
         j = from_index
-        while j < len(self.toks):
+        while True:
             tok = self.toks[j]
             if tok.kind == "eof":
                 return j
@@ -746,14 +684,14 @@ class _Parser:
                 elif depth == 0 and tok.value in ("&&", "||", ";", ";;", "&", "|", "|&", "\n"):
                     return j
             j += 1
-        return j
 
     def _degrade_statement(
         self, first_index: int, warning: str = "statement outside supported shell subset"
     ) -> UnifiedNode:
+        # the statement's first token, a word or redirection, is in it
         end_index = self._statement_end_index(first_index)
         start = self.toks[first_index].start
-        end = self.toks[end_index - 1].end if end_index > first_index else start
+        end = self.toks[end_index - 1].end
         self.i = end_index
         self.warnings.append(warning)
         return UnifiedNode(NodeKind.SC_UNPARSED, self.spans(start, end))
@@ -809,7 +747,7 @@ def parse_shell(
         return root
     try:
         parser = _Parser(text, start, end, span_builder, warnings)
-        stmts = parser.parse_program()
+        stmts = parser.parse_statements(frozenset(), frozenset())
     except ShellUnterminated as exc:
         warnings.append(f"shell parse degraded to opaque text: {exc}")
         root.add_child(UnifiedNode(NodeKind.SC_UNPARSED, span_builder(start, end)))
@@ -859,6 +797,18 @@ def read_word(source: str) -> tuple[str, bool]:
         for seg in tok.segments
     )
     return tok.value, glob
+
+
+def heredoc_delimiter(text: str, pos: int) -> tuple[str, int] | None:
+    """The delimiter that the word at ``text[pos]``, right after a ``<<``
+    or ``<<-``, names as the lexer reads it (``<<"E"OF`` names ``EOF``),
+    and the offset past the word; None when no word starts there or a
+    quote in it is unterminated."""
+    try:
+        tok = _Lexer(text, pos, len(text))._word()
+    except ShellUnterminated:
+        return None
+    return (tok.value, tok.end) if tok.end > pos else None
 
 
 _VAR_REF_RE = re.compile(r"^\$(?:\{([A-Za-z_][A-Za-z0-9_]*)[^}]*\}|([A-Za-z_][A-Za-z0-9_]*))")

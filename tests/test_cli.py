@@ -238,6 +238,23 @@ class TestStats:
         assert f"{broken}" not in out
 
 
+class TestNoKnownInstruction:
+    """A file with no known instruction is named with its error: in the
+    JSON of lint and fix, else on stderr."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command, code", [("lint", 2), ("fix", 2), ("stats", 0)])
+    def test_file_is_named(self, tmp_path, capsys, command, code, fmt):
+        path = write(tmp_path, "b/Dockerfile", "FOO bar\nBAZ qux\n")
+        assert main([command, "--format", fmt, str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        if fmt == "json" and command != "stats":
+            (entry,) = json.loads(out)["files"]
+            assert (entry["parse_status"], entry["error"]) == ("failed-soft", "no known instruction")
+        else:
+            assert err == f"{path}: error: no known instruction\n"
+
+
 class TestRulesListing:
     def test_lists_all_fourteen(self, capsys):
         assert main(["rules"]) == 0

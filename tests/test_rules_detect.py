@@ -3,6 +3,7 @@
 import pytest
 
 from slimdock.enrich import parse_and_enrich
+from slimdock.model import NodeKind
 from slimdock.rules import RuleId, detect, parse_rule_name
 
 
@@ -196,6 +197,9 @@ class TestHeredocBodies:
                 "FROM x\nRUN --mount=type=cache,target=/root/.cache <<EOF\npip install y\nEOF\n",
                 [(RuleId.pipUseNoCacheDir, 3)],
             ),
+            # the delimiter is the word the shell reads
+            ("FROM x\nRUN cat <<EOF-X > /f && pip install a\nbody\nEOF\nEOF-X\n", [(RuleId.pipUseNoCacheDir, 2)]),
+            ('FROM x\nRUN cat <<"E"OF > /f && pip install a\nbody\nE\nEOF\n', [(RuleId.pipUseNoCacheDir, 2)]),
             # `<<\EOF` opens a heredoc, a here-string `<<<EOF` none
             ("FROM x\nRUN cat <<\\EOF > /etc/apt/x.conf\nRUN apt-get install -y q\nEOF\n", []),
             ("FROM x\nRUN cat <<-\\EOF > /etc/apt/x.conf\nRUN apt-get install -y q\nEOF\n", []),
@@ -207,6 +211,18 @@ class TestHeredocBodies:
     )
     def test_rows(self, text, found):
         assert [(d.rule, d.line) for d in detect(parse_and_enrich(text))] == found
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "FROM x\nRUN cat <<EOF-X > /f && pip install a\nbody\nEOF\nEOF-X\n",
+            'FROM x\nRUN cat <<"E"OF > /f && pip install a\nbody\nE\nEOF\n',
+        ],
+    )
+    def test_the_delimiter_line_ends_the_run(self, text):
+        ast = parse_and_enrich(text)
+        assert [n.kind for n in ast.root.children] == [NodeKind.DOCKER_FROM, NodeKind.DOCKER_RUN]
+        assert ast.warnings == ["<memory>:2: heredoc statement left unparsed"]
 
 
 class TestOwnCommand:

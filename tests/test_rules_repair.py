@@ -303,6 +303,42 @@ class TestNotFixable:
         assert report.repairs[0].status == "not-fixable"
         assert report.fixed == text
 
+    ENDS = "RUN chain has a top-level exit or exec, after which nothing runs"
+
+    @pytest.mark.parametrize(
+        "text, fixed, outcomes",
+        [
+            (
+                "RUN apt-get install -y x && exit 0\n",
+                "RUN apt-get install --no-install-recommends -y x && exit 0\n",
+                [("applied", None, True), ("not-fixable", ENDS, False)],
+            ),
+            (
+                "RUN apt-get install -y x && exec myapp\n",
+                "RUN apt-get install --no-install-recommends -y x && exec myapp\n",
+                [("applied", None, True), ("not-fixable", ENDS, False)],
+            ),
+            ("RUN npm install && exit\n", None, [("not-fixable", ENDS, False)]),
+            # adjacent and config insertions land before the exit
+            ("RUN tar -xzf a.tgz && exit 0\n", "RUN tar -xzf a.tgz && rm a.tgz && exit 0\n", [("applied", None, True)]),
+            (
+                "RUN gem update --system && exit 0\n",
+                "RUN echo 'gem: --no-document' >> /etc/gemrc && gem update --system && exit 0\n",
+                [("not-fixable", ENDS, False), ("applied", None, True)],
+            ),
+            # `exec` of no command only redirects: the shell goes on
+            (
+                "RUN exec 2>&1 && npm install\n",
+                "RUN exec 2>&1 && npm install && npm cache clean --force\n",
+                [("applied", None, True)],
+            ),
+        ],
+    )
+    def test_nothing_appended_after_exit_or_exec(self, text, fixed, outcomes):
+        report = fix_text(text, "<t>")
+        assert report.fixed == (fixed or text)
+        assert [(o.status, o.reason, o.diagnostic.fixable) for o in report.repairs] == outcomes
+
     def test_exec_array_not_fixable(self):
         text = 'RUN ["yarn", "install"]\n'
         report = fix_text(text, "<t>")
@@ -539,6 +575,17 @@ class TestHeredocBodies:
             (
                 "FROM x\nRUN --mount=type=cache,target=/root/.cache <<EOF\npip install y\nEOF\n",
                 "FROM x\nRUN --mount=type=cache,target=/root/.cache <<EOF\npip install --no-cache-dir y\nEOF\n",
+                ["applied"],
+            ),
+            # the delimiter is the word the shell reads
+            (
+                "FROM x\nRUN cat <<EOF-X > /f && pip install a\nbody\nEOF\nEOF-X\n",
+                "FROM x\nRUN cat <<EOF-X > /f && pip install --no-cache-dir a\nbody\nEOF\nEOF-X\n",
+                ["applied"],
+            ),
+            (
+                'FROM x\nRUN cat <<"E"OF > /f && pip install a\nbody\nE\nEOF\n',
+                'FROM x\nRUN cat <<"E"OF > /f && pip install --no-cache-dir a\nbody\nE\nEOF\n',
                 ["applied"],
             ),
             # `<<\EOF` opens a heredoc, a here-string `<<<EOF` none

@@ -368,6 +368,89 @@ class TestDegradation:
         assert not warnings
 
 
+def shape(node, src):
+    """``node`` as its kind and source text, then its children's shapes
+    in brackets: ``SIMPLE-COMMAND'a'[WORD'a']``."""
+    inner = " ".join(shape(c, src) for c in node.children)
+    return f"{node.kind.value[3:]}{span_text(src, node.span)!r}" + (f"[{inner}]" if inner else "")
+
+
+class TestParserPaths:
+    """The tree and the warnings of each way a block, list, command or
+    substitution can end early or hold the unexpected."""
+
+    @pytest.mark.parametrize(
+        "src, tree, warnings",
+        [
+            # a stop word that does not belong to its block is skipped
+            ("if a; do b; fi", "COMPOUND'if a; do b; fi'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]",
+             ["skipping 'do' in 'if' block"]),
+            ("while a; then b; done", "COMPOUND'while a; then b; done'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]",
+             ["skipping 'then' in 'while' block"]),
+            # middle words and closers after a newline
+            ("if a\nthen b\nelse c\nfi",
+             r"COMPOUND'if a\nthen b\nelse c\nfi'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b'] SIMPLE-COMMAND'c'[WORD'c']]",
+             []),
+            ("while a\ndo b\ndone", r"COMPOUND'while a\ndo b\ndone'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]", []),
+            # unterminated blocks run to the last token
+            ("if a; then b", "COMPOUND'if a; then b'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]",
+             ["unterminated 'if' block"]),
+            ("while a; do b", "COMPOUND'while a; do b'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]",
+             ["unterminated 'while' block"]),
+            ("{ a", "COMPOUND'{ a'[SIMPLE-COMMAND'a'[WORD'a']]", ["unterminated '{' block"]),
+            ("for x in a b", "COMPOUND'for x in a b'[UNPARSED'x in a b']",
+             ["unterminated 'for' header", "unterminated 'for' block"]),
+            # dangling operators
+            ("a &&", "SIMPLE-COMMAND'a'[WORD'a']", ["dangling '&&' in shell payload"]),
+            ("a ||", "SIMPLE-COMMAND'a'[WORD'a']", ["dangling '||' in shell payload"]),
+            ("a |", "PIPELINE'a'[SIMPLE-COMMAND'a'[WORD'a']]", ["dangling '|' in shell payload"]),
+            ("(a", "SUBSHELL'(a'[SIMPLE-COMMAND'a'[WORD'a']]", ["unterminated subshell"]),
+            # an operator that starts a command is one unparsed token
+            (") a", "SEQ') a'[UNPARSED')' SIMPLE-COMMAND'a'[WORD'a']]", ["unparsed token ')'"]),
+            ("| a", "SEQ'| a'[UNPARSED'|' SIMPLE-COMMAND'a'[WORD'a']]", ["unparsed token '|'"]),
+            ("echo >", "SIMPLE-COMMAND'echo >'[WORD'echo' REDIRECTION'>']", ["redirection '>' without target"]),
+            # case bodies are opaque; an unterminated one degrades the script
+            ("case x in a) b;;", "UNPARSED'case x in a) b;;'",
+             ["shell parse degraded to opaque text: unterminated case statement at offset 0"]),
+            ("case a in x) case b in y) c;; esac;; esac; d",
+             "SEQ'case a in x) case b in y) c;; esac;; esac; d'[COMPOUND'case a in x) case b in y) c;; esac;; esac'"
+             "[UNPARSED'a in x) case b in y) c;; esac;;'] SIMPLE-COMMAND'd'[WORD'd']]",
+             []),
+            # function definitions
+            ("f() { a; }; b", "SEQ'f() { a; }; b'[UNPARSED'f() { a; }' SIMPLE-COMMAND'b'[WORD'b']]", []),
+            ("f() { a", "UNPARSED'f() { a'", ["unterminated function body"]),
+            ("f() a; b", "SEQ'f() a; b'[UNPARSED'f() a' SIMPLE-COMMAND'b'[WORD'b']]", []),
+            # backquotes
+            ('echo "`date`"',
+             """SIMPLE-COMMAND'echo "`date`"'[WORD'echo' WORD'"`date`"'[COMMAND-SUBSTITUTION'`date`'[SIMPLE-COMMAND'date'[WORD'date']]]]""",
+             []),
+            (r"echo \`x\`", r"SIMPLE-COMMAND'echo \\`x\\`'[WORD'echo' WORD'\\`x\\`']", []),
+            # a `)` escaped or quoted inside $(...) does not close it
+            (r"echo $(echo \))",
+             r"SIMPLE-COMMAND'echo $(echo \\))'[WORD'echo' WORD'$(echo \\))'[COMMAND-SUBSTITUTION'$(echo \\))'"
+             r"[SIMPLE-COMMAND'echo \\)'[WORD'echo' WORD'\\)']]]]",
+             []),
+            ("echo $(echo ')')",
+             """SIMPLE-COMMAND"echo $(echo ')')"[WORD'echo' WORD"$(echo ')')"[COMMAND-SUBSTITUTION"$(echo ')')\""""
+             """[SIMPLE-COMMAND"echo ')'"[WORD'echo' WORD"')'"]]]]""",
+             []),
+            (r'echo $(echo "a\"b")',
+             r"""SIMPLE-COMMAND'echo $(echo "a\\"b")'[WORD'echo' WORD'$(echo "a\\"b")'"""
+             r"""[COMMAND-SUBSTITUTION'$(echo "a\\"b")'[SIMPLE-COMMAND'echo "a\\"b"'[WORD'echo' WORD'"a\\"b"']]]]""",
+             []),
+            ("echo $(echo 'x)", """UNPARSED"echo $(echo 'x)\"""",
+             ["shell parse degraded to opaque text: unterminated single quote at offset 12"]),
+            # arithmetic expansion is one opaque word, read as $(...) is
+            ("echo $((1+2", "UNPARSED'echo $((1+2'",
+             ["shell parse degraded to opaque text: unterminated '(' at offset 6"]),
+            ("echo $(( ')' ))", """SIMPLE-COMMAND"echo $(( ')' ))"[WORD'echo' WORD"$(( ')' ))"]""", []),
+        ],
+    )
+    def test_tree_and_warnings(self, src, tree, warnings):
+        root, found = parse(src)
+        assert (" ".join(shape(c, src) for c in root.children), found) == (tree, warnings)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "src",
