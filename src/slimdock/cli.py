@@ -131,6 +131,19 @@ def _diagnostic_json(d) -> dict:
     }
 
 
+def _file_json(report: FileReport, verbose: bool, **more) -> dict:
+    """One file's entry in the JSON of ``lint`` and ``fix``; ``more`` adds
+    the keys of ``fix``."""
+    return {
+        "path": report.path,
+        "parse_status": report.status,
+        "error": report.error,
+        "diagnostics": [_diagnostic_json(d) for d in report.diagnostics],
+        "warnings": report.warnings if verbose else [],
+        **more,
+    }
+
+
 def _exit_code(reports: list[FileReport], remaining: int, failed: bool = False) -> int:
     """2 if a file failed (or ``failed``), else 1 if smells ``remaining``, else 0."""
     if failed or any(r.error or r.status == PARSE_FAILED for r in reports):
@@ -154,16 +167,7 @@ def _cmd_lint(args, rules, globs) -> int:
     code = _exit_code(reports, total)
     if args.format == "json":
         payload = {
-            "files": [
-                {
-                    "path": r.path,
-                    "parse_status": r.status,
-                    "error": r.error,
-                    "diagnostics": [_diagnostic_json(d) for d in r.diagnostics],
-                    "warnings": r.warnings if args.verbose else [],
-                }
-                for r in reports
-            ],
+            "files": [_file_json(r, args.verbose) for r in reports],
             "summary": {
                 "files": len(reports),
                 "diagnostics": total,
@@ -219,12 +223,10 @@ def _cmd_fix(args, rules, globs) -> int:
     if args.format == "json":
         payload = {
             "files": [
-                {
-                    "path": r.path,
-                    "parse_status": r.status,
-                    "error": r.error,
-                    "diagnostics": [_diagnostic_json(d) for d in r.diagnostics],
-                    "repairs": [
+                _file_json(
+                    r,
+                    args.verbose,
+                    repairs=[
                         {
                             "rule": o.diagnostic.rule.value,
                             "line": o.diagnostic.line,
@@ -233,9 +235,9 @@ def _cmd_fix(args, rules, globs) -> int:
                         }
                         for o in r.repairs
                     ],
-                    "residual": [_diagnostic_json(d) for d in r.residual],
-                    "changed": r.changed,
-                }
+                    residual=[_diagnostic_json(d) for d in r.residual],
+                    changed=r.changed,
+                )
                 for r in reports
             ],
             "summary": {

@@ -10,11 +10,14 @@ coordinates so the whole tree shares one coordinate system.
 A RUN or COPY that opens heredocs extends through their bodies, each read
 to its delimiter line by ``shell.heredoc_body``, the delimiter being the
 word after ``<<`` as the shell lexer reads it (``shell.heredoc_delimiter``).
-A leading heredoc
-(``RUN <<EOF``, after any ``--mount``-style flags) is the RUN's script; any
-other RUN hands the shell parser its command line, past the flags, and the
-bodies, which the shell lexer steps over as data. ``<<\\EOF`` opens a
-heredoc as ``<<'EOF'`` does; a here-string (``<<<``) opens none.
+As BuildKit reads the command line, a ``<<`` opens a heredoc only where it
+starts a blank-separated word, past optional fd digits (``2<<EOF``), and
+outside quotes, which ``shell.skip_quoted`` steps over: ``$((1<<2))``
+opens none. A leading heredoc (``RUN <<EOF``, after any ``--mount``-style
+flags) is the RUN's script; any other RUN hands the shell parser its
+command line, past the flags, and the bodies, which the shell lexer steps
+over as data. ``<<\\EOF`` opens a heredoc as ``<<'EOF'`` does; a
+here-string (``<<<``) opens none.
 
 Each RUN's form (shell, exec ``sh -c`` or exec array) is decided here, and
 the trees that need no shell parse are built here: an exec array's command,
@@ -37,7 +40,7 @@ from operator import itemgetter
 from typing import Any
 
 from .model import NodeKind, SourceMap, SourceSpan, UnifiedNode
-from .shell import heredoc_body, heredoc_delimiter
+from .shell import QUOTE_CHARS, heredoc_body, heredoc_delimiter, skip_quoted
 
 _KEYWORDS = {
     "from": NodeKind.DOCKER_FROM,
@@ -172,27 +175,18 @@ def _scan_directives(text: str, lines: list[tuple[int, int, int]], warnings: lis
 
 
 def _find_heredoc_tokens(payload: str) -> list[tuple[str, bool]]:
-    """Heredoc delimiters in a payload, quote-aware; (name, strip_tabs)."""
+    """Heredoc delimiters in a payload, quote-aware; (name, strip_tabs). A
+    ``<<`` opens a heredoc only where it starts a word (``_starts_word``)."""
     out: list[tuple[str, bool]] = []
     i = 0
     n = len(payload)
     while i < n:
         ch = payload[i]
-        if ch == "\\":
-            i += 2
-        elif ch == "'":
-            j = payload.find("'", i + 1)
-            i = n if j < 0 else j + 1
-        elif ch == '"':
-            i += 1
-            while i < n and payload[i] != '"':
-                if payload[i] == "\\":
-                    i += 1
-                i += 1
-            i += 1
+        if ch in QUOTE_CHARS:
+            i = skip_quoted(payload, i, n) or n
         elif ch == "<" and payload.startswith("<<<", i):  # a here-string
             i += 3
-        elif ch == "<" and payload.startswith("<<", i):
+        elif ch == "<" and payload.startswith("<<", i) and _starts_word(payload, i):
             op = _HEREDOC_OP_RE.match(payload, i)
             i = op.end()
             delim = heredoc_delimiter(payload, i)
@@ -202,6 +196,14 @@ def _find_heredoc_tokens(payload: str) -> list[tuple[str, bool]]:
         else:
             i += 1
     return out
+
+
+def _starts_word(payload: str, i: int) -> bool:
+    """Whether only fd digits lie between ``payload[i]`` and the start of
+    its blank-separated word."""
+    while i and payload[i - 1] in "0123456789":
+        i -= 1
+    return not i or payload[i - 1] in " \t"
 
 
 def _scan_exec_array(payload: str, i: int) -> list[tuple[str, int, int]] | None:

@@ -15,6 +15,7 @@ tables behind ``labelled`` and these lookups are built on first use.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from itertools import accumulate, takewhile
@@ -122,9 +123,10 @@ _ASSIGNMENT, _UNPARSED = NodeKind.SC_ASSIGNMENT, NodeKind.SC_UNPARSED
 
 class RunIndex:
     """Labelled nodes of one RUN's subtree, in document order, with
-    cleanup lookups by position."""
+    cleanup lookups by position. The nodes that start past the offset
+    ``stop`` are left out: the walk meets them last."""
 
-    def __init__(self, root: UnifiedNode):
+    def __init__(self, root: UnifiedNode, stop: int = sys.maxsize):
         self._anchors: dict[str, list[Anchor]] = {}
         self._last: dict[str, int] = {}
         self._captured: dict[int, str] = {}  # by id() of the statement
@@ -134,6 +136,8 @@ class RunIndex:
         position = 0
         while stack:
             node, statement, statement_position = stack.pop()
+            if node.span.start > stop:
+                break
             kind = node.kind
             if kind in STATEMENT_KINDS:
                 statement, statement_position = node, position

@@ -24,8 +24,11 @@ They are one of four shapes:
 Element insertions are applied only when the RUN's top level is a single
 command or a pure AND-chain; a top-level `;`, `||`, compound statement, or
 unparsed region makes the repair not-fixable (appending after those would
-change failure semantics). Nor is a trailing cleanup appended to a chain
-with a top-level `exit`, or `exec` of a command: it would never run. Flag
+change failure semantics). ``chain_elements`` is the one reader of that
+shape, for detection, repair and ``runner``'s re-read alike. Nor is a
+trailing cleanup appended to a chain with a top-level `exit`, or `exec` of
+a command: it would never run. For the same reason no check reads the
+elements after it, so a smell or a cleanup there does not count. Flag
 additions are always safe and are applied regardless of the chain shape.
 
 A repair is checked where its effect is seen: ``runner.fix_text`` prints
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, unique
@@ -147,36 +151,34 @@ def _element_ok(node: UnifiedNode) -> bool:
     return False
 
 
-def chain_shape(run: UnifiedNode) -> bool:
-    """Whether element insertion is safe: the RUN's script is one statement,
-    or a pure AND-chain of simple commands/pipelines. Every inserted
-    statement is a simple command, so repairs keep the shape."""
-    script = run_script(run)
+def chain_elements(script: UnifiedNode | None) -> list[UnifiedNode] | None:
+    """The top-level elements of ``script``, a RUN's SC-SCRIPT (None for an
+    exec array), when it is one simple command or pipeline, or a pure
+    AND-chain of them: the shape in which an inserted element is safe.
+    None otherwise. Every inserted statement is a simple command, so
+    repairs keep the shape."""
     if script is None or len(script.children) != 1:
-        return False  # exec-array form; empty, or a `;` sequence at top level
+        return None  # exec-array form; empty, or a `;` sequence at top level
     top = script.children[0]
-    return _element_ok(top) or (
-        top.kind is NodeKind.SC_AND and all(_element_ok(c) for c in top.children)
-    )
+    elements = top.children if top.kind is NodeKind.SC_AND else [top]
+    return elements if all(_element_ok(e) for e in elements) else None
 
 
-def _ends_shell(run: UnifiedNode) -> bool:
-    """Whether an element of the chain of ``run`` (``chain_shape``) is
-    `exit`, or `exec` of a command: the shell ends there, so a statement
-    appended to the chain never runs."""
-    top = run_script(run).children[0]
-    for element in top.children if top.kind is NodeKind.SC_AND else [top]:
+def _ends_shell(elements: list[UnifiedNode]) -> int | None:
+    """The index of the first of a chain's ``elements`` that is `exit`, or
+    `exec` of a command: the shell ends there, so nothing after it runs."""
+    for k, element in enumerate(elements):
         words = command_words(element) if element.kind is NodeKind.SC_SIMPLE_COMMAND else []
         name = shell.word_text(words[0]) if words else None
         if name == "exit" or (name == "exec" and len(words) > 1):
-            return True
-    return False
+            return k
+    return None
 
 
 def _not_fixable_reason(run: UnifiedNode) -> str:
     if run.prop("run_form") == "exec-array":
         return "exec-form array has no shell chain to extend"
-    if chain_shape(run):
+    if chain_elements(run_script(run)) is not None:
         return "RUN chain has a top-level exit or exec, after which nothing runs"
     return "RUN top level is not a simple command or pure AND-chain"
 
@@ -544,10 +546,14 @@ def detect_run(
     gemrc_configured: Callable[[], bool],
 ) -> list[SmellDiagnostic]:
     """The diagnostics of one RUN, in document order. Each check reads only
-    ``run``, but for gemUpdateNoDocument, which asks ``gemrc_configured()``."""
-    scope = Scope(RunIndex(run), gemrc_configured)
-    insertable = chain_shape(run)
-    appendable = insertable and not _ends_shell(run)
+    ``run``, but for gemUpdateNoDocument, which asks ``gemrc_configured()``;
+    and of a chain, only the elements up to one that ends the shell."""
+    elements = chain_elements(run_script(run))
+    ends = None if elements is None else _ends_shell(elements)
+    stop = sys.maxsize if ends is None else elements[ends].span.end
+    scope = Scope(RunIndex(run, stop), gemrc_configured)
+    insertable = elements is not None
+    appendable = insertable and ends is None
     diagnostics = [
         SmellDiagnostic(
             rule=rule.id,
@@ -586,9 +592,9 @@ _FLAG, _ADJACENT, _QUEUED = 0, 1, 2
 
 @dataclass
 class Chain:
-    """The top statement of a fixable RUN, as the repairs extending it see it."""
+    """The chain of a fixable RUN, as the repairs extending it see it."""
 
-    top: UnifiedNode  # an AND-chain, or a single statement: a chain of one
+    elements: list[UnifiedNode]  # ``chain_elements`` of the RUN's script
     joiner: str  # the text that joins a new element to an element
     end: int  # the offset after the last element
     appended: set[str] = field(default_factory=set)  # the statements appended at ``end``
@@ -599,23 +605,18 @@ def _chain(ast: DockerfileAst, run: UnifiedNode) -> Chain:
     """``run``'s Chain, made on the first repair that extends it."""
     chain = ast.chains.get(id(run))
     if chain is None:
-        top = run_script(run).children[0]
-        if top.kind is NodeKind.SC_AND:
-            joiner = _chain_joiner(top, run, ast.source, ast.escape_char)
-            chain = Chain(top, joiner, top.children[-1].span.end)
-        else:
-            chain = Chain(top, " && ", top.span.end)
-        ast.chains[id(run)] = chain
+        elements = chain_elements(run_script(run))
+        joiner = _chain_joiner(elements, run, ast.source, ast.escape_char)
+        chain = ast.chains[id(run)] = Chain(elements, joiner, elements[-1].span.end)
     return chain
 
 
-def _chain_joiner(chain: UnifiedNode, run: UnifiedNode, src: str, escape: str) -> str:
-    """Inline `` && `` or, when at least half of the chain's elements start
-    on a continued line, a continuation in the chain's dominant style with
-    the last element's line indentation."""
+def _chain_joiner(elements: list[UnifiedNode], run: UnifiedNode, src: str, escape: str) -> str:
+    """Inline `` && `` or, when at least half of the chain's ``elements``
+    start on a continued line, a continuation in the chain's dominant style
+    with the last element's line indentation."""
     if run.prop("run_form") == "exec-shell":
         return " && "  # a raw newline would corrupt the JSON string
-    elements = chain.children
     gaps = [src[prev.span.end : cur.span.start] for prev, cur in zip(elements, elements[1:])]
     continued = [g for g in gaps if "\n" in g]
     if not continued or 2 * len(continued) < len(gaps):
@@ -637,11 +638,8 @@ def _element(chain: Chain, statement: UnifiedNode) -> tuple[int, UnifiedNode]:
     """The index and the element of ``chain`` that holds ``statement``: the
     last one that starts at or before it, as sibling spans are ordered and
     disjoint."""
-    if chain.top.kind is not NodeKind.SC_AND:
-        return 0, chain.top
-    elements = chain.top.children
-    k = bisect_right(elements, statement.span.start, key=lambda e: e.span.start) - 1
-    return k, elements[k]
+    k = bisect_right(chain.elements, statement.span.start, key=lambda e: e.span.start) - 1
+    return k, chain.elements[k]
 
 
 _RM_RF = "rm -rf "
@@ -701,7 +699,7 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
         if index == 0:
             text = statement + chain.joiner
             return _insert(ast, diagnostic, element.span.start, _QUEUED, text)
-        offset = chain.top.children[index - 1].span.end
+        offset = chain.elements[index - 1].span.end
         return _insert(ast, diagnostic, offset, _QUEUED, chain.joiner + statement)
     if rule.kind == "adjacent":
         offset = _element(chain, anchor.statement)[1].span.end

@@ -41,7 +41,7 @@ from .rules import (
     RepairOutcome,
     RuleId,
     SmellDiagnostic,
-    chain_shape,
+    chain_elements,
     detect,
     detect_order,
     detect_run,
@@ -236,7 +236,7 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
     or None, with ``new`` untouched, when that is not known to read as a
     parse of the whole payload would.
 
-    ``run`` must be a chain (``rules.chain_shape``), and every insertion
+    ``run`` must be a chain (``rules.chain_elements``), and every insertion
     must touch an element: lie in its span, ends included. Then each
     untouched element, and the gap after it, is the same text in ``new``:
     its copy is moved by the text inserted before it. Each maximal run of
@@ -247,14 +247,13 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
     payload builds: the lexer starts afresh after ``&&`` and its trivia,
     and the parser reads each element of a top-level chain from fresh
     state."""
+    elements = chain_elements(run_script(run))
     if (
-        not chain_shape(run)
+        elements is None
         or new.prop("run_form") != run.prop("run_form")
         or new.children  # the parser built it: an `sh -c` string with JSON escapes
     ):
         return None
-    top = run_script(run).children[0]
-    elements = top.children if top.kind is NodeKind.SC_AND else [top]
     starts = [element.span.start for element in elements]
     offsets = shift.offsets
     inside = slice(bisect_left(offsets, run.span.start), bisect_right(offsets, run.span.end))
@@ -298,9 +297,6 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
     return windows
 
 
-_SEPARATED = frozenset({NodeKind.SC_AND, NodeKind.SC_OR, NodeKind.SC_SEQ})
-
-
 def _read_window(
     src: SegmentedText, start: int, end: int, payload_end: int
 ) -> list[UnifiedNode] | None:
@@ -308,45 +304,25 @@ def _read_window(
     None unless they are what a parse of the payload to ``payload_end``
     reads there: unless the window ends the payload, it ends in a blank
     (so no token of it reads on into the ``&&``); it parses with no
-    warning into one statement, a chain or a single element, that starts
-    at ``start``, and only blanks follow it; and each ``#`` in it lies in
-    a word, assignment or redirection read from it (any other starts a
-    comment, which would run past the window's end, or sits in an opaque
-    region)."""
-    text = src.clean[start:end]
-    if end <= start or (end != payload_end and text[-1] not in " \t"):
+    warning into a chain (``rules.chain_elements``) that starts at
+    ``start``; and only blanks follow it. The lexer starts afresh at
+    ``start`` in both parses, so a ``#`` reads the same way in both,
+    in a word or as a comment; a comment that would run on past ``end``
+    leaves text after the last element, which the blank check refuses."""
+    if end <= start or (end != payload_end and src.clean[end - 1] not in " \t"):
         return None
     warnings: list[str] = []
     script = parse_shell(src.clean, span_builder=src.span, warnings=warnings, region=(start, end))
-    if warnings or len(script.children) != 1:
-        return None
-    top = script.children[0]
-    elements = top.children if top.kind is NodeKind.SC_AND else [top]
+    elements = chain_elements(script)
     if (
-        any(element.kind in _SEPARATED for element in elements)
+        warnings
+        or elements is None
         or src.to_payload(elements[0].span.start) != start
         or src.clean[src.to_payload(elements[-1].span.end) : end].strip(" \t")
-        or ("#" in text and not _hashes_in_words(src, start, text, top))
     ):
         return None
-    enrich_node(top)
+    enrich_node(script)
     return elements
-
-
-_WORDISH = frozenset({NodeKind.SC_WORD, NodeKind.SC_ASSIGNMENT, NodeKind.SC_REDIRECTION})
-
-
-def _hashes_in_words(src: SegmentedText, start: int, text: str, top: UnifiedNode) -> bool:
-    """Whether every ``#`` of ``text``, the payload from ``start``, lies in
-    the span of a word, assignment or redirection of ``top``."""
-    spans = [(n.span.start, n.span.end) for n in top.walk() if n.kind in _WORDISH]
-    k = text.find("#")
-    while k >= 0:
-        at = src.to_source(start + k)
-        if not any(s <= at < e for s, e in spans):
-            return False
-        k = text.find("#", k + 1)
-    return True
 
 
 def _run_ordinals(runs: list[UnifiedNode]) -> dict[int, int]:

@@ -27,7 +27,9 @@ comments), then a plain word, a redirection, an operator or the end of
 the region. Only a word that holds a quote, ``$``, backquote or backslash,
 or runs into ``<``/``>``, is scanned segment by segment. One quote-aware
 matcher reads every bracket: ``$(...)``, ``$((...))`` (an opaque segment)
-and ``${...}``.
+and ``${...}``. Outside the token lexer, one reader steps over a quoted
+string or an escaped character (``skip_quoted``): the bracket matcher uses
+it, and so does the Dockerfile parser's heredoc scan.
 
 The parser reads every statement list (the script, a subshell, a
 substitution, a block's body) with one loop, ``parse_statements``, which
@@ -307,24 +309,12 @@ class _Lexer:
         j = open_pos
         while j < self.end:
             ch = self.text[j]
-            if ch == "\\":
-                j += 2
-                continue
-            if ch == "'":
-                k = self.text.find("'", j + 1, self.end)
-                if k < 0:
-                    raise ShellUnterminated(f"unterminated single quote at offset {j}")
-                j = k + 1
-                continue
-            if ch == '"':
-                j += 1
-                while j < self.end and self.text[j] != '"':
-                    if self.text[j] == "\\":
-                        j += 1
-                    j += 1
-                if j >= self.end:
-                    raise ShellUnterminated(f"unterminated double quote at offset {j}")
-                j += 1
+            if ch in QUOTE_CHARS:
+                k = skip_quoted(self.text, j, self.end)
+                if k is None:
+                    kind = "single" if ch == "'" else "double"
+                    raise ShellUnterminated(f"unterminated {kind} quote at offset {j}")
+                j = k
                 continue
             if ch == open_ch:
                 depth += 1
@@ -637,8 +627,8 @@ class _Parser:
     def _substitution_node(self, seg: Seg) -> UnifiedNode:
         node = UnifiedNode(NodeKind.SC_COMMAND_SUBSTITUTION, self.spans(seg.start, seg.end))
         inner_start, inner_end = seg.inner
-        sub = _Parser(self.text, inner_start, inner_end, self.spans, self.warnings)
         try:
+            sub = _Parser(self.text, inner_start, inner_end, self.spans, self.warnings)
             stmts = sub.parse_statements(frozenset(), frozenset())
         except ShellUnterminated as exc:
             self.warnings.append(f"substitution parse degraded: {exc}")
@@ -754,6 +744,26 @@ def parse_shell(
         return root
     _attach_sequence(root, stmts, span_builder)
     return root
+
+
+QUOTE_CHARS = "\\'\""
+
+
+def skip_quoted(text: str, j: int, end: int) -> int | None:
+    """The offset past the quoting that starts at ``text[j]``, one of
+    ``QUOTE_CHARS``, in ``text[:end]``: a backslash and the character it
+    escapes, or a single- or double-quoted string (in which a backslash
+    escapes the next character). None when the string is unterminated."""
+    ch = text[j]
+    if ch == "\\":
+        return j + 2
+    if ch == "'":
+        k = text.find("'", j + 1, end)
+        return None if k < 0 else k + 1
+    j += 1
+    while j < end and text[j] != '"':
+        j += 2 if text[j] == "\\" else 1
+    return j + 1 if j < end else None
 
 
 def heredoc_body(

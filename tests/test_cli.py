@@ -85,6 +85,17 @@ class TestLint:
 
 
 class TestFix:
+    def test_json_verbose_says_why_a_file_is_partial(self, tmp_path, capsys):
+        """``fix`` names a file's warnings in its JSON entry as ``lint`` does."""
+        path = write(tmp_path, "Dockerfile", "FROM x\nRUN cat <<EOF > /f && pip install y\n")
+        entries = []
+        for command in ("lint", "fix"):
+            main([command, "--format", "json", "-v", path])
+            (entry,) = json.loads(capsys.readouterr().out)["files"]
+            entries.append((entry["parse_status"], entry["warnings"]))
+        warnings = [f"{path}:2: unterminated heredoc", f"{path}:2: heredoc statement left unparsed"]
+        assert entries[0] == entries[1] == ("partial", warnings)
+
     def test_diff_mode_leaves_file_untouched(self, tmp_path, capsys):
         path = write(tmp_path, "Dockerfile", "FROM node\nRUN npm cache clean\n")
         code = main(["fix", "--diff", path])

@@ -190,6 +190,29 @@ class TestHeredocs:
         ast = parse_dockerfile("RUN <<EOF\nno closing marker\n")
         assert any("heredoc" in w for w in ast.warnings)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # a `<<` inside a word starts no heredoc word
+            "echo $((1<<2))",
+            "echo $((a<<EOF))",
+            # nor does a quoted or escaped one
+            "echo '<<EOF'",
+            'echo "<<EOF"',
+            "echo \\<<EOF",
+            'echo "a\\"<<EOF"',
+        ],
+    )
+    def test_a_heredoc_opens_only_at_the_start_of_a_word(self, payload):
+        ast = parse_dockerfile(f"RUN {payload}\nRUN true\nEOF\n")
+        assert instruction_kinds(ast) == [NodeKind.DOCKER_RUN, NodeKind.DOCKER_RUN, NodeKind.DOCKER_UNKNOWN]
+        assert ast.warnings == ["<memory>:3: unknown instruction 'EOF'"]
+
+    def test_a_heredoc_word_may_name_an_fd(self):
+        ast = parse_dockerfile("RUN cat 2<<EOF > /f\nRUN true\nEOF\n")
+        assert instruction_kinds(ast) == [NodeKind.DOCKER_RUN]
+        assert ast.warnings == []
+
 
 class TestRoundTripInvariant:
     @pytest.mark.parametrize(

@@ -363,6 +363,8 @@ def test_reread_is_fresh_parse_of_a_long_chain():
     "FROM debian\nRUN apt-get install -y x && sed -i 's/^#\\s*en_US/en_US/' /etc/locale.gen && make\n",
     "FROM debian\nRUN apt-get install -y x && sed -i 's/^#\\s*en_US/en_US/' /etc/locale.gen\n",
     "FROM debian\nRUN apt-get install -y x && echo a#b > f\n",
+    # a comment that ends inside a window reads as in the whole payload
+    "FROM python\nRUN <<EOF\npip install x && # note\n  pip install y && make\nEOF\n",
 ])
 def test_reread_parses_only_windows(text):
     assert_reread_is_fresh(text, spliced=True)
@@ -371,6 +373,7 @@ def test_reread_parses_only_windows(text):
 @pytest.mark.parametrize("text", [
     "FROM debian\nRUN apt-get install -y x && make # note\n",
     "FROM python\nRUN pip install flask # note\n",
+    "FROM debian\nRUN <<EOF\napt-get install -y x &&\n  make # note\nEOF\n",
 ])
 def test_reread_of_a_window_with_a_comment_falls_back(text):
     """A comment in a window would run past its end: the whole payload

@@ -207,6 +207,13 @@ class TestHeredocBodies:
                 "FROM x\nRUN cat <<<EOF\nRUN apt-get install -y q\nEOF\n",
                 [(RuleId.aptGetInstallUseNoRec, 3), (RuleId.aptGetInstallThenRemoveAptLists, 3)],
             ),
+            # a `<<` opens a heredoc only where it starts a word, past fd digits
+            (
+                "FROM x\nRUN x=$((1<<2)) && pip install x\nRUN apt-get install -y y\n2\nRUN pip install z\n",
+                [(RuleId.pipUseNoCacheDir, 2), (RuleId.aptGetInstallUseNoRec, 3),
+                 (RuleId.aptGetInstallThenRemoveAptLists, 3), (RuleId.pipUseNoCacheDir, 5)],
+            ),
+            ("FROM x\nRUN cat 2<<EOF > /f\nRUN apt-get install -y q\nEOF\n", []),
         ],
     )
     def test_rows(self, text, found):

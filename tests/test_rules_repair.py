@@ -326,6 +326,14 @@ class TestNotFixable:
                 "RUN echo 'gem: --no-document' >> /etc/gemrc && gem update --system && exit 0\n",
                 [("not-fixable", ENDS, False), ("applied", None, True)],
             ),
+            # nothing after the exit runs: not its cleanup, not its smell
+            (
+                "RUN apt-get install --no-install-recommends -y x && exit 0 && rm -rf /var/lib/apt/lists/*\n",
+                None,
+                [("not-fixable", ENDS, False)],
+            ),
+            ("RUN exit 0 && pip install x\n", None, []),
+            ("RUN exec myapp && pip install x\n", None, []),
             # `exec` of no command only redirects: the shell goes on
             (
                 "RUN exec 2>&1 && npm install\n",

@@ -440,6 +440,18 @@ class TestParserPaths:
              []),
             ("echo $(echo 'x)", """UNPARSED"echo $(echo 'x)\"""",
              ["shell parse degraded to opaque text: unterminated single quote at offset 12"]),
+            # an unterminated double quote is named at the quote
+            ('echo $(echo ") && b', """UNPARSED'echo $(echo ") && b'""",
+             ["shell parse degraded to opaque text: unterminated double quote at offset 12"]),
+            # a substitution that does not lex or parse degrades alone
+            ("x=$(echo `) && b",
+             "AND'x=$(echo `) && b'[SIMPLE-COMMAND'x=$(echo `)'[ASSIGNMENT'x=$(echo `)'"
+             "[COMMAND-SUBSTITUTION'$(echo `)'[UNPARSED'echo `']]] SIMPLE-COMMAND'b'[WORD'b']]",
+             ["substitution parse degraded: unterminated backquote at offset 9"]),
+            ("x=$(case x in) && b",
+             "AND'x=$(case x in) && b'[SIMPLE-COMMAND'x=$(case x in)'[ASSIGNMENT'x=$(case x in)'"
+             "[COMMAND-SUBSTITUTION'$(case x in)'[UNPARSED'case x in']]] SIMPLE-COMMAND'b'[WORD'b']]",
+             ["substitution parse degraded: unterminated case statement at offset 4"]),
             # arithmetic expansion is one opaque word, read as $(...) is
             ("echo $((1+2", "UNPARSED'echo $((1+2'",
              ["shell parse degraded to opaque text: unterminated '(' at offset 6"]),
