@@ -191,28 +191,24 @@ def _cmd_fix(args, rules, globs) -> int:
     if args.output_dir and paths:
         # each copy keeps its path below the directory common to the batch
         base = os.path.commonpath([os.path.dirname(os.path.abspath(p)) for p in paths])
+    write = args.in_place or args.output_dir
     write_failures = []
     for report in reports:
-        if report.fixed is None or not report.changed:
+        if not (write and report.changed):
             continue
-        if report.lossy_decode and (args.in_place or args.output_dir):
+        if report.lossy_decode:
             # writing the replaced text would change bytes no repair touched
             write_failures.append(f"{report.path}: not valid UTF-8, not written")
             continue
-        if args.in_place:
-            try:
-                with open(report.path, "w", encoding="utf-8") as fh:
-                    fh.write(report.fixed)
-            except OSError as exc:
-                write_failures.append(f"{report.path}: {exc}")
-        elif args.output_dir:
-            dest = os.path.join(args.output_dir, os.path.relpath(report.path, base))
-            try:
+        dest = report.path
+        try:
+            if args.output_dir:
+                dest = os.path.join(args.output_dir, os.path.relpath(report.path, base))
                 os.makedirs(os.path.dirname(dest), exist_ok=True)
-                with open(dest, "w", encoding="utf-8") as fh:
-                    fh.write(report.fixed)
-            except OSError as exc:
-                write_failures.append(f"{dest}: {exc}")
+            with open(dest, "w", encoding="utf-8") as fh:
+                fh.write(report.fixed)
+        except OSError as exc:
+            write_failures.append(f"{dest}: {exc}")
     for failure in write_failures:
         print(f"error: {failure}", file=sys.stderr)
 
@@ -232,6 +228,7 @@ def _cmd_fix(args, rules, globs) -> int:
                             "line": o.diagnostic.line,
                             "status": o.status,
                             "reason": o.reason,
+                            "detail": o.detail,
                         }
                         for o in r.repairs
                     ],
@@ -258,10 +255,13 @@ def _cmd_fix(args, rules, globs) -> int:
             if outcome.status == "applied":
                 print(f"{report.path}:{d.line}: fixed {d.rule.value}")
             elif outcome.status == "rolled-back":
-                print(f"{report.path}:{d.line}: rolled back {d.rule.value} ({outcome.reason})")
+                print(
+                    f"{report.path}:{d.line}: rolled back {d.rule.value}"
+                    f" ({outcome.reason}: {outcome.detail})"
+                )
             else:
                 print(f"{report.path}:{d.line}: not fixable {d.rule.value} ({outcome.reason})")
-        if (args.diff or not (args.in_place or args.output_dir)) and report.changed:
+        if not write and report.changed:
             sys.stdout.write(report.diff())
         _print_notes(report, args.verbose)
     print(

@@ -86,8 +86,6 @@ class DockerfileAst:
     #: What repairs keep per RUN they extend (``rules.Chain``), by the
     #: RUN node's id.
     chains: dict[int, Any] = field(default_factory=dict)
-    #: Whether a RUN configures gem (``rules.detect`` sets it when asked).
-    gemrc: bool | None = None
 
     def runs(self) -> list[UnifiedNode]:
         """The RUN instructions; a DOCKER-RUN node is always a root child."""
@@ -112,9 +110,6 @@ class SegmentedText:
         self.source_map = source_map
         self.anchor = anchor
 
-    def to_source(self, offset: int) -> int:
-        return self._source_in(bisect.bisect_right(self._cum, offset) - 1, offset)
-
     def _source_in(self, idx: int, offset: int) -> int:
         """The source offset of payload ``offset``, which lies in segment
         ``idx`` (past the last segment: at its end)."""
@@ -126,9 +121,7 @@ class SegmentedText:
 
     def to_payload(self, offset: int) -> int:
         """The payload offset of source ``offset``, which lies in a segment
-        or at its end: the inverse of ``to_source``."""
-        if not self.segments:
-            return 0
+        or at its end."""
         idx = bisect.bisect_right(self.segments, offset, key=itemgetter(0)) - 1
         return self._cum[idx] + (offset - self.segments[idx][0])
 

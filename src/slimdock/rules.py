@@ -2,10 +2,11 @@
 
 Each rule pairs a check, asked about every node of a RUN that carries one
 of its anchor labels (see ``query.RunIndex``), with a repair
-transformation. Detection scope for "later cleanup" checks is the
-enclosing RUN instruction only: container layering means a cleanup in a
-later RUN cannot shrink the earlier layer, so cross-RUN cleanup does not
-remove the size smell.
+transformation. A check reads the enclosing RUN instruction only
+(``detect_run``): container layering means a cleanup in a later RUN cannot
+shrink the earlier layer, so cross-RUN cleanup does not remove the size
+smell. The one fact read beyond a RUN, a gemrc written anywhere in the
+file, clears gemUpdateNoDocument in ``clear_configured`` alone.
 
 Repairs are text insertions, recorded on the ``DockerfileAst`` (the tree is
 not changed) and spliced into the source by ``printer.print_minimal``.
@@ -115,6 +116,7 @@ class RepairOutcome:
     diagnostic: SmellDiagnostic
     edits: list[tuple[int, str]] = field(default_factory=list)  # (offset, text) it inserted
     reason: str | None = None
+    detail: str | None = None  # why a rolled-back repair failed: instructions | words | residual
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +190,9 @@ def _not_fixable_reason(run: UnifiedNode) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scope:
-    """What a rule's check reads beyond the anchor's own statement: the
-    statements indexed in ``index``, and whether the file configures gem."""
-
-    index: RunIndex
-    gemrc_configured: Callable[[], bool]
-
-
-# The check answers whether one anchor smells: the repair's extras if so,
-# None if not.
-Check = Callable[[Scope, Anchor], "dict | None"]
+# The check answers whether one anchor smells, reading only the statements
+# of its RUN that the index holds: the repair's extras if so, None if not.
+Check = Callable[[RunIndex, Anchor], "dict | None"]
 
 
 @dataclass(frozen=True)
@@ -216,10 +209,10 @@ class Rule:
         for label in self.anchors:
             checked_label(label)
 
-    def smells(self, scope: Scope) -> Iterator[tuple[Anchor, dict]]:
+    def smells(self, index: RunIndex) -> Iterator[tuple[Anchor, dict]]:
         for label in self.anchors:
-            for anchor in scope.index.anchors(label):
-                extras = self.check(scope, anchor)
+            for anchor in index.anchors(label):
+                extras = self.check(index, anchor)
                 if extras is not None:
                     yield anchor, extras
 
@@ -232,8 +225,8 @@ def _flag_rule(
     for flag in flags.values():
         checked_label(flag)
 
-    def check(scope: Scope, anchor: Anchor) -> dict | None:
-        return None if scope.index.labelled(anchor.statement, flags[anchor.label]) else {}
+    def check(index: RunIndex, anchor: Anchor) -> dict | None:
+        return None if index.labelled(anchor.statement, flags[anchor.label]) else {}
 
     return Rule(rule_id, description, "flag", tuple(flags), check, flag_text=flag_text)
 
@@ -241,14 +234,14 @@ def _flag_rule(
 # -- rule 3: mkdirUsrSrcThenRemove ---------------------------------------------
 
 
-def _mkdir_usr_src(scope: Scope, anchor: Anchor) -> dict | None:
+def _mkdir_usr_src(index: RunIndex, anchor: Anchor) -> dict | None:
     path = shell.word_text(anchor.node)
     if shell.contains_variable(path):
         return None  # unresolvable path: suppressed (conservative)
     normalized = path.rstrip("/")
     if normalized != "/usr/src" and not normalized.startswith("/usr/src/"):
         return None
-    if scope.index.removed_after(anchor.statement_position, path, recursive=True):
+    if index.removed_after(anchor.statement_position, path, recursive=True):
         return None
     return {"path": _operand_source(anchor.node, normalized)}
 
@@ -259,13 +252,13 @@ def _mkdir_usr_src(scope: Scope, anchor: Anchor) -> dict | None:
 _MKTEMP_D = checked_label("SC-MKTEMP-F-D")
 
 
-def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
-    if not scope.index.labelled(anchor.statement, _MKTEMP_D):
+def _mktemp_d(index: RunIndex, anchor: Anchor) -> dict | None:
+    if not index.labelled(anchor.statement, _MKTEMP_D):
         return None
-    var = scope.index.captured(anchor.statement)
+    var = index.captured(anchor.statement)
     if var is None:
         return None  # result not captured: nothing nameable to remove
-    if scope.index.removed_variable_after(anchor.statement_position, var):
+    if index.removed_variable_after(anchor.statement_position, var):
         return None
     return {"var": var}
 
@@ -275,8 +268,8 @@ def _mktemp_d(scope: Scope, anchor: Anchor) -> dict | None:
 _TAR_ARCHIVE = checked_label("SC-TAR-ARCHIVE")
 
 
-def _tar(scope: Scope, anchor: Anchor) -> dict | None:
-    archives = scope.index.labelled(anchor.statement, _TAR_ARCHIVE)
+def _tar(index: RunIndex, anchor: Anchor) -> dict | None:
+    archives = index.labelled(anchor.statement, _TAR_ARCHIVE)
     if not archives:
         return None
     word = archives[0]
@@ -287,7 +280,7 @@ def _tar(scope: Scope, anchor: Anchor) -> dict | None:
         return None  # its source is not the operand alone
     if archive in ("-", "/dev/stdin") or shell.contains_variable(archive):
         return None
-    if scope.index.removed_after(anchor.statement_position, archive, recursive=False):
+    if index.removed_after(anchor.statement_position, archive, recursive=False):
         return None
     return {"archive": _operand_source(word, archive)}
 
@@ -297,8 +290,8 @@ def _tar(scope: Scope, anchor: Anchor) -> dict | None:
 _APT_LISTS = "/var/lib/apt/lists/*"
 
 
-def _apt_lists(scope: Scope, anchor: Anchor) -> dict | None:
-    if scope.index.removed_after(
+def _apt_lists(index: RunIndex, anchor: Anchor) -> dict | None:
+    if index.removed_after(
         anchor.statement_position, _APT_LISTS, recursive=True, glob=True
     ):
         return None
@@ -312,16 +305,16 @@ _GPG_VERIFY = checked_label("SC-GPG-F-VERIFY")
 _GPG_FILE = checked_label("SC-GPG-FILE")
 
 
-def _gpg_asc(scope: Scope, anchor: Anchor) -> dict | None:
-    if not scope.index.labelled(anchor.statement, _GPG_VERIFY):
+def _gpg_asc(index: RunIndex, anchor: Anchor) -> dict | None:
+    if not index.labelled(anchor.statement, _GPG_VERIFY):
         return None
-    for node in scope.index.labelled(anchor.statement, _GPG_FILE):
+    for node in index.labelled(anchor.statement, _GPG_FILE):
         asc = shell.word_text(node)
         if asc.endswith(".asc") and not shell.contains_variable(asc):
             break
     else:
         return None
-    if scope.index.removed_after(anchor.statement_position, asc, recursive=False):
+    if index.removed_after(anchor.statement_position, asc, recursive=False):
         return None
     return {"asc": _operand_source(node, asc)}
 
@@ -332,10 +325,10 @@ def _gpg_asc(scope: Scope, anchor: Anchor) -> dict | None:
 def _cleaned_by(label: str) -> Check:
     checked_label(label)
 
-    def check(scope: Scope, anchor: Anchor) -> dict | None:
+    def check(index: RunIndex, anchor: Anchor) -> dict | None:
         # any later clean counts: if `npm cache clean` lacks --force,
         # npmCacheCleanUseForce flags that command itself
-        return None if scope.index.later(label, anchor.statement_position) else {}
+        return None if index.later(label, anchor.statement_position) else {}
 
     return check
 
@@ -347,17 +340,17 @@ _GEM_SYSTEM = checked_label("SC-GEM-F-SYSTEM")
 _GEM_NO_DOCUMENT = checked_label("SC-GEM-F-NO-DOCUMENT")
 
 
-def _gem_rm_root(scope: Scope, anchor: Anchor) -> dict | None:
-    if not scope.index.labelled(anchor.statement, _GEM_SYSTEM):
+def _gem_rm_root(index: RunIndex, anchor: Anchor) -> dict | None:
+    if not index.labelled(anchor.statement, _GEM_SYSTEM):
         return None
-    if scope.index.removed_after(anchor.statement_position, _ROOT_GEM, recursive=True):
+    if index.removed_after(anchor.statement_position, _ROOT_GEM, recursive=True):
         return None
     return {}
 
 
 def writes_gemrc_no_document(roots: list[UnifiedNode]) -> bool:
     """Whether a command in ``roots`` writes `gem: --no-document` to a
-    gemrc: the one fact a check reads beyond its own RUN."""
+    gemrc."""
     for root in roots:
         for node in root.walk():
             if node.kind is not NodeKind.SC_SIMPLE_COMMAND:
@@ -381,22 +374,20 @@ def _redirects_to_gemrc(cmd: UnifiedNode) -> bool:
     return False
 
 
-def _gem_no_document(scope: Scope, anchor: Anchor) -> dict | None:
-    if not scope.index.labelled(anchor.statement, _GEM_SYSTEM):
+def _gem_no_document(index: RunIndex, anchor: Anchor) -> dict | None:
+    if not index.labelled(anchor.statement, _GEM_SYSTEM):
         return None
-    if scope.index.labelled(anchor.statement, _GEM_NO_DOCUMENT):
+    if index.labelled(anchor.statement, _GEM_NO_DOCUMENT):
         return None
-    if scope.gemrc_configured():
-        return None
-    return {}
+    return {}  # unless a RUN configures gem: see ``clear_configured``
 
 
 # -- rule 13: yumInstallRmVarCacheYum ---------------------------------------------
 
 
-def _yum_install(scope: Scope, anchor: Anchor) -> dict | None:
+def _yum_install(index: RunIndex, anchor: Anchor) -> dict | None:
     for cache in ("/var/cache/yum", "/var/cache/dnf"):  # dnf spells the same cache
-        if scope.index.removed_after(anchor.statement_position, cache, recursive=True):
+        if index.removed_after(anchor.statement_position, cache, recursive=True):
             return None
     return {}
 
@@ -530,28 +521,21 @@ def detect(
     ast: DockerfileAst, rules: set[RuleId] | list[RuleId] | None = None
 ) -> list[SmellDiagnostic]:
     """All smell diagnostics for the file, in document order: ``detect_run``
-    of each RUN. The gemrc fact is computed into ``ast.gemrc`` when asked."""
+    of each RUN, less those that ``clear_configured`` clears."""
     runs = ast.runs()
-
-    def gemrc_configured() -> bool:
-        if ast.gemrc is None:
-            ast.gemrc = writes_gemrc_no_document(runs)
-        return ast.gemrc
-
-    return [d for run in runs for d in detect_run(ast.path, run, rules, gemrc_configured)]
+    return clear_configured([d for run in runs for d in detect_run(ast.path, run, rules)], runs)
 
 
 def detect_run(
-    path: str, run: UnifiedNode, rules: set[RuleId] | list[RuleId] | None,
-    gemrc_configured: Callable[[], bool],
+    path: str, run: UnifiedNode, rules: set[RuleId] | list[RuleId] | None
 ) -> list[SmellDiagnostic]:
-    """The diagnostics of one RUN, in document order. Each check reads only
-    ``run``, but for gemUpdateNoDocument, which asks ``gemrc_configured()``;
-    and of a chain, only the elements up to one that ends the shell."""
+    """The diagnostics of one RUN, in document order, read from ``run``
+    alone; and of a chain, only from the elements up to one that ends the
+    shell."""
     elements = chain_elements(run_script(run))
     ends = None if elements is None else _ends_shell(elements)
     stop = sys.maxsize if ends is None else elements[ends].span.end
-    scope = Scope(RunIndex(run, stop), gemrc_configured)
+    index = RunIndex(run, stop)
     insertable = elements is not None
     appendable = insertable and ends is None
     diagnostics = [
@@ -567,15 +551,23 @@ def detect_run(
         )
         for rule in RULES
         if rules is None or rule.id in rules
-        for anchor, extras in rule.smells(scope)
+        for anchor, extras in rule.smells(index)
     ]
-    return sorted(diagnostics, key=detect_order)
+    return sorted(
+        diagnostics,
+        key=lambda d: (d.anchor.statement_position, d.anchor.position, _RULE_INDEX[d.rule]),
+    )
 
 
-def detect_order(diagnostic: SmellDiagnostic) -> tuple[int, int, int]:
-    """Where ``detect_run`` puts ``diagnostic`` among those of its RUN."""
-    anchor = diagnostic.anchor
-    return anchor.statement_position, anchor.position, _RULE_INDEX[diagnostic.rule]
+def clear_configured(
+    diagnostics: list[SmellDiagnostic], runs: list[UnifiedNode]
+) -> list[SmellDiagnostic]:
+    """``diagnostics`` without gemUpdateNoDocument if a RUN of ``runs``
+    writes the gemrc; the trees are walked only when such a one is there."""
+    gem = RuleId.gemUpdateNoDocument
+    if any(d.rule is gem for d in diagnostics) and writes_gemrc_no_document(runs):
+        return [d for d in diagnostics if d.rule is not gem]
+    return diagnostics
 
 
 # ---------------------------------------------------------------------------

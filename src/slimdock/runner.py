@@ -25,7 +25,6 @@ from smell statistics.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 from bisect import bisect_left, bisect_right
@@ -42,12 +41,10 @@ from .rules import (
     RuleId,
     SmellDiagnostic,
     chain_elements,
-    detect,
-    detect_order,
+    clear_configured,
     detect_run,
     repair,
     run_script,
-    writes_gemrc_no_document,
 )
 from .shell import parse_shell, word_text
 
@@ -98,18 +95,29 @@ def analyze_text(
     text: str, path: str, rules: list[RuleId] | None = None
 ) -> tuple[DockerfileAst, FileReport]:
     """Parse + unify + enrich + detect; the lint pipeline for one file."""
+    return _analyze(text, path, rules)[:2]
+
+
+def _analyze(
+    text: str, path: str, rules: list[RuleId] | None
+) -> tuple[DockerfileAst, FileReport, list[SmellDiagnostic]]:
+    """``analyze_text``, and the diagnostics of each RUN before
+    ``clear_configured``, which ``fix_text`` keeps for unedited RUNs."""
     ast = parse_and_enrich(text, path)
     report = FileReport(path=path, original=text)
     report.warnings = list(ast.warnings)
     report.status = _parse_status(ast)
+    found = []
     if report.status == PARSE_FAILED:
         report.error = "no known instruction"
     else:
-        report.diagnostics = detect(ast, rules)
+        runs = ast.runs()
+        found = [d for run in runs for d in detect_run(path, run, rules)]
+        report.diagnostics = clear_configured(found, runs)
     matched, total = ast.root.prop("enrich_stats", (0, 0))
     report.enriched_commands = matched
     report.total_commands = total
-    return ast, report
+    return ast, report, found
 
 
 def fix_text(
@@ -127,23 +135,26 @@ def fix_text(
     more repair, so the loop ends. A file whose repairs all roll back
     reprints byte-identically.
     """
-    ast, first = analyze_text(text, path, rules)
+    ast, first, found = _analyze(text, path, rules)
     if first.status == PARSE_FAILED:
         first.fixed = text
         return first
     ordinals = _run_ordinals(ast.runs())
-    failed: set[tuple] = set()
+    failed: dict[tuple, str] = {}  # the key of each failed repair's smell: why it failed
     while True:
         ast.insertions, ast.chains = [], {}
         report = replace(first, repairs=[])
         for diagnostic in report.diagnostics:
-            if _smell_key(ordinals, diagnostic) in failed:
-                outcome = RepairOutcome("rolled-back", diagnostic, reason="still-detected")
+            detail = failed.get(_smell_key(ordinals, diagnostic))
+            if detail:
+                outcome = RepairOutcome(
+                    "rolled-back", diagnostic, reason="still-detected", detail=detail
+                )
             else:
                 outcome = repair(ast, diagnostic)
             report.repairs.append(outcome)
         report.fixed = print_minimal(ast, text)
-        read_as, report.residual, garbled = _reanalyze(ast, first.diagnostics, report.fixed, rules)
+        read_as, report.residual, garbled = _reanalyze(ast, found, report.fixed, rules)
         unverified = _unverified(ordinals, report, read_as, garbled)
         if not unverified:
             return report
@@ -156,24 +167,24 @@ Windows = list[tuple[list[UnifiedNode], list[UnifiedNode]]]
 def _reanalyze(
     ast: DockerfileAst, diagnostics: list[SmellDiagnostic], fixed: str, rules: list[RuleId] | None
 ) -> tuple[list[UnifiedNode] | None, list[SmellDiagnostic], set[int]]:
-    """What ``analyze_text(fixed)`` finds, given ``ast`` and its ``diagnostics``:
-    per RUN, the tree it reads as (None if the instructions changed: then
-    every applied repair fails), the diagnostics, spans in ``fixed``, and
-    the ordinals of the RUNs where an original word does not read the same.
+    """What ``analyze_text(fixed)`` finds, given ``ast`` and the
+    ``diagnostics`` of its RUNs before ``clear_configured``: per RUN, the
+    tree it reads as (None if the instructions changed: then every applied
+    repair fails), the diagnostics, spans in ``fixed``, and the ordinals of
+    the RUNs where an original word does not read the same.
     Only a RUN that holds an insertion, ends included, is read again; the
     rest of ``fixed`` is the original text, so it reads the same if each
     such RUN reads as a RUN over its moved span and no insertion lies
     outside every RUN. Its tree comes from ``_reread``, it is detected
     anew, and the words of each window are checked (``_words_kept``).
-    Any other RUN keeps its tree and
-    diagnostics, moved by the text inserted before it; if the gemrc fact
-    flipped, only its gemUpdateNoDocument ones, the one check that reads
-    the fact, are dropped or looked for again."""
+    Any other RUN keeps its tree and diagnostics, moved by the text
+    inserted before it, as a check reads only its own RUN. The gemrc fact
+    is read once, of the printed RUNs, by ``clear_configured``."""
+    runs = ast.runs()
     if not ast.insertions:
-        return ast.runs(), list(diagnostics), set()
+        return runs, clear_configured(list(diagnostics), runs), set()
     shift = _Shift(ast.insertions)
     printed = FileParser(fixed, ast.path)
-    runs = ast.runs()
     read_as, garbled, held = [], set(), 0
     for i, run in enumerate(runs):
         start, end = run.span.start, run.span.end
@@ -196,24 +207,16 @@ def _reanalyze(
         read_as.append(new)
     if held != len(shift.offsets):
         return None, [], set()  # an insertion outside every RUN
-    fact = functools.cache(lambda: writes_gemrc_no_document(read_as))
-    flipped = ast.gemrc is not None and ast.gemrc != fact()
-    gem = [r for r in (RuleId if rules is None else rules) if r == RuleId.gemUpdateNoDocument]
     kept = {id(run): list(found) for run, found in groupby(diagnostics, lambda d: d.run)}
     whole = printed.sm.span(0, len(fixed))
     residual = []
     for run, tree in zip(runs, read_as):
         if tree is not run:
-            residual += detect_run(ast.path, tree, rules, fact)
+            residual += detect_run(ast.path, tree, rules)
             continue
-        found = kept.get(id(run), [])
-        if flipped:
-            found = [d for d in found if d.rule is not RuleId.gemUpdateNoDocument]
-            if not fact():
-                found = sorted(found + detect_run(ast.path, run, gem, fact), key=detect_order)
         delta = shift(run.span.start)
-        residual += [replace(d, span=d.span.moved(delta, whole)) for d in found]
-    return read_as, residual, garbled
+        residual += [replace(d, span=d.span.moved(delta, whole)) for d in kept.get(id(run), [])]
+    return read_as, clear_configured(residual, read_as), garbled
 
 
 class _Shift:
@@ -305,12 +308,16 @@ def _read_window(
     reads there: unless the window ends the payload, it ends in a blank
     (so no token of it reads on into the ``&&``); it parses with no
     warning into a chain (``rules.chain_elements``) that starts at
-    ``start``; and only blanks follow it. The lexer starts afresh at
-    ``start`` in both parses, so a ``#`` reads the same way in both,
-    in a word or as a comment; a comment that would run on past ``end``
-    leaves text after the last element, which the blank check refuses."""
-    if end <= start or (end != payload_end and src.clean[end - 1] not in " \t"):
+    ``start``; and only blanks follow it, or line ends too where the window
+    ends the payload (a leading heredoc's body ends in one). The lexer
+    starts afresh at ``start`` in both parses, so a ``#`` reads the same
+    way in both, in a word or as a comment; a comment that would run on
+    past ``end`` leaves text after the last element, which the blank check
+    refuses."""
+    last = end == payload_end
+    if end <= start or (not last and src.clean[end - 1] not in " \t"):
         return None
+    blanks = " \t\r\n" if last else " \t"
     warnings: list[str] = []
     script = parse_shell(src.clean, span_builder=src.span, warnings=warnings, region=(start, end))
     elements = chain_elements(script)
@@ -318,7 +325,7 @@ def _read_window(
         warnings
         or elements is None
         or src.to_payload(elements[0].span.start) != start
-        or src.clean[src.to_payload(elements[-1].span.end) : end].strip(" \t")
+        or src.clean[src.to_payload(elements[-1].span.end) : end].strip(blanks)
     ):
         return None
     enrich_node(script)
@@ -342,19 +349,23 @@ def _unverified(
     report: FileReport,
     read_as: list[UnifiedNode] | None,
     garbled: set[int],
-) -> set[tuple]:
-    """Keys of the applied repairs that ``read_as``, the tree each RUN reads
-    as in ``report.fixed``, does not confirm: all of them if the
-    instructions changed; those whose smell is in the residual; and those
-    of a RUN in ``garbled``, where an inserted word changed how an original
-    word reads."""
-    applied = [o for o in report.repairs if o.status == "applied"]
-    keys = {_smell_key(ordinals, o.diagnostic) for o in applied}
+) -> dict[tuple, str]:
+    """The keys of the applied repairs that ``read_as``, the tree each RUN
+    reads as in ``report.fixed``, does not confirm, each with its cause
+    (``RepairOutcome.detail``): all of them if the ``instructions``
+    changed; those of a RUN in ``garbled``, where an inserted word changed
+    how an original ``words`` reads; and those whose smell is in the
+    ``residual``."""
+    keys = {_smell_key(ordinals, o.diagnostic) for o in report.repairs if o.status == "applied"}
     if read_as is None:
-        return keys
+        return dict.fromkeys(keys, "instructions")
     read_ordinals = _run_ordinals(read_as)
     remaining = {_smell_key(read_ordinals, d) for d in report.residual}
-    return {key for key in keys if key in remaining or key[0] in garbled}
+    return {
+        key: "words" if key[0] in garbled else "residual"
+        for key in keys
+        if key[0] in garbled or key in remaining
+    }
 
 
 def _words_kept(old: list[UnifiedNode], read: list[UnifiedNode], shift: _Shift) -> bool:

@@ -84,6 +84,15 @@ class TestLint:
         assert first == second == 0
 
 
+    def test_verbose_text_names_warnings_on_stderr(self, tmp_path, capsys):
+        path = write(tmp_path, "Dockerfile", "FROM x\nRUN cat <<EOF > /f && pip install y\n")
+        assert main(["lint", "-v", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {path}:2: unterminated heredoc",
+            f"warning: {path}:2: heredoc statement left unparsed",
+        ]
+
+
 class TestFix:
     def test_json_verbose_says_why_a_file_is_partial(self, tmp_path, capsys):
         """``fix`` names a file's warnings in its JSON entry as ``lint`` does."""
@@ -192,6 +201,43 @@ class TestFix:
         assert payload["summary"]["residual"] == 0
         (entry,) = payload["files"]
         assert entry["repairs"][0]["status"] == "applied"
+        assert entry["repairs"][0]["detail"] is None
+
+    def test_rollback_says_why_in_json_and_text(self, tmp_path, capsys):
+        # the appended ` && rm a\` turns the archive `a\` into `a `
+        path = write(tmp_path, "Dockerfile", "# escape=`\nFROM debian\nRUN tar -xzf a\\\n")
+        assert main(["fix", "--format", "json", path]) == 1
+        (entry,) = json.loads(capsys.readouterr().out)["files"]
+        assert entry["repairs"] == [{
+            "rule": "tarSomethingRmTheSomething", "line": 3, "status": "rolled-back",
+            "reason": "still-detected", "detail": "words",
+        }]
+        assert main(["fix", path]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"{path}:3: rolled back tarSomethingRmTheSomething (still-detected: words)"
+        )
+
+    def test_output_dir_that_is_a_file_fails_the_write(self, tmp_path, capsys):
+        path = write(tmp_path, "in/Dockerfile", SMELLY)
+        out_file = write(tmp_path, "out", "not a directory\n")
+        assert main(["fix", "--output-dir", out_file, path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out_file}/Dockerfile: [Errno 17] File exists: '{out_file}'\n"
+        assert open(path).read() == SMELLY
+
+    def test_in_place_write_failure_named_on_stderr(self, tmp_path, capsys, monkeypatch):
+        import slimdock.cli as cli
+
+        def refuse(file, mode="r", **kwargs):
+            raise PermissionError(13, "Permission denied", file)
+
+        path = write(tmp_path, "Dockerfile", SMELLY)
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        assert main(["fix", "--in-place", "--format", "json", path]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["summary"]["exit_code"] == 2
+        assert err == f"error: {path}: [Errno 13] Permission denied: '{path}'\n"
+        assert open(path).read() == SMELLY
 
 
 class TestStats:
@@ -301,14 +347,14 @@ class TestRobustness:
     ):
         import slimdock.runner as runner
 
-        real = runner.analyze_text
+        real = runner.parse_and_enrich
 
-        def analyze(text, path, rules=None):
+        def parse(text, path):
             if "bad" in path:
                 raise RuntimeError("boom")
-            return real(text, path, rules)
+            return real(text, path)
 
-        monkeypatch.setattr(runner, "analyze_text", analyze)
+        monkeypatch.setattr(runner, "parse_and_enrich", parse)
         write(tmp_path, "bad/Dockerfile", SMELLY)
         write(tmp_path, "good/Dockerfile", SMELLY)
         assert main([command, "--format", "json", str(tmp_path)]) == 2

@@ -5,6 +5,7 @@ import pytest
 from slimdock.dockerfile import parse_dockerfile
 from slimdock.enrich import build_unified_ast
 from slimdock.model import NodeKind, span_text
+from slimdock.runner import analyze_text, fix_text
 
 
 def instruction_kinds(ast):
@@ -212,6 +213,34 @@ class TestHeredocs:
         ast = parse_dockerfile("RUN cat 2<<EOF > /f\nRUN true\nEOF\n")
         assert instruction_kinds(ast) == [NodeKind.DOCKER_RUN]
         assert ast.warnings == []
+
+    def test_a_heredoc_word_with_an_unterminated_quote_opens_none(self):
+        src = 'FROM x\nRUN cat <<"EOF > /f && pip install y\nRUN true\n'
+        ast, report = analyze_text(src, "Dockerfile")
+        assert instruction_kinds(ast) == [NodeKind.DOCKER_FROM, NodeKind.DOCKER_RUN, NodeKind.DOCKER_RUN]
+        assert report.status == "partial"
+        assert report.warnings == [
+            "Dockerfile:2: shell parse degraded to opaque text: unterminated double quote at offset 6"
+        ]
+        assert report.diagnostics == []
+
+
+class TestEmptyPayloads:
+    """A RUN with no command, or with only flags, has an empty script."""
+
+    @pytest.mark.parametrize("src", [
+        "RUN",
+        "RUN\n",
+        "RUN --mount=type=cache,target=/c",
+        # the flags end in a blank: the script starts past the payload's end
+        "RUN --mount=type=cache,target=/c ",
+        "FROM x\nRUN \\",
+        "RUN <<EOF\nEOF\n",
+    ])
+    def test_lints_clean_and_fixes_to_itself(self, src):
+        _, report = analyze_text(src, "Dockerfile")
+        assert (report.status, report.warnings, report.diagnostics) == ("ok", [], [])
+        assert fix_text(src, "Dockerfile").fixed == src
 
 
 class TestRoundTripInvariant:

@@ -13,7 +13,9 @@ from slimdock.enrich import embed_run, enrich_node, parse_and_enrich
 from slimdock.model import NodeKind, validate_tree
 from slimdock.printer import print_minimal
 from slimdock.rules import RuleId, repair
-from slimdock.runner import PARSE_FAILED, _reanalyze, _reread, _Shift, analyze_text, fix_text
+from slimdock.runner import (
+    PARSE_FAILED, _analyze, _reanalyze, _reread, _Shift, analyze_text, fix_text,
+)
 from conftest import read_text
 from test_scaling import chain
 
@@ -227,10 +229,10 @@ def test_a_gemrc_flip_keeps_the_unedited_runs_other_smells():
 def reanalyze(text, offset, inserted):
     """``_reanalyze`` of ``text`` with one crafted insertion; and the
     printed text."""
-    ast, lint = analyze_text(text, "<gen>")
+    ast, _, found = _analyze(text, "<gen>", None)
     ast.insertions = [(offset, 0, 0, inserted)]
     fixed = print_minimal(ast, text)
-    return _reanalyze(ast, lint.diagnostics, fixed, None), fixed
+    return _reanalyze(ast, found, fixed, None), fixed
 
 
 def test_a_garbled_gemrc_line_brings_back_an_unedited_runs_smell():
@@ -289,13 +291,13 @@ def reread_runs(text):
     """Per RUN that the first repair round edits: the tree ``fix_text``
     reads it as, a fresh parse and enrichment of the same RUN of the
     printed text, and whether only windows of it were parsed again."""
-    ast, lint = analyze_text(text, "<gen>")
+    ast, lint, found = _analyze(text, "<gen>", None)
     if lint.status == PARSE_FAILED:
         return []
     for diagnostic in lint.diagnostics:
         repair(ast, diagnostic)
     fixed = print_minimal(ast, text)
-    read_as, _, _ = _reanalyze(ast, lint.diagnostics, fixed, None)
+    read_as, _, _ = _reanalyze(ast, found, fixed, None)
     if read_as is None:
         return []
     fresh, printed = parse_dockerfile(fixed, "<gen>"), parse_dockerfile(fixed, "<gen>")
@@ -365,6 +367,12 @@ def test_reread_is_fresh_parse_of_a_long_chain():
     "FROM debian\nRUN apt-get install -y x && echo a#b > f\n",
     # a comment that ends inside a window reads as in the whole payload
     "FROM python\nRUN <<EOF\npip install x && # note\n  pip install y && make\nEOF\n",
+    # the last element of a leading heredoc's script, which ends in line
+    # ends: a newline, a blank line, CRLF, and a `<<-` body's tab
+    "FROM debian\nRUN <<EOF\ncd /src && pip install x\nEOF\n",
+    "FROM debian\nRUN <<EOF\ncd /src && pip install x\n\nEOF\n",
+    "FROM debian\r\nRUN <<EOF\r\ncd /src && pip install x\r\nEOF\r\n",
+    "FROM debian\nRUN <<-EOF\n\tcd /src && pip install x\n\tEOF\n",
 ])
 def test_reread_parses_only_windows(text):
     assert_reread_is_fresh(text, spliced=True)

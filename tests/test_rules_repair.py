@@ -378,7 +378,9 @@ class TestNotFixable:
         # the printed RUN reads as shell form
         text = 'RUN ["sh", "-c", "T=$(mktemp -d) && make -C $T"]\n'
         report = fix_text(text, "<t>")
-        assert [(o.status, o.reason) for o in report.repairs] == [("rolled-back", "still-detected")]
+        assert [(o.status, o.reason, o.detail) for o in report.repairs] == [
+            ("rolled-back", "still-detected", "words")
+        ]
         assert report.fixed == text
 
 
@@ -399,7 +401,9 @@ class TestVerifyOrRollback:
         )
         monkeypatch.setitem(rules_mod._RULE_BY_ID, RuleId.npmCacheCleanUseForce, broken)
         report = fix_text(src, "<t>")
-        assert [(o.status, o.reason) for o in report.repairs] == [("rolled-back", "still-detected")]
+        assert [(o.status, o.reason, o.detail) for o in report.repairs] == [
+            ("rolled-back", "still-detected", "residual")
+        ]
         assert report.fixed == src
         assert [d.rule for d in report.residual] == [RuleId.npmCacheCleanUseForce]
 
@@ -519,30 +523,34 @@ class TestReparseVerification:
     """Repairs whose inserted text changes how the original text reads: an
     operand that ends in a backslash, where the escape directive or the
     line ending gives that backslash a meaning. Each is rolled back with
-    the file unchanged, or applied with the smell gone and the original
-    words intact; a second fix changes nothing."""
+    the file unchanged, saying which check failed, or applied with the
+    smell gone and the original words intact; a second fix changes
+    nothing."""
 
     @pytest.mark.parametrize(
-        "src, fixed",
+        "src, fixed, detail",
         [
-            # ` && rm a\` turns tar's archive `a\` into `a `
-            ("# escape=`\nRUN tar -xzf a\\\n", None),
-            ("# escape=`\nRUN tar -xzf \\ \\\n", None),
-            ("# escape=`\nRUN apt-get install -y x && tar -xzf a\\\n", None),
+            # ` && rm a\` turns tar's archive `a\` into `a `; the tar smell
+            # is in the residual too, and the garbled word is named
+            ("# escape=`\nRUN tar -xzf a\\\n", None, "words"),
+            ("# escape=`\nRUN tar -xzf \\ \\\n", None, "words"),
+            ("# escape=`\nRUN apt-get install -y x && tar -xzf a\\\n", None, "words"),
             # an appended `rm -rf /usr/src/a\\` ends the line in a backslash,
             # which continues it into the next instruction
-            ("RUN mkdir -p /usr/src/a\\\\ && make\nRUN apt-get install -y x\n", None),
-            ("RUN mkdir -p /usr/src/a\\\\ && make\nENV X=1\n", None),
-            ("RUN tar -xzf 'a\\' && make\n", "RUN tar -xzf 'a\\' && rm 'a\\' && make\n"),
+            ("RUN mkdir -p /usr/src/a\\\\ && make\nRUN apt-get install -y x\n", None, "instructions"),
+            ("RUN mkdir -p /usr/src/a\\\\ && make\nENV X=1\n", None, "instructions"),
+            ("RUN tar -xzf 'a\\' && make\n", "RUN tar -xzf 'a\\' && rm 'a\\' && make\n", None),
             # the appended `rm -rf /usr/src/'a\'` has the text of the `a\`
             # it garbles; the word is checked where it was printed
-            ("# escape=`\nFROM debian\nRUN mkdir -p /usr/src/'a\\' && mkdir -p /usr/src/a\\\n", None),
+            ("# escape=`\nFROM debian\nRUN mkdir -p /usr/src/'a\\' && mkdir -p /usr/src/a\\\n", None, "words"),
         ],
     )
-    def test_rolled_back_or_verified(self, src, fixed):
+    def test_rolled_back_or_verified(self, src, fixed, detail):
         report = fix_text(src, "<t>")
         if fixed is None:  # every repair rolled back
-            assert {(o.status, o.reason) for o in report.repairs} == {("rolled-back", "still-detected")}
+            assert {(o.status, o.reason, o.detail) for o in report.repairs} == {
+                ("rolled-back", "still-detected", detail)
+            }
             assert report.fixed == src
         else:
             assert {o.status for o in report.repairs} == {"applied"}

@@ -1,12 +1,15 @@
-"""The runtime needs nothing outside the standard library."""
+"""The runtime needs nothing outside the standard library, and its
+syntax is that of the oldest Python that ``pyproject.toml`` declares."""
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "slimdock").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "slimdock").glob("*.py"))
 
 
 def absolute_imports(path):
@@ -26,3 +29,15 @@ def test_sources_found():
 def test_imports_are_stdlib(path):
     allowed = sys.stdlib_module_names | {"slimdock"}
     assert sorted(set(absolute_imports(path)) - allowed) == []
+
+
+def declared_floor():
+    """The (major, minor) of ``requires-python = ">=X.Y"``."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_syntax_is_that_of_the_declared_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=declared_floor())
