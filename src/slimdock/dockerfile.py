@@ -67,7 +67,7 @@ _SHELLS_FOR_EXEC = {"sh", "bash", "/bin/sh", "/bin/bash", "/usr/bin/sh", "/usr/b
 
 _KEYWORD_RE = re.compile(r"[ \t\ufeff]*([A-Za-z][A-Za-z_-]*)")
 _DIRECTIVE_RE = re.compile(r"#\s*([A-Za-z][A-Za-z0-9]*)\s*=\s*(\S+)\s*$")
-_RUN_FLAGS_RE = re.compile(r"\s*(?:--\S+\s+)*")
+_RUN_FLAGS_RE = re.compile(r"\s*(?:--\S+(?:\s+|\Z))*")  # a flag ends at blanks or the end
 # the operator of a heredoc; ``shell.heredoc_delimiter`` reads the word after it
 _HEREDOC_OP_RE = re.compile(r"<<-?")
 

@@ -123,8 +123,9 @@ _ASSIGNMENT, _UNPARSED = NodeKind.SC_ASSIGNMENT, NodeKind.SC_UNPARSED
 
 class RunIndex:
     """Labelled nodes of one RUN's subtree, in document order, with
-    cleanup lookups by position. The nodes that start past the offset
-    ``stop`` are left out: the walk meets them last."""
+    cleanup lookups by position; ``labels`` are the labels they carry. The
+    nodes that start past the offset ``stop`` are left out: the walk meets
+    them last."""
 
     def __init__(self, root: UnifiedNode, stop: int = sys.maxsize):
         self._anchors: dict[str, list[Anchor]] = {}
@@ -133,7 +134,7 @@ class RunIndex:
         self._labelled: dict[str, dict[int, list[UnifiedNode]]] = {}  # by label, then id() of the statement
         self._removals: tuple[dict, dict] | None = None
         stack: list[tuple[UnifiedNode, UnifiedNode | None, int]] = [(root, None, -1)]
-        position = 0
+        push, position = stack.append, 0
         while stack:
             node, statement, statement_position = stack.pop()
             if node.span.start > stop:
@@ -143,14 +144,16 @@ class RunIndex:
                 statement, statement_position = node, position
             elif kind is _ASSIGNMENT:
                 self._capture(node)
-            for label in node.annotations:
-                same = self._anchors.setdefault(label, [])
-                same.append(Anchor(node, statement or node, label, position,
-                                   statement_position if statement else position, len(same)))
+            if node.annotations:
+                for label in node.annotations:
+                    same = self._anchors.setdefault(label, [])
+                    same.append(Anchor(node, statement or node, label, position,
+                                       statement_position if statement else position, len(same)))
             position += 1
-            if kind is not _UNPARSED:
-                stack.extend((child, statement, statement_position)
-                             for child in reversed(node.children))
+            if node.children and kind is not _UNPARSED:
+                for child in reversed(node.children):
+                    push((child, statement, statement_position))
+        self.labels = self._anchors.keys()
 
     def _capture(self, assignment: UnifiedNode) -> None:
         """Record the assignment's name for the statements whose output its

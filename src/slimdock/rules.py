@@ -2,11 +2,13 @@
 
 Each rule pairs a check, asked about every node of a RUN that carries one
 of its anchor labels (see ``query.RunIndex``), with a repair
-transformation. A check reads the enclosing RUN instruction only
-(``detect_run``): container layering means a cleanup in a later RUN cannot
-shrink the earlier layer, so cross-RUN cleanup does not remove the size
-smell. The one fact read beyond a RUN, a gemrc written anywhere in the
-file, clears gemUpdateNoDocument in ``clear_configured`` alone.
+transformation. Detection asks only the rules whose anchor labels a RUN
+holds, so a RUN with no labelled node asks none. A check reads the
+enclosing RUN instruction only (``detect_run``): container layering means
+a cleanup in a later RUN cannot shrink the earlier layer, so cross-RUN
+cleanup does not remove the size smell. The one fact read beyond a RUN, a
+gemrc written anywhere in the file, clears gemUpdateNoDocument in
+``clear_configured`` alone.
 
 Repairs are text insertions, recorded on the ``DockerfileAst`` (the tree is
 not changed) and spliced into the source by ``printer.print_minimal``.
@@ -531,7 +533,8 @@ def detect_run(
 ) -> list[SmellDiagnostic]:
     """The diagnostics of one RUN, in document order, read from ``run``
     alone; and of a chain, only from the elements up to one that ends the
-    shell."""
+    shell. Only the rules with an anchor label that the RUN holds are
+    asked, in ``RULES`` order."""
     elements = chain_elements(run_script(run))
     ends = None if elements is None else _ends_shell(elements)
     stop = sys.maxsize if ends is None else elements[ends].span.end
@@ -550,7 +553,7 @@ def detect_run(
             extras=extras,
         )
         for rule in RULES
-        if rules is None or rule.id in rules
+        if not index.labels.isdisjoint(rule.anchors) and (rules is None or rule.id in rules)
         for anchor, extras in rule.smells(index)
     ]
     return sorted(

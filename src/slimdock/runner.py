@@ -6,11 +6,11 @@ lint of the repaired output reports. Repairs record text insertions and
 leave the tree as it was; the repaired text is the original with them
 spliced in (``printer.print_minimal``). Of that text, only the RUNs that
 hold an insertion are read again, each on its own, and of those only the
-chain elements a repair touched are parsed again; the other RUNs keep
-their trees and diagnostics. That is where every repair is verified: one
-whose smell is still detected there is rolled back by repairing the file
-again without it. A file that is not valid UTF-8 is
-analysed with U+FFFD in place of its bad bytes, and marked
+inserted elements and the chain elements a flag went into are parsed
+again; the other RUNs keep their trees and diagnostics. That is where
+every repair is verified: one whose smell is still detected there is
+rolled back by repairing the file again without it. A file that is not
+valid UTF-8 is analysed with U+FFFD in place of its bad bytes, and marked
 ``lossy_decode`` so that the CLI does not write that text back.
 
 Files are independent and processed one after another (the work is
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, groupby
@@ -36,6 +37,7 @@ from .enrich import embed_run, enrich_node, parse_and_enrich
 from .model import NodeKind, UnifiedNode
 from .printer import print_minimal, unified_diff
 from .rules import (
+    _FLAG,
     RULES,
     RepairOutcome,
     RuleId,
@@ -127,13 +129,13 @@ def fix_text(
 
     The text is parsed and analysed once; of the printed output, only the
     RUNs that hold an insertion are read again, each on its own
-    (``_reanalyze``), and of such a RUN only the chain elements the repairs
-    touched are parsed again (``_reread``). That gives the residual list,
-    exactly what a lint of the output reports, and verifies the repairs
-    (``_unverified``). A failed one is rolled back by repairing again, from
-    the same analysis, without it; every round rolls back at least one
-    more repair, so the loop ends. A file whose repairs all roll back
-    reprints byte-identically.
+    (``_reanalyze``), and of such a RUN only the inserted elements and the
+    chain elements a flag went into are parsed again (``_reread``). That
+    gives the residual list, exactly what a lint of the output reports,
+    and verifies the repairs (``_unverified``). A failed one is rolled back
+    by repairing again, from the same analysis, without it; every round
+    rolls back at least one more repair, so the loop ends. A file whose
+    repairs all roll back reprints byte-identically.
     """
     ast, first, found = _analyze(text, path, rules)
     if first.status == PARSE_FAILED:
@@ -221,16 +223,23 @@ def _reanalyze(
 
 class _Shift:
     """Where the original text lands in the printed one: the offsets of a
-    round's insertions, and how many characters go in before each."""
+    round's insertions, how many characters go in before each, and the
+    offsets that hold a flag addition."""
 
     def __init__(self, insertions: list[tuple[int, int, int, str]]):
         ordered = sorted((offset, len(text)) for offset, _, _, text in insertions)
         self.offsets = [offset for offset, _ in ordered]
         self._before = list(accumulate((size for _, size in ordered), initial=0))
+        self.flagged = {offset for offset, rank, _, _ in insertions if rank == _FLAG}
 
     def __call__(self, offset: int, through: bool = False) -> int:
         """Characters inserted before ``offset``; with ``through``, at it too."""
         return self._before[(bisect_right if through else bisect_left)(self.offsets, offset)]
+
+
+# the inserted `&&` that joins a new element to the one before it, with its
+# trivia: blanks and backslash-newlines
+_JOINED_RE = re.compile(r"(?:[ \t\r]|\\\n)*&&(?:[ \t\r]|\\\n)*")
 
 
 def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None:
@@ -240,16 +249,22 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
     parse of the whole payload would.
 
     ``run`` must be a chain (``rules.chain_elements``), and every insertion
-    must touch an element: lie in its span, ends included. Then each
-    untouched element, and the gap after it, is the same text in ``new``:
-    its copy is moved by the text inserted before it. Each maximal run of
-    touched elements, with what was inserted there, is a window. It runs
-    from the first one's printed start to the ``&&`` of the gap after the
-    last one, or to the end of the payload, and must read as chain
-    elements (``_read_window``). The tree is the one a parse of the whole
-    payload builds: the lexer starts afresh after ``&&`` and its trivia,
-    and the parser reads each element of a top-level chain from fresh
-    state."""
+    must lie in an element's span, ends included. A flag addition touches
+    its element, as does any other insertion inside one, or at the end of
+    one whose last payload character is `\\`, which the inserted blank
+    would escape. The elements that repairs insert at another element's
+    end, or at the first one's start, touch none. Each untouched element,
+    and the gap after it, is the same text in ``new``: its copy is moved by
+    the text inserted before it and at its start. The windows are each
+    maximal run of touched elements, from the first one's printed start to
+    the ``&&`` of the gap after the last one, or to the end of the payload;
+    the elements inserted after an untouched element, from the first
+    non-blank after their first ``&&`` to the same end; and those inserted
+    before an untouched first element, from their start to their last
+    ``&&``. Each must read as chain elements (``_read_window``). The tree
+    is the one a parse of the whole payload builds: the lexer starts
+    afresh after ``&&`` and its trivia, and the parser reads each element
+    of a top-level chain from fresh state."""
     elements = chain_elements(run_script(run))
     if (
         elements is None
@@ -258,36 +273,61 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
     ):
         return None
     starts = [element.span.start for element in elements]
-    offsets = shift.offsets
+    offsets, old_src = shift.offsets, run.prop("_script_src")
     inside = slice(bisect_left(offsets, run.span.start), bisect_right(offsets, run.span.end))
-    touched = set()
+    touched, joined = set(), set()  # joined: k if elements go in after element k; -1, before 0
     for offset in offsets[inside]:
         k = bisect_right(starts, offset) - 1
         if k < 0 or offset > elements[k].span.end:
             return None  # not in an element
-        touched.add(k)
-    if not touched:
-        return None
+        if offset in shift.flagged:
+            touched.add(k)
+        elif offset == elements[k].span.end:  # touched if the inserted blank escapes a `\`
+            (touched if old_src.clean[old_src.to_payload(offset) - 1] == "\\" else joined).add(k)
+        elif offset == starts[0]:
+            joined.add(-1)
+        else:
+            touched.add(k)
     src = new.prop("_script_src")
     start, end = new.prop("_script_region")
+
+    def printed(offset: int, through: bool = False) -> int:
+        return src.to_payload(offset + shift(offset, through))
+
+    def ends_after(k: int) -> int:
+        """Where a window that holds element ``k``, or what goes in after it, ends."""
+        if k == len(elements) - 1:
+            return end
+        return src.clean.find("&&", printed(elements[k].span.end, through=True))
+
     parts: list[UnifiedNode] = []
     windows: Windows = []
-    for is_touched, group in groupby(range(len(elements)), touched.__contains__):
-        old = [elements[k] for k in group]
-        if not is_touched:
-            parts += [element.moved(shift(element.span.start), new.span) for element in old]
-            continue
-        first, last = old[0].span, old[-1].span
-        window_start = src.to_payload(first.start + shift(first.start))
-        window_end = end
-        if old[-1] is not elements[-1]:
-            gap = src.to_payload(last.end + shift(last.end, through=True))
-            window_end = src.clean.find("&&", gap)
-        read = _read_window(src, window_start, window_end, end)
-        if read is None:
+
+    def read(old: list[UnifiedNode], window_start: int, window_end: int) -> bool:
+        found = _read_window(src, window_start, window_end, end)
+        if found is not None:
+            parts.extend(found)
+            windows.append((old, found))
+        return found is not None
+
+    if -1 in joined and 0 not in touched:
+        at = printed(starts[0])
+        if not read([], at, src.clean.rfind("&&", at, printed(starts[0], through=True))):
             return None
-        parts += read
-        windows.append((old, read))
+    for is_touched, group in groupby(range(len(elements)), touched.__contains__):
+        group = list(group)
+        if is_touched:
+            old = elements[group[0] : group[-1] + 1]
+            if not read(old, printed(old[0].span.start), ends_after(group[-1])):
+                return None
+            continue
+        for k in group:
+            element = elements[k]
+            parts.append(element.moved(shift(element.span.start, through=True), new.span))
+            if k in joined:
+                joint = _JOINED_RE.match(src.clean, printed(element.span.end))
+                if not (joint and read([], joint.end(), ends_after(k))):
+                    return None
     script = UnifiedNode(NodeKind.SC_SCRIPT, src.span(start, end))
     if len(parts) > 1:
         chain = UnifiedNode(NodeKind.SC_AND, parts[0].span.through(parts[-1].span))

@@ -1,12 +1,17 @@
 import glob
+import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 FIXTURES_DIR = os.path.join(DATA_DIR, "fixtures")
 ROUNDTRIP_DIR = os.path.join(DATA_DIR, "roundtrip")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: the seed of the benchmark's workloads that the tests read
+WORKLOAD_SEED = 3
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +47,18 @@ def roundtrip_paths():
     return sorted(glob.glob(os.path.join(ROUNDTRIP_DIR, "*.Dockerfile"))) + sorted(
         glob.glob(os.path.join(FIXTURES_DIR, "*.Dockerfile"))
     )
+
+
+@pytest.fixture(scope="session")
+def workload_texts():
+    """The text of every file of the benchmark's three generated workloads
+    (``corpus``, ``long_runs``, ``large_files``) at ``WORKLOAD_SEED``.
+    ``perfbench/gen.py`` is loaded from its file, and only read."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py")
+    )
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return [case.text for workload in gen.WORKLOADS
+            for case in gen.generate(workload, WORKLOAD_SEED, ROOT)]

@@ -242,6 +242,17 @@ class TestEmptyPayloads:
         assert (report.status, report.warnings, report.diagnostics) == ("ok", [], [])
         assert fix_text(src, "Dockerfile").fixed == src
 
+    @pytest.mark.parametrize("src", [
+        "RUN --mount=type=cache,target=/c",
+        # a flag ends at blanks or at the end of the payload alike
+        "RUN --mount=type=cache,target=/c ",
+    ])
+    def test_flags_alone_read_an_empty_script(self, src):
+        (run,) = analyze_text(src, "Dockerfile")[0].runs()
+        (script,) = run.children
+        assert (script.kind, script.children) == (NodeKind.SC_SCRIPT, [])
+        assert (script.span.start, script.span.end) == (len(src), len(src))
+
 
 class TestRoundTripInvariant:
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from bisect import bisect_right
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from slimdock import runner
 from slimdock.dockerfile import parse_dockerfile
 from slimdock.enrich import embed_run, enrich_node, parse_and_enrich
 from slimdock.model import NodeKind, validate_tree
@@ -16,6 +17,7 @@ from slimdock.rules import RuleId, repair
 from slimdock.runner import (
     PARSE_FAILED, _analyze, _reanalyze, _reread, _Shift, analyze_text, fix_text,
 )
+from slimdock.shell import parse_shell
 from conftest import read_text
 from test_scaling import chain
 
@@ -337,11 +339,19 @@ def assert_reread_is_fresh(text, spliced=False):
         assert shell_nodes(read) == shell_nodes(fresh)
     if spliced:
         assert runs and all(windowed for _, _, windowed in runs)
+    return runs
 
 
 def test_reread_is_fresh_parse_on_data(roundtrip_paths):
     for path in roundtrip_paths:
         assert_reread_is_fresh(read_text(path))
+
+
+def test_reread_is_fresh_parse_on_the_workloads(workload_texts):
+    """Every RUN that the benchmark's inputs have edited reads as a fresh
+    parse: 845 RUNs at the seed the tests read, most of them spliced."""
+    runs = [run for text in workload_texts for run in assert_reread_is_fresh(text)]
+    assert len(runs) > 800 and sum(windowed for _, _, windowed in runs) > len(runs) // 2
 
 
 def test_reread_is_fresh_parse_of_a_long_chain():
@@ -373,9 +383,62 @@ def test_reread_is_fresh_parse_of_a_long_chain():
     "FROM debian\nRUN <<EOF\ncd /src && pip install x\n\nEOF\n",
     "FROM debian\r\nRUN <<EOF\r\ncd /src && pip install x\r\nEOF\r\n",
     "FROM debian\nRUN <<-EOF\n\tcd /src && pip install x\n\tEOF\n",
+    # the element insertions of ``test_reread_windows_hold_what_changed``
+    "FROM debian\nRUN apt-get install --no-install-recommends -y x && make\n",
+    "FROM debian\nRUN tar -xzf a.tgz && cd /src && make\n",
+    "FROM ruby\nRUN gem update --system && rm -rf /root/.gem\n",
+    "FROM debian\nRUN cd /src && apt-get install -y x\n",
+    "FROM debian\nRUN cd /src \\\n    && tar -xzf a.tgz \\\n    && make\n",
+    "FROM debian\nRUN <<EOF\ngem update --system && rm -rf /root/.gem\nEOF\n",
 ])
 def test_reread_parses_only_windows(text):
     assert_reread_is_fresh(text, spliced=True)
+
+
+def parsed_windows(text, monkeypatch):
+    """The text of each window that ``_reanalyze`` parses again after the
+    first repair round of ``text``, in order."""
+    ast, lint, found = _analyze(text, "<gen>", None)
+    for diagnostic in lint.diagnostics:
+        repair(ast, diagnostic)
+    fixed = print_minimal(ast, text)
+    parsed = []
+
+    def recording(clean, **kwargs):
+        parsed.append(clean[slice(*kwargs["region"])])
+        return parse_shell(clean, **kwargs)
+
+    monkeypatch.setattr(runner, "parse_shell", recording)
+    _reanalyze(ast, found, fixed, None)
+    return parsed
+
+
+@pytest.mark.parametrize("text, windows", [
+    # a cleanup appended after an untouched element
+    ("FROM debian\nRUN apt-get install --no-install-recommends -y x && make\n",
+     ["rm -rf /var/lib/apt/lists/*"]),
+    # an adjacent cleanup in mid-chain, up to the original `&&`
+    ("FROM debian\nRUN tar -xzf a.tgz && cd /src && make\n", ["rm a.tgz "]),
+    # ... and across continued lines
+    ("FROM debian\nRUN cd /src \\\n    && tar -xzf a.tgz \\\n    && make\n",
+     ["rm a.tgz     "]),
+    # a config statement inserted before element 0, up to its own `&&`
+    ("FROM ruby\nRUN gem update --system && rm -rf /root/.gem\n",
+     ["echo 'gem: --no-document' >> /etc/gemrc "]),
+    ("FROM debian\nRUN <<EOF\ngem update --system && rm -rf /root/.gem\nEOF\n",
+     ["echo 'gem: --no-document' >> /etc/gemrc "]),
+    # a flag and an append on one element are one window
+    ("FROM debian\nRUN cd /src && apt-get install -y x\n",
+     ["apt-get install --no-install-recommends -y x && rm -rf /var/lib/apt/lists/*"]),
+    # the operand ends in an escaped blank, and the gap has none
+    ("# escape=`\nFROM debian\nRUN tar -xzf a\\ && make && echo ok\n", ["rm a\\ "]),
+    # the `\` that ends `a\` would escape the inserted blank, so its element
+    # is read again (the repair rolls back as `words`: see
+    # test_rules_repair.py, TestReparseVerification)
+    ("# escape=`\nFROM debian\nRUN tar -xzf a\\\n", ["tar -xzf a\\ && rm a\\"]),
+])
+def test_reread_windows_hold_what_changed(text, windows, monkeypatch):
+    assert parsed_windows(text, monkeypatch) == windows
 
 
 @pytest.mark.parametrize("text", [

@@ -1,10 +1,17 @@
 """Rule semantics: each smell's firing conditions and scope decisions."""
 
+import sys
+
 import pytest
 
+from conftest import read_text
 from slimdock.enrich import parse_and_enrich
 from slimdock.model import NodeKind
-from slimdock.rules import RuleId, detect, parse_rule_name
+from slimdock.query import RunIndex
+from slimdock.rules import (
+    RULES, Rule, RuleId, _ends_shell, chain_elements, detect, detect_run, parse_rule_name,
+    run_script,
+)
 
 
 def rules_found(text, only=None):
@@ -401,3 +408,44 @@ class TestRuleNames:
     def test_rules_filter(self):
         text = "RUN apk add curl && pip install x"
         assert rules_found(text, [RuleId.apkAddUseNoCache]) == [RuleId.apkAddUseNoCache]
+
+
+def asked_of_every_rule(run):
+    """The reference for ``detect_run``: what each rule of ``RULES`` finds
+    in ``run`` when all of them are asked, whatever labels it holds, as
+    (rule, anchor, extras) in document order."""
+    elements = chain_elements(run_script(run))
+    ends = None if elements is None else _ends_shell(elements)
+    index = RunIndex(run, sys.maxsize if ends is None else elements[ends].span.end)
+    found = [(rule.id, anchor, extras) for rule in RULES for anchor, extras in rule.smells(index)]
+    order = [rule.id for rule in RULES]
+    return sorted(found, key=lambda f: (f[1].statement_position, f[1].position, order.index(f[0])))
+
+
+class TestLabelDrivenDetection:
+    """``detect_run`` asks only the rules whose anchor labels a RUN holds,
+    and finds what asking all of them finds, in the same order."""
+
+    def assert_as_reference(self, texts):
+        runs = 0
+        for text in texts:
+            for run in parse_and_enrich(text).runs():
+                found = [(d.rule, d.anchor, d.extras) for d in detect_run("<t>", run, None)]
+                assert found == asked_of_every_rule(run)
+                runs += 1
+        return runs
+
+    def test_test_data(self, roundtrip_paths):
+        assert self.assert_as_reference(read_text(path) for path in roundtrip_paths) > 100
+
+    def test_workloads(self, workload_texts):
+        assert self.assert_as_reference(workload_texts) > 3000
+
+    def test_a_run_asks_only_the_rules_of_its_labels(self, monkeypatch):
+        asked, smells = [], Rule.smells
+        monkeypatch.setattr(Rule, "smells", lambda rule, index: asked.append(rule.id) or smells(rule, index))
+        ast = parse_and_enrich("FROM d\nRUN ./configure && make\n")
+        assert (detect(ast), asked) == ([], [])
+        ast = parse_and_enrich("FROM d\nRUN ./configure && make\nRUN apt-get install -y x\n")
+        apt = [RuleId.aptGetInstallUseNoRec, RuleId.aptGetInstallThenRemoveAptLists]
+        assert ([d.rule for d in detect(ast)], asked) == (apt, apt)
