@@ -390,8 +390,8 @@ class FileParser:
         """The bodies of the heredocs ``tokens``, in order, from the line
         after ``last_i`` (``shell.heredoc_body``), or None if one is
         unterminated: (the range from the newline that ends the command
-        line through the last delimiter line and its newline, that line's
-        index and end, the first body without its delimiter line)."""
+        line to the end of the last delimiter line, where the RUN ends, that
+        line's index and end, the first body without its delimiter line)."""
         _, cmd_end, pos = self.lines[last_i]
         first_body = None
         for delim, strip_tabs in tokens:
@@ -401,7 +401,7 @@ class FileParser:
             first_body = first_body or [(pos, body[0])]
             pos = min(body[1] + 1, len(self.text))
         last_i = self.sm.position(body[1])[0] - 1
-        return [(cmd_end, pos)], last_i, body[1], first_body
+        return [(cmd_end, body[1])], last_i, body[1], first_body
 
     # -- per-kind payload handling -----------------------------------------
 

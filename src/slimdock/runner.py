@@ -6,12 +6,12 @@ lint of the repaired output reports. Repairs record text insertions and
 leave the tree as it was; the repaired text is the original with them
 spliced in (``printer.print_minimal``). Of that text, only the RUNs that
 hold an insertion are read again, each on its own, and of those only the
-inserted elements and the chain elements a flag went into are parsed
-again; the other RUNs keep their trees and diagnostics. That is where
-every repair is verified: one whose smell is still detected there is
-rolled back by repairing the file again without it. A file that is not
-valid UTF-8 is analysed with U+FFFD in place of its bad bytes, and marked
-``lossy_decode`` so that the CLI does not write that text back.
+windows that hold inserted text, or a chain element it went into, are
+parsed again; the other RUNs keep their trees and diagnostics. That is
+where every repair is verified: one whose smell is still detected there
+is rolled back by repairing the file again without it. A file that is
+not valid UTF-8 is analysed with U+FFFD in place of its bad bytes, and
+marked ``lossy_decode`` so that the CLI does not write that text back.
 
 Files are independent and processed one after another (the work is
 pure-Python and CPU-bound, so threads would only contend for the GIL);
@@ -129,13 +129,13 @@ def fix_text(
 
     The text is parsed and analysed once; of the printed output, only the
     RUNs that hold an insertion are read again, each on its own
-    (``_reanalyze``), and of such a RUN only the inserted elements and the
-    chain elements a flag went into are parsed again (``_reread``). That
-    gives the residual list, exactly what a lint of the output reports,
-    and verifies the repairs (``_unverified``). A failed one is rolled back
-    by repairing again, from the same analysis, without it; every round
-    rolls back at least one more repair, so the loop ends. A file whose
-    repairs all roll back reprints byte-identically.
+    (``_reanalyze``), and of such a RUN only the windows that hold
+    inserted text are parsed again (``_reread``). That gives the residual
+    list, exactly what a lint of the output reports, and verifies the
+    repairs (``_unverified``). A failed one is rolled back by repairing
+    again, from the same analysis, without it; every round rolls back at
+    least one more repair, so the loop ends. A file whose repairs all roll
+    back reprints byte-identically.
     """
     ast, first, found = _analyze(text, path, rules)
     if first.status == PARSE_FAILED:
@@ -249,22 +249,22 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
     parse of the whole payload would.
 
     ``run`` must be a chain (``rules.chain_elements``), and every insertion
-    must lie in an element's span, ends included. A flag addition touches
-    its element, as does any other insertion inside one, or at the end of
-    one whose last payload character is `\\`, which the inserted blank
-    would escape. The elements that repairs insert at another element's
-    end, or at the first one's start, touch none. Each untouched element,
-    and the gap after it, is the same text in ``new``: its copy is moved by
-    the text inserted before it and at its start. The windows are each
-    maximal run of touched elements, from the first one's printed start to
-    the ``&&`` of the gap after the last one, or to the end of the payload;
-    the elements inserted after an untouched element, from the first
-    non-blank after their first ``&&`` to the same end; and those inserted
-    before an untouched first element, from their start to their last
-    ``&&``. Each must read as chain elements (``_read_window``). The tree
-    is the one a parse of the whole payload builds: the lexer starts
-    afresh after ``&&`` and its trivia, and the parser reads each element
-    of a top-level chain from fresh state."""
+    must lie in an element's span, ends included. The printed chain is a
+    row of pieces: what goes in before element 0 (B), then each element k
+    followed by what goes in after it (A_k). A flag addition dirties its
+    element, as does any other insertion inside one, or at the end of one
+    whose last payload character is `\\`, which the inserted blank would
+    escape; any other insertion at element k's end is A_k, and one at
+    element 0's start is B. Every element, and each B or A_k that holds
+    text, is a piece; B and A_k are dirty. A clean element, and the gap
+    after it, is the same text in ``new``: its copy is moved by the text
+    inserted before it and at its start. Each row of dirty pieces is one
+    window, read as chain elements (``_read_window``): from the printed
+    start of its first piece (for A_k, past the inserted ``&&``) to the
+    last ``&&`` before the printed start of the next element, or to the
+    end of the payload. The tree is the one a parse of the whole payload
+    builds: the lexer starts afresh after ``&&`` and its trivia, and the
+    parser reads each element of a top-level chain from fresh state."""
     elements = chain_elements(run_script(run))
     if (
         elements is None
@@ -275,59 +275,48 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
     starts = [element.span.start for element in elements]
     offsets, old_src = shift.offsets, run.prop("_script_src")
     inside = slice(bisect_left(offsets, run.span.start), bisect_right(offsets, run.span.end))
-    touched, joined = set(), set()  # joined: k if elements go in after element k; -1, before 0
+    dirty = set()  # pieces in printed order: B is 0, element k is 2k + 1, A_k is 2k + 2
     for offset in offsets[inside]:
         k = bisect_right(starts, offset) - 1
         if k < 0 or offset > elements[k].span.end:
             return None  # not in an element
         if offset in shift.flagged:
-            touched.add(k)
-        elif offset == elements[k].span.end:  # touched if the inserted blank escapes a `\`
-            (touched if old_src.clean[old_src.to_payload(offset) - 1] == "\\" else joined).add(k)
-        elif offset == starts[0]:
-            joined.add(-1)
+            dirty.add(2 * k + 1)
+        elif offset == elements[k].span.end:  # A_k, unless the inserted blank escapes a `\`
+            dirty.add(2 * k + 1 + (old_src.clean[old_src.to_payload(offset) - 1] != "\\"))
         else:
-            touched.add(k)
+            dirty.add(0 if offset == starts[0] else 2 * k + 1)
     src = new.prop("_script_src")
     start, end = new.prop("_script_region")
 
     def printed(offset: int, through: bool = False) -> int:
         return src.to_payload(offset + shift(offset, through))
 
-    def ends_after(k: int) -> int:
-        """Where a window that holds element ``k``, or what goes in after it, ends."""
-        if k == len(elements) - 1:
-            return end
-        return src.clean.find("&&", printed(elements[k].span.end, through=True))
-
+    pieces = [p for p in range(2 * len(elements) + 1) if p % 2 or p in dirty]
     parts: list[UnifiedNode] = []
     windows: Windows = []
-
-    def read(old: list[UnifiedNode], window_start: int, window_end: int) -> bool:
-        found = _read_window(src, window_start, window_end, end)
-        if found is not None:
-            parts.extend(found)
-            windows.append((old, found))
-        return found is not None
-
-    if -1 in joined and 0 not in touched:
-        at = printed(starts[0])
-        if not read([], at, src.clean.rfind("&&", at, printed(starts[0], through=True))):
-            return None
-    for is_touched, group in groupby(range(len(elements)), touched.__contains__):
-        group = list(group)
-        if is_touched:
-            old = elements[group[0] : group[-1] + 1]
-            if not read(old, printed(old[0].span.start), ends_after(group[-1])):
-                return None
+    for is_dirty, row in groupby(pieces, dirty.__contains__):
+        row = list(row)
+        old = [elements[p // 2] for p in row if p % 2]
+        if not is_dirty:
+            parts += [e.moved(shift(e.span.start, through=True), new.span) for e in old]
             continue
-        for k in group:
-            element = elements[k]
-            parts.append(element.moved(shift(element.span.start, through=True), new.span))
-            if k in joined:
-                joint = _JOINED_RE.match(src.clean, printed(element.span.end))
-                if not (joint and read([], joint.end(), ends_after(k))):
-                    return None
+        first, after = row[0], (row[-1] + 1) // 2  # after: the element that follows the row
+        if first and not first % 2:  # A_k: past the `&&` inserted after element k
+            joint = _JOINED_RE.match(src.clean, printed(elements[first // 2 - 1].span.end))
+            if joint is None:
+                return None
+            at = joint.end()
+        else:
+            at = printed(starts[first // 2])
+        to = end
+        if after < len(elements):
+            to = src.clean.rfind("&&", at, printed(starts[after], through=True))
+        found = _read_window(src, at, to, end)
+        if found is None:
+            return None
+        parts += found
+        windows.append((old, found))
     script = UnifiedNode(NodeKind.SC_SCRIPT, src.span(start, end))
     if len(parts) > 1:
         chain = UnifiedNode(NodeKind.SC_AND, parts[0].span.through(parts[-1].span))
@@ -345,19 +334,18 @@ def _read_window(
 ) -> list[UnifiedNode] | None:
     """The enriched chain elements ``src.clean[start:end]`` reads as, or
     None unless they are what a parse of the payload to ``payload_end``
-    reads there: unless the window ends the payload, it ends in a blank
-    (so no token of it reads on into the ``&&``); it parses with no
-    warning into a chain (``rules.chain_elements``) that starts at
-    ``start``; and only blanks follow it, or line ends too where the window
-    ends the payload (a leading heredoc's body ends in one). The lexer
-    starts afresh at ``start`` in both parses, so a ``#`` reads the same
-    way in both, in a word or as a comment; a comment that would run on
-    past ``end`` leaves text after the last element, which the blank check
-    refuses."""
-    last = end == payload_end
-    if end <= start or (not last and src.clean[end - 1] not in " \t"):
+    reads there: unless the window ends the payload, its last character is
+    not `\\` (the whole parse reads `\\&` as an escaped `&`; no other token
+    reads on into the ``&&``, and a trailing `|`, `>` or `<` draws a
+    warning); it parses with no warning into a chain
+    (``rules.chain_elements``) that starts at ``start``; and only blanks
+    and line ends follow it (a leading heredoc's body ends in one). The
+    lexer starts afresh at ``start`` in both parses, so a ``#`` reads the
+    same way in both, in a word or as a comment; a comment that would run
+    on past ``end`` leaves text after the last element, which the blank
+    check refuses."""
+    if end <= start or (end < payload_end and src.clean[end - 1] == "\\"):
         return None
-    blanks = " \t\r\n" if last else " \t"
     warnings: list[str] = []
     script = parse_shell(src.clean, span_builder=src.span, warnings=warnings, region=(start, end))
     elements = chain_elements(script)
@@ -365,7 +353,7 @@ def _read_window(
         warnings
         or elements is None
         or src.to_payload(elements[0].span.start) != start
-        or src.clean[src.to_payload(elements[-1].span.end) : end].strip(blanks)
+        or src.clean[src.to_payload(elements[-1].span.end) : end].strip(" \t\r\n")
     ):
         return None
     enrich_node(script)

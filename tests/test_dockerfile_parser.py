@@ -4,7 +4,7 @@ import pytest
 
 from slimdock.dockerfile import parse_dockerfile
 from slimdock.enrich import build_unified_ast
-from slimdock.model import NodeKind, span_text
+from slimdock.model import NodeKind, span_text, validate_tree
 from slimdock.runner import analyze_text, fix_text
 
 
@@ -184,8 +184,26 @@ class TestHeredocs:
         src = "RUN cat <<A <<-B > /f\na\nA\n\tb\n\tB\nRUN echo after\n"
         first, second = parse_dockerfile(src).runs()
         assert span_text(src, first.span) == "RUN cat <<A <<-B > /f\na\nA\n\tb\n\tB"
-        assert first.prop("_script_src").clean == "cat <<A <<-B > /f\na\nA\n\tb\n\tB\n"
+        assert first.prop("_script_src").clean == "cat <<A <<-B > /f\na\nA\n\tb\n\tB"
         assert span_text(src, second.span) == "RUN echo after"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "RUN cat <<EOF > /f\nx\nEOF\n",
+            "FROM debian\r\nRUN cat <<EOF > /f\r\nx\r\nEOF\r\nRUN true\r\n",
+            "RUN cat <<A <<-B > /f\na\nA\n\tb\n\tB\nRUN echo after\n",
+            "RUN a \\\n  && cat <<EOF > /f\nx\nEOF\n",
+            "RUN cat <<EOF > /f\nx\nEOF",
+        ],
+    )
+    def test_a_heredoc_after_the_command_ends_the_script_with_the_run(self, src):
+        """The script ends where its RUN does, at the end of the last
+        delimiter line, not past its newline."""
+        run = build_unified_ast(parse_dockerfile(src)).runs()[0]
+        validate_tree(run)
+        assert span_text(src, run.span).endswith(("EOF", "EOF\r", "\tB"))
+        assert run.children[0].span.end == run.span.end
 
     def test_unterminated_heredoc_warns(self):
         ast = parse_dockerfile("RUN <<EOF\nno closing marker\n")

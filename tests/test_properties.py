@@ -50,6 +50,8 @@ def instructions(draw):
         body = draw(shell_payloads())
         if draw(st.booleans()):
             body = body.replace(" && ", " \\\n    && ", 1)
+        if draw(st.integers(0, 3)) == 0:  # a heredoc after the command
+            return f"RUN {body} <<EOF\n{draw(_payload)}\nEOF"
         return f"RUN {body}"
     if kind == "ENV":
         return "ENV KEY=" + draw(st.sampled_from(["v", "'a b'", "$HOME/x"]))
@@ -75,9 +77,11 @@ def dockerfiles(draw):
 
 
 # Files whose RUNs hold the rule anchors, with operands that are quoted,
-# globbed, hold a `;` or a NUL or end in a backslash, in shell form or exec
-# form, after a `--mount` flag or not, under either escape character, with
-# LF or CRLF line endings, with or without a leading BOM and a final newline.
+# globbed, hold a `;` or a NUL or end in a backslash, in shell form, exec
+# form or a heredoc (leading, or after the chain), after a `--mount` flag or
+# not, with `&&` gaps with and without blanks, under either escape
+# character, with LF or CRLF line endings, with or without a leading BOM and
+# a final newline.
 _operands = st.sampled_from(
     ["a.tgz", "'my file.tgz'", '"x y.tgz"', "*.tgz", "'a;b.tgz'", "a\\", "'a\\'",
      "a\\ b", "\\ \\", '"q\\"', "$V", "a\x00b.tgz"]
@@ -127,11 +131,20 @@ def anchored_dockerfiles(draw):
             lines.append("RUN " + mount + draw(exec_payloads()))
             continue
         commands = draw(st.lists(anchored_commands(), min_size=1, max_size=4))
+        heredoc = draw(st.sampled_from(["", "", "leading", "after"]))
+        continued = "\\" if heredoc == "leading" else escape  # the shell reads the body
         body = commands[0]
         for command in commands[1:]:
-            body += draw(st.sampled_from([" && ", " && ", " || ", "; ", f" {escape}\n    && "]))
+            body += draw(st.sampled_from(
+                [" && ", " && ", "&&", " &&", "&& ", " || ", "; ", f" {continued}\n    && "]
+            ))
             body += command
-        lines.append("RUN " + mount + body)
+        if heredoc == "leading":
+            lines.append("RUN " + mount + "<<EOF\n" + body + "\nEOF")
+        elif heredoc == "after":
+            lines.append("RUN " + mount + body + " && cat <<EOF > /f\n" + commands[0] + "\nEOF")
+        else:
+            lines.append("RUN " + mount + body)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = "\n".join(lines).replace("\n", newline)
     if draw(st.integers(0, 4)) == 0:
@@ -390,6 +403,9 @@ def test_reread_is_fresh_parse_of_a_long_chain():
     "FROM debian\nRUN cd /src && apt-get install -y x\n",
     "FROM debian\nRUN cd /src \\\n    && tar -xzf a.tgz \\\n    && make\n",
     "FROM debian\nRUN <<EOF\ngem update --system && rm -rf /root/.gem\nEOF\n",
+    "FROM debian\nRUN tar -xzf a.tgz&&make\n",
+    "FROM ruby\nRUN gem update --system&&apk add curl&&gpg --verify a.asc a\n",
+    "FROM python\nRUN tar -xzf a.tgz && pip install x && make\n",
 ])
 def test_reread_parses_only_windows(text):
     assert_reread_is_fresh(text, spliced=True)
@@ -436,6 +452,14 @@ def parsed_windows(text, monkeypatch):
     # is read again (the repair rolls back as `words`: see
     # test_rules_repair.py, TestReparseVerification)
     ("# escape=`\nFROM debian\nRUN tar -xzf a\\\n", ["tar -xzf a\\ && rm a\\"]),
+    # a window may end at an `&&` with no blank before it
+    ("FROM debian\nRUN tar -xzf a.tgz&&make\n", ["rm a.tgz"]),
+    ("FROM ruby\nRUN gem update --system&&apk add curl&&gpg --verify a.asc a\n",
+     ["echo 'gem: --no-document' >> /etc/gemrc ", "apk add --no-cache curl",
+      "rm a.asc && rm -rf /root/.gem"]),
+    # an adjacent cleanup and the flagged element after it are one row
+    ("FROM python\nRUN tar -xzf a.tgz && pip install x && make\n",
+     ["rm a.tgz && pip install --no-cache-dir x "]),
 ])
 def test_reread_windows_hold_what_changed(text, windows, monkeypatch):
     assert parsed_windows(text, monkeypatch) == windows
@@ -445,13 +469,29 @@ def test_reread_windows_hold_what_changed(text, windows, monkeypatch):
     "FROM debian\nRUN apt-get install -y x && make # note\n",
     "FROM python\nRUN pip install flask # note\n",
     "FROM debian\nRUN <<EOF\napt-get install -y x &&\n  make # note\nEOF\n",
+    # the window ends at the last `&&` before `make`, the one in the comment
+    "FROM python\nRUN <<EOF\npip install x && # a && b\n  make\nEOF\n",
 ])
 def test_reread_of_a_window_with_a_comment_falls_back(text):
-    """A comment in a window would run past its end: the whole payload
-    is parsed again."""
+    """A comment in a window would run past its end, or it holds the
+    ``&&`` the window ends at: the whole payload is parsed again."""
     runs = reread_runs(text)
     assert runs and not any(windowed for _, _, windowed in runs)
     assert_reread_is_fresh(text)
+
+
+def test_reread_refuses_a_window_that_ends_in_a_backslash():
+    """The whole parse reads `\\&` as an escaped `&`: a window that ends
+    in `\\` before an original `&&` is refused."""
+    text = "FROM debian\nRUN tar -xzf a.tgz&&make\n"
+    (read_as, _, _), fixed = reanalyze(text, text.index("&&"), " && rm x\\")
+    assert "rm x\\&&make" in fixed
+    fresh = parse_and_enrich(fixed).runs()[0]
+    assert shell_nodes(read_as[0]) == shell_nodes(fresh)
+    ast = parse_and_enrich(text)
+    ast.insertions = [(text.index("&&"), 0, 0, " && rm x\\")]
+    (run,), (new,) = ast.runs(), parse_dockerfile(fixed).runs()
+    assert _reread(run, new, _Shift(ast.insertions)) is None
 
 
 def test_reread_declines_an_escaped_sh_c_string():
