@@ -9,6 +9,7 @@ without repairs prints as itself.
 from __future__ import annotations
 
 import difflib
+import io
 
 from .dockerfile import DockerfileAst
 
@@ -27,6 +28,16 @@ def print_minimal(ast: DockerfileAst, original: str | None = None) -> str:
     return "".join(parts)
 
 
+# after a line that ends the file without a line end, as GNU diff marks it
+_NO_NEWLINE = "\n\\ No newline at end of file\n"
+
+
+def _lines(text: str) -> list[str]:
+    """``text``'s lines as patch tools read them: only a line feed ends
+    one (``str.splitlines`` also splits at `\\r` and form feeds)."""
+    return io.StringIO(text, newline="\n").readlines()
+
+
 def unified_diff(original: str, repaired: str, path: str) -> str:
     """Unified diff between the original and repaired text.
 
@@ -34,13 +45,10 @@ def unified_diff(original: str, repaired: str, path: str) -> str:
     if original == repaired:
         return ""
     diff = difflib.unified_diff(
-        original.splitlines(keepends=True),
-        repaired.splitlines(keepends=True),
+        _lines(original),
+        _lines(repaired),
         fromfile=f"a/{path}",
         tofile=f"b/{path}",
         n=0,
     )
-    out = "".join(diff)
-    if out and not out.endswith("\n"):
-        out += "\n"
-    return out
+    return "".join(line if line.endswith("\n") else line + _NO_NEWLINE for line in diff)

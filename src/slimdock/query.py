@@ -222,8 +222,6 @@ class RunIndex:
                 in_shell = not statement.prop("exec_array")
                 for node in self.labelled(statement, _RM_PATH):
                     text = node.prop("text")
-                    if text is None:
-                        continue
                     glob = in_shell and read_word(node.literal)[1]
                     last = operands.setdefault((text, glob), [-1, -1])
                     last[0] = max(last[0], where)

@@ -1,13 +1,15 @@
-"""The registry of the 14 size-impacting smells.
+"""The registry of the 14 size-impacting smells, one ``Rule`` row each.
 
-Each rule pairs a check, asked about every node of a RUN that carries one
-of its anchor labels (see ``query.RunIndex``), with a repair
-transformation. Detection asks only the rules whose anchor labels a RUN
-holds, so a RUN with no labelled node asks none. A check reads the
-enclosing RUN instruction only (``detect_run``): container layering means
-a cleanup in a later RUN cannot shrink the earlier layer, so cross-RUN
-cleanup does not remove the size smell. The one fact read beyond a RUN, a
-gemrc written anywhere in the file, clears gemUpdateNoDocument in
+A row says which nodes its rule is asked about (anchor labels, see
+``query.RunIndex``), what their statement must carry to smell, what
+clears the smell (a flag there, a later clean command or `rm -r` of a
+cache path, or an operand check of the rule's own) and its fix.
+``Rule.smells`` is the one reader of a row, and detection asks only the
+rules whose anchor labels a RUN holds. A rule reads the enclosing RUN
+instruction only (``detect_run``): container layering means a cleanup in
+a later RUN cannot shrink the earlier layer, so cross-RUN cleanup does
+not remove the size smell. The one fact read beyond a RUN, a gemrc
+written anywhere in the file, clears gemUpdateNoDocument in
 ``clear_configured`` alone.
 
 Repairs are text insertions, recorded on the ``DockerfileAst`` (the tree is
@@ -192,45 +194,49 @@ def _not_fixable_reason(run: UnifiedNode) -> str:
 # ---------------------------------------------------------------------------
 
 
-# The check answers whether one anchor smells, reading only the statements
-# of its RUN that the index holds: the repair's extras if so, None if not.
-Check = Callable[[RunIndex, Anchor], "dict | None"]
-
-
 @dataclass(frozen=True)
 class Rule:
+    """One row of ``RULES``: the nodes a rule is asked about, what their
+    statement must carry to smell, what clears the smell, and its fix.
+    ``smells`` is the one reader of the row."""
+
     id: RuleId
     description: str
     kind: str  # flag | append | adjacent | before
-    anchors: tuple[str, ...]  # labels of the nodes the check is asked about
-    check: Check
-    repair_text: Callable[[dict], str] | None = None  # element insertions
-    flag_text: str | None = None  # flag additions
+    anchors: tuple[str, ...]  # labels of the nodes the rule is asked about
+    fix: str  # the flag to add, or the statement to insert with the extras formatted in
+    needs: str | None = None  # a flag label the anchor's statement must carry
+    flags: dict[str, str] = field(default_factory=dict)  # per anchor label, a flag that clears it
+    cleaned_by: str | None = None  # a label whose later statement clears it
+    removed: tuple[str, ...] = ()  # paths a later `rm -r` clears it by; `*` ends a glob
+    # reads the operand the fix names: the fix's extras if the anchor smells, None if not
+    operand: Callable[[RunIndex, Anchor], dict | None] | None = None
 
     def __post_init__(self) -> None:
-        for label in self.anchors:
-            checked_label(label)
+        for label in (*self.anchors, *self.flags.values(), self.needs, self.cleaned_by):
+            if label is not None:
+                checked_label(label)
 
     def smells(self, index: RunIndex) -> Iterator[tuple[Anchor, dict]]:
         for label in self.anchors:
+            flag = self.flags.get(label)
             for anchor in index.anchors(label):
-                extras = self.check(index, anchor)
+                statement, position = anchor.statement, anchor.statement_position
+                if (
+                    (self.needs is not None and not index.labelled(statement, self.needs))
+                    or (flag is not None and index.labelled(statement, flag))
+                    # any later clean counts: if `npm cache clean` lacks --force,
+                    # npmCacheCleanUseForce flags that command itself
+                    or (self.cleaned_by is not None and index.later(self.cleaned_by, position))
+                    or any(
+                        index.removed_after(position, path, recursive=True, glob=path.endswith("*"))
+                        for path in self.removed
+                    )
+                ):
+                    continue
+                extras = {} if self.operand is None else self.operand(index, anchor)
                 if extras is not None:
                     yield anchor, extras
-
-
-def _flag_rule(
-    rule_id: RuleId, description: str, flag_text: str, flags: dict[str, str]
-) -> Rule:
-    """An anchor smells while its statement lacks the flag paired with the
-    anchor's label in ``flags``."""
-    for flag in flags.values():
-        checked_label(flag)
-
-    def check(index: RunIndex, anchor: Anchor) -> dict | None:
-        return None if index.labelled(anchor.statement, flags[anchor.label]) else {}
-
-    return Rule(rule_id, description, "flag", tuple(flags), check, flag_text=flag_text)
 
 
 # -- rule 3: mkdirUsrSrcThenRemove ---------------------------------------------
@@ -251,12 +257,7 @@ def _mkdir_usr_src(index: RunIndex, anchor: Anchor) -> dict | None:
 # -- rule 4: rmRecursiveAfterMktempD -------------------------------------------
 
 
-_MKTEMP_D = checked_label("SC-MKTEMP-F-D")
-
-
 def _mktemp_d(index: RunIndex, anchor: Anchor) -> dict | None:
-    if not index.labelled(anchor.statement, _MKTEMP_D):
-        return None
     var = index.captured(anchor.statement)
     if var is None:
         return None  # result not captured: nothing nameable to remove
@@ -287,29 +288,13 @@ def _tar(index: RunIndex, anchor: Anchor) -> dict | None:
     return {"archive": _operand_source(word, archive)}
 
 
-# -- rule 8: aptGetInstallThenRemoveAptLists --------------------------------------
-
-_APT_LISTS = "/var/lib/apt/lists/*"
-
-
-def _apt_lists(index: RunIndex, anchor: Anchor) -> dict | None:
-    if index.removed_after(
-        anchor.statement_position, _APT_LISTS, recursive=True, glob=True
-    ):
-        return None
-    return {}
-
-
 # -- rule 9: gpgVerifyAscRmAsc ----------------------------------------------------
 
 
-_GPG_VERIFY = checked_label("SC-GPG-F-VERIFY")
 _GPG_FILE = checked_label("SC-GPG-FILE")
 
 
 def _gpg_asc(index: RunIndex, anchor: Anchor) -> dict | None:
-    if not index.labelled(anchor.statement, _GPG_VERIFY):
-        return None
     for node in index.labelled(anchor.statement, _GPG_FILE):
         asc = shell.word_text(node)
         if asc.endswith(".asc") and not shell.contains_variable(asc):
@@ -321,33 +306,7 @@ def _gpg_asc(index: RunIndex, anchor: Anchor) -> dict | None:
     return {"asc": _operand_source(node, asc)}
 
 
-# -- rules 10/14: a cache clean after the install ------------------------------
-
-
-def _cleaned_by(label: str) -> Check:
-    checked_label(label)
-
-    def check(index: RunIndex, anchor: Anchor) -> dict | None:
-        # any later clean counts: if `npm cache clean` lacks --force,
-        # npmCacheCleanUseForce flags that command itself
-        return None if index.later(label, anchor.statement_position) else {}
-
-    return check
-
-
-# -- rules 11/12: gem update --system ------------------------------------------------
-
-_ROOT_GEM = "/root/.gem"
-_GEM_SYSTEM = checked_label("SC-GEM-F-SYSTEM")
-_GEM_NO_DOCUMENT = checked_label("SC-GEM-F-NO-DOCUMENT")
-
-
-def _gem_rm_root(index: RunIndex, anchor: Anchor) -> dict | None:
-    if not index.labelled(anchor.statement, _GEM_SYSTEM):
-        return None
-    if index.removed_after(anchor.statement_position, _ROOT_GEM, recursive=True):
-        return None
-    return {}
+# -- rule 12: gemUpdateNoDocument, cleared by a gemrc anywhere in the file ---
 
 
 def writes_gemrc_no_document(roots: list[UnifiedNode]) -> bool:
@@ -376,74 +335,65 @@ def _redirects_to_gemrc(cmd: UnifiedNode) -> bool:
     return False
 
 
-def _gem_no_document(index: RunIndex, anchor: Anchor) -> dict | None:
-    if not index.labelled(anchor.statement, _GEM_SYSTEM):
-        return None
-    if index.labelled(anchor.statement, _GEM_NO_DOCUMENT):
-        return None
-    return {}  # unless a RUN configures gem: see ``clear_configured``
-
-
-# -- rule 13: yumInstallRmVarCacheYum ---------------------------------------------
-
-
-def _yum_install(index: RunIndex, anchor: Anchor) -> dict | None:
-    for cache in ("/var/cache/yum", "/var/cache/dnf"):  # dnf spells the same cache
-        if index.removed_after(anchor.statement_position, cache, recursive=True):
-            return None
-    return {}
-
-
 _APT_INSTALLS = ("SC-APT-GET-INSTALL", "SC-APT-INSTALL")
 
 RULES: list[Rule] = [
-    _flag_rule(
+    Rule(
         RuleId.pipUseNoCacheDir,
         "Clean cache after pip install.",
+        "flag",
+        ("SC-PIP-INSTALL",),
         "--no-cache-dir",
-        {"SC-PIP-INSTALL": "SC-PIP-F-NO-CACHE-DIR"},
+        flags={"SC-PIP-INSTALL": "SC-PIP-F-NO-CACHE-DIR"},
     ),
-    _flag_rule(
+    Rule(
         RuleId.npmCacheCleanUseForce,
         "Clean cache after npm install.",
+        "flag",
+        ("SC-NPM-CACHE-CLEAN",),
         "--force",
-        {"SC-NPM-CACHE-CLEAN": "SC-NPM-F-FORCE"},
+        flags={"SC-NPM-CACHE-CLEAN": "SC-NPM-F-FORCE"},
     ),
     Rule(
         RuleId.mkdirUsrSrcThenRemove,
         "Remove /usr/src/* after usage.",
         "append",
         ("SC-MKDIR-PATH",),
-        _mkdir_usr_src,
-        repair_text=lambda extras: f"rm -rf {extras['path']}",
+        "rm -rf {path}",
+        operand=_mkdir_usr_src,
     ),
     Rule(
         RuleId.rmRecursiveAfterMktempD,
         "Remove temporary folders.",
         "append",
         ("SC-MKTEMP",),
-        _mktemp_d,
-        repair_text=lambda extras: 'rm -rf "$' + extras["var"] + '"',
+        'rm -rf "${var}"',
+        needs="SC-MKTEMP-F-D",
+        operand=_mktemp_d,
     ),
     Rule(
         RuleId.tarSomethingRmTheSomething,
         "Remove tar files after decompression.",
         "adjacent",
         ("SC-TAR-EXTRACT",),
-        _tar,
-        repair_text=lambda extras: f"rm {extras['archive']}",
+        "rm {archive}",
+        operand=_tar,
     ),
-    _flag_rule(
+    Rule(
         RuleId.apkAddUseNoCache,
         "Use --no-cache flag with apk add.",
+        "flag",
+        ("SC-APK-ADD",),
         "--no-cache",
-        {"SC-APK-ADD": "SC-APK-F-NO-CACHE"},
+        flags={"SC-APK-ADD": "SC-APK-F-NO-CACHE"},
     ),
-    _flag_rule(
+    Rule(
         RuleId.aptGetInstallUseNoRec,
         "Use --no-install-recommends flag in apt-get install.",
+        "flag",
+        _APT_INSTALLS,
         "--no-install-recommends",
-        {
+        flags={
             "SC-APT-GET-INSTALL": "SC-APT-GET-F-NO-INSTALL-RECOMMENDS",
             "SC-APT-INSTALL": "SC-APT-F-NO-INSTALL-RECOMMENDS",
         },
@@ -453,56 +403,59 @@ RULES: list[Rule] = [
         "Remove /var/lib/apt/lists/* after apt-get install.",
         "append",
         _APT_INSTALLS,
-        _apt_lists,
-        repair_text=lambda extras: f"rm -rf {_APT_LISTS}",
+        "rm -rf /var/lib/apt/lists/*",
+        removed=("/var/lib/apt/lists/*",),
     ),
     Rule(
         RuleId.gpgVerifyAscRmAsc,
         "Remove .asc file after usage.",
         "adjacent",
         ("SC-GPG",),
-        _gpg_asc,
-        repair_text=lambda extras: f"rm {extras['asc']}",
+        "rm {asc}",
+        needs="SC-GPG-F-VERIFY",
+        operand=_gpg_asc,
     ),
     Rule(
         RuleId.npmCacheCleanAfterInstall,
         "Force to clean cache after npm install.",
         "append",
         ("SC-NPM-INSTALL",),
-        _cleaned_by("SC-NPM-CACHE-CLEAN"),
-        repair_text=lambda extras: "npm cache clean --force",
+        "npm cache clean --force",
+        cleaned_by="SC-NPM-CACHE-CLEAN",
     ),
     Rule(
         RuleId.gemUpdateSystemRmRootGem,
         "Clean cache after gem update --system.",
         "append",
         ("SC-GEM-UPDATE",),
-        _gem_rm_root,
-        repair_text=lambda extras: f"rm -rf {_ROOT_GEM}",
+        "rm -rf /root/.gem",
+        needs="SC-GEM-F-SYSTEM",
+        removed=("/root/.gem",),
     ),
     Rule(
         RuleId.gemUpdateNoDocument,
         "Add --no-document flag to the .gemrc config file.",
         "before",
         ("SC-GEM-UPDATE",),
-        _gem_no_document,
-        repair_text=lambda extras: "echo 'gem: --no-document' >> /etc/gemrc",
+        "echo 'gem: --no-document' >> /etc/gemrc",
+        needs="SC-GEM-F-SYSTEM",
+        flags={"SC-GEM-UPDATE": "SC-GEM-F-NO-DOCUMENT"},  # or a gemrc: ``clear_configured``
     ),
     Rule(
         RuleId.yumInstallRmVarCacheYum,
         "Clean cache after yum install.",
         "append",
         ("SC-YUM-INSTALL",),
-        _yum_install,
-        repair_text=lambda extras: "rm -rf /var/cache/yum",
+        "rm -rf /var/cache/yum",
+        removed=("/var/cache/yum", "/var/cache/dnf"),  # dnf spells the same cache
     ),
     Rule(
         RuleId.yarnCacheCleanAfterInstall,
         "Clean cache after yarn install.",
         "append",
         ("SC-YARN-INSTALL",),
-        _cleaned_by("SC-YARN-CACHE-CLEAN"),
-        repair_text=lambda extras: "yarn cache clean",
+        "yarn cache clean",
+        cleaned_by="SC-YARN-CACHE-CLEAN",
     ),
 ]
 
@@ -609,13 +562,19 @@ def _chain(ast: DockerfileAst, run: UnifiedNode) -> Chain:
 def _chain_joiner(elements: list[UnifiedNode], run: UnifiedNode, src: str, escape: str) -> str:
     """Inline `` && `` or, when at least half of the chain's ``elements``
     start on a continued line, a continuation in the chain's dominant style
-    with the last element's line indentation."""
+    with the last element's line indentation. Where the payload keeps the
+    line ends before the last element, as a leading heredoc's script does,
+    the shell reads them, so a line continues with `\\` whatever the
+    ``escape`` directive."""
     if run.prop("run_form") == "exec-shell":
         return " && "  # a raw newline would corrupt the JSON string
     gaps = [src[prev.span.end : cur.span.start] for prev, cur in zip(elements, elements[1:])]
     continued = [g for g in gaps if "\n" in g]
     if not continued or 2 * len(continued) < len(gaps):
         return " && "
+    script = run.prop("_script_src")
+    if "\n" in script.clean[: script.to_payload(elements[-1].span.start)]:
+        escape = "\\"
     leading = sum(1 for g in continued if "&&" in g.rsplit("\n", 1)[1])
     indent = _line_indent(src, elements[-1].span.start)
     if 2 * leading >= len(continued):
@@ -680,7 +639,7 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
     rule = rule_for(diagnostic.rule)
     anchor = diagnostic.anchor
     if rule.kind == "flag":
-        text = _flag_text(rule.flag_text, anchor)
+        text = _flag_text(rule.fix, anchor)
         return _insert(ast, diagnostic, anchor.node.span.end, _FLAG, text)
 
     if not diagnostic.fixable:
@@ -688,7 +647,7 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
             "not-fixable", diagnostic, reason=_not_fixable_reason(diagnostic.run)
         )
     chain = _chain(ast, diagnostic.run)
-    statement = rule.repair_text(diagnostic.extras)
+    statement = rule.fix.format(**diagnostic.extras)
     if rule.kind == "before":
         index, element = _element(chain, anchor.statement)
         if index == 0:

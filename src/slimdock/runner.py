@@ -338,12 +338,13 @@ def _read_window(
     not `\\` (the whole parse reads `\\&` as an escaped `&`; no other token
     reads on into the ``&&``, and a trailing `|`, `>` or `<` draws a
     warning); it parses with no warning into a chain
-    (``rules.chain_elements``) that starts at ``start``; and only blanks
-    and line ends follow it (a leading heredoc's body ends in one). The
-    lexer starts afresh at ``start`` in both parses, so a ``#`` reads the
-    same way in both, in a word or as a comment; a comment that would run
-    on past ``end`` leaves text after the last element, which the blank
-    check refuses."""
+    (``rules.chain_elements``) that starts at ``start``; and only blanks,
+    line ends and backslash-newlines follow it (a leading heredoc's body
+    ends in a line end, and its line may continue before a leading
+    ``&&``). The lexer starts afresh at ``start`` in both parses, so a
+    ``#`` reads the same way in both, in a word or as a comment; a comment
+    that would run on past ``end`` leaves text after the last element,
+    which the blank check refuses."""
     if end <= start or (end < payload_end and src.clean[end - 1] == "\\"):
         return None
     warnings: list[str] = []
@@ -353,7 +354,9 @@ def _read_window(
         warnings
         or elements is None
         or src.to_payload(elements[0].span.start) != start
-        or src.clean[src.to_payload(elements[-1].span.end) : end].strip(" \t\r\n")
+        or src.clean[src.to_payload(elements[-1].span.end) : end]
+        .replace("\\\n", "")
+        .strip(" \t\r\n")
     ):
         return None
     enrich_node(script)

@@ -39,6 +39,10 @@ class TestLint:
         path = write(tmp_path, "Dockerfile", SMELLY)
         assert main(["lint", "--rules", "pipUseCacheDir", path]) == 1
 
+    def test_filter_of_no_names_checks_every_rule(self, tmp_path):
+        path = write(tmp_path, "Dockerfile", SMELLY)
+        assert main(["lint", "--rules", ",", path]) == 1
+
     def test_unknown_rule_is_config_error(self, tmp_path):
         path = write(tmp_path, "Dockerfile", CLEAN)
         assert main(["lint", "--rules", "bogusRule", path]) == 2

@@ -254,6 +254,7 @@ class TestEmptyPayloads:
         "RUN --mount=type=cache,target=/c ",
         "FROM x\nRUN \\",
         "RUN <<EOF\nEOF\n",
+        "RUN []",  # an exec array of no elements
     ])
     def test_lints_clean_and_fixes_to_itself(self, src):
         _, report = analyze_text(src, "Dockerfile")

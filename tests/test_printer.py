@@ -1,6 +1,8 @@
 """Minimal-diff reprinting: identity, the splice of insertions, locality,
 and the joiner's style."""
 
+import pytest
+
 from slimdock.enrich import parse_and_enrich
 from slimdock.printer import print_minimal, unified_diff
 from slimdock.runner import fix_text
@@ -70,6 +72,20 @@ class TestDiffShape:
 
     def test_no_change_empty_diff(self):
         assert unified_diff("same\n", "same\n", "f") == ""
+
+    @pytest.mark.parametrize("src, hunk", [
+        # a last line without a line end is marked, as GNU diff marks it
+        ("FROM a\nRUN pip install x",
+         "-RUN pip install x\n\\ No newline at end of file\n"
+         "+RUN pip install --no-cache-dir x\n\\ No newline at end of file\n"),
+        # only a line feed ends a line
+        ("FROM a\nRUN pip install x # a\rb\x0cc\n",
+         "-RUN pip install x # a\rb\x0cc\n+RUN pip install --no-cache-dir x # a\rb\x0cc\n"),
+    ])
+    def test_each_line_of_a_hunk_ends_in_a_line_feed(self, src, hunk):
+        assert fix_text(src, "Dockerfile").diff() == (
+            "--- a/Dockerfile\n+++ b/Dockerfile\n@@ -2 +2 @@\n" + hunk
+        )
 
 
 class TestContinuationStyle:

@@ -406,6 +406,8 @@ def test_reread_is_fresh_parse_of_a_long_chain():
     "FROM debian\nRUN tar -xzf a.tgz&&make\n",
     "FROM ruby\nRUN gem update --system&&apk add curl&&gpg --verify a.asc a\n",
     "FROM python\nRUN tar -xzf a.tgz && pip install x && make\n",
+    "# escape=`\nFROM debian\nRUN <<EOF\napk add x &&\n  apt-get install -y a.tgz && \\\n  make\nEOF\n",
+    "FROM debian\nRUN <<EOF\napt-get install -y x \\\n  && make\nEOF\n",
 ])
 def test_reread_parses_only_windows(text):
     assert_reread_is_fresh(text, spliced=True)
@@ -460,6 +462,9 @@ def parsed_windows(text, monkeypatch):
     # an adjacent cleanup and the flagged element after it are one row
     ("FROM python\nRUN tar -xzf a.tgz && pip install x && make\n",
      ["rm a.tgz && pip install --no-cache-dir x "]),
+    # a window may end at a leading `&&` after a backslash-newline
+    ("FROM debian\nRUN <<EOF\napt-get install -y x \\\n  && make\nEOF\n",
+     ["apt-get install --no-install-recommends -y x \\\n  ", "rm -rf /var/lib/apt/lists/*\n"]),
 ])
 def test_reread_windows_hold_what_changed(text, windows, monkeypatch):
     assert parsed_windows(text, monkeypatch) == windows

@@ -1,5 +1,7 @@
 """The per-RUN statement index: anchors, statement order, cleanup queries."""
 
+import dataclasses
+
 import pytest
 
 from slimdock.enrich import parse_and_enrich
@@ -10,7 +12,7 @@ from slimdock.query import (
     checked_label,
     path_covers,
 )
-from slimdock.rules import RULES, Rule, RuleId, detect
+from slimdock.rules import RULES, RuleId, detect
 
 
 def run_of(text):
@@ -50,8 +52,14 @@ class TestFindAll:
 
     def test_unknown_label_fails_fast(self):
         # a misspelled label fails when the rule is built, before any file
-        with pytest.raises(PatternConfigError):
-            Rule(RULES[0].id, "d", "append", ("SC-NO-SUCH-LABEL",), lambda s, a: {})
+        for fields in (
+            {"anchors": ("SC-NO-SUCH-LABEL",)},
+            {"needs": "SC-NO-SUCH-LABEL"},
+            {"flags": {"SC-PIP-INSTALL": "SC-NO-SUCH-LABEL"}},
+            {"cleaned_by": "SC-NO-SUCH-LABEL"},
+        ):
+            with pytest.raises(PatternConfigError):
+                dataclasses.replace(RULES[0], **fields)
         with pytest.raises(PatternConfigError):
             checked_label("SC-NO-SUCH-LABEL")
 

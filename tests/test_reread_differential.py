@@ -9,13 +9,10 @@ escape character, in shell form, in a leading heredoc's script and in an
 exec-form ``sh -c`` string, with LF or CRLF line endings. A few RUNs open
 a heredoc after their chain, whose script must end where the RUN does.
 
-Three shapes are read whole, so they are kept rare enough that the share
+Two shapes are read whole, so they are kept rare enough that the share
 of spliced RUNs still guards the window rule: a RUN with a heredoc after
-its chain is no chain; in a heredoc script, a window that ends before a
-continued line's leading ``&&`` is followed by a backslash-newline, not
-blanks; and under ``# escape=`` with a backtick, a repair joins a
-heredoc script's elements with that backtick, which the shell reads as a
-command substitution."""
+its chain is no chain; and in a leading heredoc's script with CRLF line
+ends, a `\\` escapes the `\\r` instead of continuing the line."""
 
 import json
 import random

@@ -305,12 +305,14 @@ class TestGem:
             RuleId.gemUpdateNoDocument,
         }
 
-    def test_gemrc_write_elsewhere_in_file_clears_nodoc(self):
-        text = (
-            "FROM r\n"
-            "RUN echo 'gem: --no-document' >> /etc/gemrc\n"
-            "RUN gem update --system && rm -rf /root/.gem\n"
-        )
+    @pytest.mark.parametrize("write", [
+        "echo 'gem: --no-document' >> /etc/gemrc",
+        # after another redirection
+        'echo "gem: --no-document" 2>/dev/null >> /etc/gemrc',
+        'echo "gem: --no-document" 2>&1 >> /etc/gemrc',
+    ])
+    def test_gemrc_write_elsewhere_in_file_clears_nodoc(self, write):
+        text = f"FROM r\nRUN {write}\nRUN gem update --system && rm -rf /root/.gem\n"
         assert rules_found(text) == []
 
     def test_update_without_system_clean(self):

@@ -396,9 +396,7 @@ class TestVerifyOrRollback:
 
     def test_broken_repair_rolls_back_byte_identical(self, monkeypatch):
         src = "RUN npm cache clean\n"
-        broken = dataclasses.replace(
-            rule_for(RuleId.npmCacheCleanUseForce), flag_text="--loglevel"
-        )
+        broken = dataclasses.replace(rule_for(RuleId.npmCacheCleanUseForce), fix="--loglevel")
         monkeypatch.setitem(rules_mod._RULE_BY_ID, RuleId.npmCacheCleanUseForce, broken)
         report = fix_text(src, "<t>")
         assert [(o.status, o.reason, o.detail) for o in report.repairs] == [
@@ -408,18 +406,14 @@ class TestVerifyOrRollback:
         assert [d.rule for d in report.residual] == [RuleId.npmCacheCleanUseForce]
 
     def test_rollback_keeps_the_other_repairs(self, monkeypatch):
-        broken = dataclasses.replace(
-            rule_for(RuleId.npmCacheCleanUseForce), flag_text="--loglevel"
-        )
+        broken = dataclasses.replace(rule_for(RuleId.npmCacheCleanUseForce), fix="--loglevel")
         monkeypatch.setitem(rules_mod._RULE_BY_ID, RuleId.npmCacheCleanUseForce, broken)
         report = fix_text("RUN npm cache clean && pip install flask\n", "<t>")
         assert [o.status for o in report.repairs] == ["rolled-back", "applied"]
         assert report.fixed == "RUN npm cache clean && pip install --no-cache-dir flask\n"
 
     def test_broken_insertion_rolls_back(self, monkeypatch):
-        broken = dataclasses.replace(
-            rule_for(RuleId.tarSomethingRmTheSomething), repair_text=lambda extras: "rm other.tgz"
-        )
+        broken = dataclasses.replace(rule_for(RuleId.tarSomethingRmTheSomething), fix="rm other.tgz")
         monkeypatch.setitem(rules_mod._RULE_BY_ID, RuleId.tarSomethingRmTheSomething, broken)
         src = "RUN tar -xzf a.tgz && make\n"
         report = fix_text(src, "<t>")
@@ -582,6 +576,15 @@ class TestHeredocBodies:
             ),
             # a leading heredoc is the script
             ("FROM x\nRUN <<A\npip install x\nA\n", "FROM x\nRUN <<A\npip install --no-cache-dir x\nA\n", ["applied"]),
+            # the shell reads it, so its lines continue with `\`, whatever
+            # the escape directive
+            (
+                "# escape=`\nFROM debian\nRUN <<EOF\napk add x &&\n  apt-get install -y a.tgz && \\\n  make\nEOF\n",
+                "# escape=`\nFROM debian\nRUN <<EOF\napk add --no-cache x &&\n"
+                "  apt-get install --no-install-recommends -y a.tgz && \\\n  make && \\\n"
+                "  rm -rf /var/lib/apt/lists/*\nEOF\n",
+                ["applied", "applied", "applied"],
+            ),
             # the RUN's flags come before its command line or leading heredoc
             (
                 "FROM x\nRUN --mount=type=cache,target=/c pip install x && cat <<EOF > /f\nb\nEOF\n",
