@@ -21,7 +21,8 @@ here-string (``<<<``) opens none.
 
 Each RUN's form (shell, exec ``sh -c`` or exec array) is decided here, and
 the trees that need no shell parse are built here: an exec array's command,
-and an opaque script for an ``sh -c`` string with JSON escapes.
+and an opaque script for an ``sh -c`` string with a JSON escape other than
+`\\"`, `\\\\` and `\\/`, each of which stands for the character it escapes.
 ``enrich.build_unified_ast`` parses the shell regions of the other RUNs.
 
 Parsing never hard-fails. Unrecognizable keywords become DOCKER-UNKNOWN
@@ -39,7 +40,7 @@ from json.decoder import JSONDecodeError, scanstring
 from operator import itemgetter
 from typing import Any
 
-from .model import NodeKind, SourceMap, SourceSpan, UnifiedNode
+from .model import NodeKind, SourceMap, SourceSpan, SpanError, UnifiedNode
 from .shell import QUOTE_CHARS, heredoc_body, heredoc_delimiter, skip_quoted
 
 _KEYWORDS = {
@@ -70,6 +71,7 @@ _DIRECTIVE_RE = re.compile(r"#\s*([A-Za-z][A-Za-z0-9]*)\s*=\s*(\S+)\s*$")
 _RUN_FLAGS_RE = re.compile(r"\s*(?:--\S+(?:\s+|\Z))*")  # a flag ends at blanks or the end
 # the operator of a heredoc; ``shell.heredoc_delimiter`` reads the word after it
 _HEREDOC_OP_RE = re.compile(r"<<-?")
+_JSON_ESCAPE_RE = re.compile(r"\\.", re.S)
 
 
 @dataclass
@@ -110,15 +112,6 @@ class SegmentedText:
         self.source_map = source_map
         self.anchor = anchor
 
-    def _source_in(self, idx: int, offset: int) -> int:
-        """The source offset of payload ``offset``, which lies in segment
-        ``idx`` (past the last segment: at its end)."""
-        if not self.segments:
-            return self.anchor
-        if idx >= len(self.segments):
-            return self.segments[-1][1]
-        return self.segments[idx][0] + (offset - self._cum[idx])
-
     def to_payload(self, offset: int) -> int:
         """The payload offset of source ``offset``, which lies in a segment
         or at its end."""
@@ -126,17 +119,23 @@ class SegmentedText:
         return self._cum[idx] + (offset - self.segments[idx][0])
 
     def span(self, start: int, end: int) -> SourceSpan:
-        """The source span of payload ``[start, end)``. The segment of its
-        last character is found by walking on from the start's segment,
-        which a span within one line does in zero steps."""
-        cum = self._cum
+        """The source span of payload ``[start, end)``; SpanError if it
+        ends past the source. The segment of its last character is found
+        by walking on from the start's segment, which a span within one
+        line does in zero steps. The payload ends where its last segment does."""
+        cum, segments = self._cum, self.segments
         idx = bisect.bisect_right(cum, start) - 1
-        s = self._source_in(idx, start)
-        if end <= start:
-            return self.source_map.span(s, s)
-        while idx + 1 < len(cum) and cum[idx + 1] < end:
-            idx += 1
-        return self.source_map.span(s, self._source_in(idx, end - 1) + 1)
+        if idx == len(segments):  # at the end of the payload
+            s = e = segments[-1][1] if segments else self.anchor
+        else:
+            s = e = segments[idx][0] + (start - cum[idx])
+            if end > start:
+                while idx + 1 < len(segments) and cum[idx + 1] < end:
+                    idx += 1
+                e = segments[idx][0] + (end - cum[idx])
+        if e > len(self.source_map.text):
+            raise SpanError(f"span [{s}, {e}) out of range 0..{len(self.source_map.text)}")
+        return SourceSpan(s, e, self.source_map)
 
 
 def _is_blank(text: str, line: tuple[int, int, int]) -> bool:
@@ -419,18 +418,20 @@ class FileParser:
         elems = None if heredoc_script else _scan_exec_array(payload, flags_end)
         if elems is None:
             src = heredoc_script or seg_text
-            node.props["run_form"] = "shell"
-            node.props["_script_src"] = src
-            node.props["_script_region"] = (0 if heredoc_script else flags_end, len(src.clean))
+            node.set_prop("run_form", "shell")
+            node.set_prop("_script_src", src)
+            node.set_prop("_script_region", (0 if heredoc_script else flags_end, len(src.clean)))
             return
         if len(elems) >= 3 and elems[0][0] in _SHELLS_FOR_EXEC and elems[1][0] == "-c":
-            node.props["run_form"] = "exec-shell"
-            _value, s, e = elems[2]
-            if "\\" not in payload[s:e]:
-                node.props["_script_src"] = seg_text
-                node.props["_script_region"] = (s + 1, e - 1)
+            node.set_prop("run_form", "exec-shell")
+            value, s, e = elems[2]
+            src = self._unescaped(seg_text, s + 1, e - 1, value) if "\\" in payload[s:e] else seg_text
+            if src is not None:
+                region = (s + 1, e - 1) if src is seg_text else (0, len(src.clean))
+                node.set_prop("_script_src", src)
+                node.set_prop("_script_region", region)
                 return
-            # escapes shift offsets inside the JSON string: keep it opaque
+            # other escapes stand for other characters: keep it opaque
             script = UnifiedNode(NodeKind.SC_SCRIPT, seg_text.span(s + 1, e - 1))
             script.add_child(UnifiedNode(NodeKind.SC_UNPARSED, script.span))
             node.add_child(script)
@@ -438,15 +439,29 @@ class FileParser:
                 f"{self.path}:{node.span.start_line}: exec-form payload with escapes left unparsed"
             )
             return
-        node.props["run_form"] = "exec-array"
+        node.set_prop("run_form", "exec-array")
         start, end = (elems[0][1], elems[-1][2]) if elems else (flags_end, flags_end)
         cmd = UnifiedNode(NodeKind.SC_SIMPLE_COMMAND, seg_text.span(start, end))
-        cmd.props["exec_array"] = True
+        cmd.set_prop("exec_array", True)
         for value, s, e in elems:
             word = UnifiedNode(NodeKind.SC_WORD, seg_text.span(s, e), literal=payload[s:e])
-            word.props["text"] = value
+            word.set_prop("text", value)
             cmd.add_child(word)
         node.add_child(cmd)
+
+    def _unescaped(
+        self, seg_text: SegmentedText, start: int, end: int, value: str
+    ) -> SegmentedText | None:
+        """``value``, the JSON string ``seg_text.clean[start:end]`` decoded,
+        as its source less the backslash of each escape; None unless that
+        reads as ``value`` (each escape is `\\"`, `\\\\` or `\\/`) and the
+        string lies in one source segment."""
+        where = seg_text.span(start, end)
+        delta = where.start - start
+        cuts = [m.start() + delta for m in _JSON_ESCAPE_RE.finditer(seg_text.clean, start, end)]
+        pieces = list(zip([where.start] + [k + 1 for k in cuts], cuts + [where.end]))
+        src = SegmentedText(self.text, pieces, self.sm, where.start)
+        return src if src.clean == value and where.end - where.start == end - start else None
 
 
 def _is_leading_heredoc(payload: str) -> bool:

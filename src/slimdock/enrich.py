@@ -171,7 +171,7 @@ def enrich_statement(words: list[UnifiedNode]) -> bool:
         schema = schema_for(name) if name else None
         if schema is None:
             return False
-        words[i].annotations.add(schema.command_label())
+        words[i].annotate(schema.command_label())
         _walk_args(schema, words[i], words[i + 1 :])
         return True
     return False
@@ -189,7 +189,7 @@ def _walk_args(
         if waiting:
             flag = waiting.pop(0)
             if flag.value_role:
-                word.annotations.add(schema.role_label(flag.value_role))
+                word.annotate(schema.role_label(flag.value_role))
             continue
         t = shell.word_text(word)
         if options and t == "--":
@@ -200,29 +200,29 @@ def _walk_args(
         if read is not None:
             flags, value = read
             for flag in flags:
-                word.annotations.add(schema.flag_label(flag.canon))
+                word.annotate(schema.flag_label(flag.canon))
                 if flag.semantic:
-                    command_word.annotations.add(flag.semantic)
+                    command_word.annotate(flag.semantic)
                 if flag.canon in ("VERSION", "HELP"):
                     bare = False
             if value is None:
                 waiting = [flag for flag in flags if flag.takes_value]
             elif value and flags and flags[-1].value_role:  # --file=a.tgz, -xfa.tgz
-                word.annotations.add(schema.role_label(flags[-1].value_role))
-                word.props["value"] = value
+                word.annotate(schema.role_label(flags[-1].value_role))
+                word.set_prop("value", value)
             continue
         if sub_level and t in sub_level:
             spec = sub_level[t]
-            word.annotations.add(schema.sub_label(spec.canon))
+            word.annotate(schema.sub_label(spec.canon))
             sub_level = spec.children
             bare = False
             continue
         if schema.positional_role:
-            word.annotations.add(schema.role_label(schema.positional_role))
+            word.annotate(schema.role_label(schema.positional_role))
 
     # bare `yarn` (flags only) means `yarn install`
     if schema.label == "YARN" and bare:
-        command_word.annotations.add(YARN_IMPLICIT_INSTALL)
+        command_word.annotate(YARN_IMPLICIT_INSTALL)
 
 
 def enrich_node(root: UnifiedNode) -> tuple[int, int]:
@@ -253,7 +253,7 @@ def enrich(ast: DockerfileAst) -> DockerfileAst:
         m, t = enrich_node(run)
         matched += m
         total += t
-    ast.root.props["enrich_stats"] = (matched, total)
+    ast.root.set_prop("enrich_stats", (matched, total))
     return ast
 
 

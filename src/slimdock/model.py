@@ -3,8 +3,15 @@
 Defines source spans and the unified node type that mixes Dockerfile-level
 and shell-level constructs in one tree. The tree is built by the parsers
 and annotated by enrichment, which adds labels from ``schemas.LABELS`` to
-a node's ``annotations``; after that it is only read: repairs record text
+a node's ``annotations``; after that it is read-only: repairs record text
 insertions on the ``DockerfileAst``.
+
+A node carries only what it holds. Every leaf shares one empty
+``children`` list that refuses mutation (``add_child`` gives a node its
+own list), and every node without props one empty read-only mapping.
+Labels are interned frozensets and props are replaced, never changed in
+place (``annotate``, ``set_prop``), so a copy (``moved``) shares its
+original's ``literal``, props and labels.
 
 Offsets are indices into the decoded source text (the text is decoded from
 UTF-8 once, at ingestion); slicing ``text[start:end]`` is always exact and
@@ -15,7 +22,8 @@ from __future__ import annotations
 
 import bisect
 from enum import Enum, unique
-from typing import Any, Iterator
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping
 
 
 class SlimdockError(Exception):
@@ -85,20 +93,17 @@ STATEMENT_KINDS = frozenset(
 )
 
 
-_POSITIONS = ("start_line", "start_col", "end_line", "end_col")
-
-
 class SourceSpan:
     """Half-open [start, end) region of the source text.
 
     ``start``/``end`` are offsets into the decoded file text and are the
     authoritative coordinates. The 1-based line/column positions used for
     reporting (``start_line``, ``start_col``, ``end_line``, ``end_col``)
-    are derived on demand: on first read, from the SourceMap that built
-    the span. A span built without a map reports 1:1 for both ends.
+    are derived from the SourceMap that built the span each time they are
+    read. A span built without a map reports 1:1 for both ends.
     """
 
-    __slots__ = ("start", "end", "_map") + _POSITIONS
+    __slots__ = ("start", "end", "_map")
 
     def __init__(self, start: int, end: int, source_map: "SourceMap | None" = None):
         if start < 0 or end < start:
@@ -107,15 +112,13 @@ class SourceSpan:
         self.end = end
         self._map = source_map
 
-    def __getattr__(self, name: str) -> int:
-        # reached only while the position slots are unset: fill all four
-        if name not in _POSITIONS:
-            raise AttributeError(name)
-        sm = self._map
-        values = (1, 1, 1, 1) if sm is None else sm.position(self.start) + sm.position(self.end)
-        for field, value in zip(_POSITIONS, values):
-            setattr(self, field, value)
-        return getattr(self, name)
+    def _position(self, offset: int) -> tuple[int, int]:
+        return (1, 1) if self._map is None else self._map.position(offset)
+
+    start_line = property(lambda self: self._position(self.start)[0])
+    start_col = property(lambda self: self._position(self.start)[1])
+    end_line = property(lambda self: self._position(self.end)[0])
+    end_col = property(lambda self: self._position(self.end)[1])
 
     def through(self, last: "SourceSpan") -> "SourceSpan":
         """From this span's start to ``last``'s end, in the same source."""
@@ -126,7 +129,7 @@ class SourceSpan:
         return SourceSpan(self.start + delta, self.end + delta, into._map)
 
     def _key(self) -> tuple[int, ...]:
-        return (self.start, self.end, self.start_line, self.start_col, self.end_line, self.end_col)
+        return (self.start, self.end, *self._position(self.start), *self._position(self.end))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SourceSpan):
@@ -138,9 +141,6 @@ class SourceSpan:
 
     def __repr__(self) -> str:
         return f"SourceSpan({self.start}, {self.end})"
-
-    def __len__(self) -> int:
-        return self.end - self.start
 
     def contains(self, other: "SourceSpan") -> bool:
         return self.start <= other.start and other.end <= self.end
@@ -185,6 +185,23 @@ def span_text(source: str, span: SourceSpan) -> str:
     return source[span.start : span.end]
 
 
+class _Leaf(list):
+    """The ``children`` of every leaf: one shared empty list that refuses to change."""
+
+    def _refuse(self, *args: Any) -> None:
+        raise TypeError("a leaf shares its empty children list: use add_child")
+
+    append = extend = insert = remove = pop = clear = sort = reverse = _refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+
+
+_NO_CHILDREN = _Leaf()
+_NO_PROPS: Mapping[str, Any] = MappingProxyType({})
+_NO_LABELS: frozenset[str] = frozenset()
+# the label set of each (label set, label) ``annotate`` was asked for
+_LABELS: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+
+
 class UnifiedNode:
     """One AST node spanning both the Dockerfile and shell grammars.
 
@@ -204,27 +221,37 @@ class UnifiedNode:
         literal: str | None = None,
     ):
         self.kind = kind
-        self.children: list[UnifiedNode] = []
+        self.children: list[UnifiedNode] = _NO_CHILDREN
         self.span = span
-        self.annotations: set[str] = set()
+        self.annotations = _NO_LABELS
         self.literal = literal
-        self.props: dict[str, Any] = {}
+        self.props = _NO_PROPS
 
     # -- construction ---------------------------------------------------
 
     def add_child(self, child: "UnifiedNode") -> "UnifiedNode":
+        if self.children is _NO_CHILDREN:
+            self.children = []
         self.children.append(child)
         return child
+
+    def set_prop(self, key: str, value: Any) -> None:
+        props = self.props
+        self.props = {key: value} if props is _NO_PROPS else {**props, key: value}
+
+    def annotate(self, label: str) -> None:
+        key = (self.annotations, label)
+        self.annotations = _LABELS.get(key) or _LABELS.setdefault(key, key[0] | {label})
 
     def moved(self, delta: int, into: SourceSpan) -> "UnifiedNode":
         """A copy of this subtree ``delta`` characters later, in the source
         of ``into``: spans moved, ``literal``, ``props`` and annotations
-        copied."""
+        shared."""
         copy = UnifiedNode(self.kind, self.span.moved(delta, into), self.literal)
-        copy.props = dict(self.props)
-        copy.annotations = set(self.annotations)
-        for child in self.children:
-            copy.add_child(child.moved(delta, into))
+        copy.props = self.props
+        copy.annotations = self.annotations
+        if self.children:
+            copy.children = [child.moved(delta, into) for child in self.children]
         return copy
 
     # -- traversal -------------------------------------------------------

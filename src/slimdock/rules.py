@@ -562,10 +562,10 @@ def _chain(ast: DockerfileAst, run: UnifiedNode) -> Chain:
 def _chain_joiner(elements: list[UnifiedNode], run: UnifiedNode, src: str, escape: str) -> str:
     """Inline `` && `` or, when at least half of the chain's ``elements``
     start on a continued line, a continuation in the chain's dominant style
-    with the last element's line indentation. Where the payload keeps the
-    line ends before the last element, as a leading heredoc's script does,
-    the shell reads them, so a line continues with `\\` whatever the
-    ``escape`` directive."""
+    with the last element's line indentation and line end. Where the
+    payload keeps the line ends before the last element, as a leading
+    heredoc's script does, the shell reads them, so a line continues with
+    `\\` whatever the ``escape`` directive."""
     if run.prop("run_form") == "exec-shell":
         return " && "  # a raw newline would corrupt the JSON string
     gaps = [src[prev.span.end : cur.span.start] for prev, cur in zip(elements, elements[1:])]
@@ -577,9 +577,11 @@ def _chain_joiner(elements: list[UnifiedNode], run: UnifiedNode, src: str, escap
         escape = "\\"
     leading = sum(1 for g in continued if "&&" in g.rsplit("\n", 1)[1])
     indent = _line_indent(src, elements[-1].span.start)
+    eol = src.find("\n", elements[-1].span.end)
+    eol = "\r\n" if eol > 0 and src[eol - 1] == "\r" else "\n"
     if 2 * leading >= len(continued):
-        return " " + escape + "\n" + indent + "&& "
-    return " && " + escape + "\n" + indent
+        return " " + escape + eol + indent + "&& "
+    return " && " + escape + eol + indent
 
 
 def _line_indent(src: str, offset: int) -> str:
@@ -666,6 +668,8 @@ def repair(ast: DockerfileAst, diagnostic: SmellDiagnostic) -> RepairOutcome:
 def _insert(
     ast: DockerfileAst, diagnostic: SmellDiagnostic, offset: int, rank: int, text: str
 ) -> RepairOutcome:
+    if diagnostic.run.prop("run_form") == "exec-shell":
+        text = json.dumps(text, ensure_ascii=False)[1:-1]  # it goes into a JSON string
     order = len(ast.insertions)
     ast.insertions.append((offset, rank, -order if rank == _ADJACENT else order, text))
     return RepairOutcome("applied", diagnostic, [(offset, text)])

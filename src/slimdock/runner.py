@@ -7,11 +7,13 @@ leave the tree as it was; the repaired text is the original with them
 spliced in (``printer.print_minimal``). Of that text, only the RUNs that
 hold an insertion are read again, each on its own, and of those only the
 windows that hold inserted text, or a chain element it went into, are
-parsed again; the other RUNs keep their trees and diagnostics. That is
-where every repair is verified: one whose smell is still detected there
-is rolled back by repairing the file again without it. A file that is
-not valid UTF-8 is analysed with U+FFFD in place of its bad bytes, and
-marked ``lossy_decode`` so that the CLI does not write that text back.
+parsed again, each distinct window text once per file where it lies in
+one source segment (``_read_window``); the other RUNs keep their trees
+and diagnostics. That is where every repair is verified: one whose smell
+is still detected there is rolled back by repairing the file again
+without it. A file that is not valid UTF-8 is analysed with U+FFFD in
+place of its bad bytes, and marked ``lossy_decode`` so that the CLI does
+not write that text back.
 
 Files are independent and processed one after another (the work is
 pure-Python and CPU-bound, so threads would only contend for the GIL);
@@ -224,13 +226,15 @@ def _reanalyze(
 class _Shift:
     """Where the original text lands in the printed one: the offsets of a
     round's insertions, how many characters go in before each, and the
-    offsets that hold a flag addition."""
+    offsets that hold a flag addition; and the windows of the printed
+    text parsed so far (``_read_window``)."""
 
     def __init__(self, insertions: list[tuple[int, int, int, str]]):
         ordered = sorted((offset, len(text)) for offset, _, _, text in insertions)
         self.offsets = [offset for offset, _ in ordered]
         self._before = list(accumulate((size for _, size in ordered), initial=0))
         self.flagged = {offset for offset, rank, _, _ in insertions if rank == _FLAG}
+        self.parsed: dict[tuple[str, bool], tuple[int, list[UnifiedNode]] | None] = {}
 
     def __call__(self, offset: int, through: bool = False) -> int:
         """Characters inserted before ``offset``; with ``through``, at it too."""
@@ -269,7 +273,7 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
     if (
         elements is None
         or new.prop("run_form") != run.prop("run_form")
-        or new.children  # the parser built it: an `sh -c` string with JSON escapes
+        or new.children  # the parser built it: an `sh -c` string it left opaque
     ):
         return None
     starts = [element.span.start for element in elements]
@@ -312,7 +316,7 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
         to = end
         if after < len(elements):
             to = src.clean.rfind("&&", at, printed(starts[after], through=True))
-        found = _read_window(src, at, to, end)
+        found = _read_window(src, at, to, end, shift.parsed)
         if found is None:
             return None
         parts += found
@@ -330,7 +334,7 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
 
 
 def _read_window(
-    src: SegmentedText, start: int, end: int, payload_end: int
+    src: SegmentedText, start: int, end: int, payload_end: int, parsed: dict
 ) -> list[UnifiedNode] | None:
     """The enriched chain elements ``src.clean[start:end]`` reads as, or
     None unless they are what a parse of the payload to ``payload_end``
@@ -344,9 +348,20 @@ def _read_window(
     ``&&``). The lexer starts afresh at ``start`` in both parses, so a
     ``#`` reads the same way in both, in a word or as a comment; a comment
     that would run on past ``end`` leaves text after the last element,
-    which the blank check refuses."""
+    which the blank check refuses.
+
+    That reads only the window's text and whether it ends the payload, so
+    ``parsed`` keeps by those two the source start and the elements (or
+    None) of a window in one source segment; a later such window gets
+    copies of the elements, moved."""
     if end <= start or (end < payload_end and src.clean[end - 1] == "\\"):
         return None
+    where = src.span(start, end)
+    one_segment = where.end - where.start == end - start
+    key = (src.clean[start:end], end == payload_end) if one_segment else None
+    if key in parsed:
+        hit = parsed[key]
+        return hit and [e.moved(where.start - hit[0], where) for e in hit[1]]
     warnings: list[str] = []
     script = parse_shell(src.clean, span_builder=src.span, warnings=warnings, region=(start, end))
     elements = chain_elements(script)
@@ -358,8 +373,11 @@ def _read_window(
         .replace("\\\n", "")
         .strip(" \t\r\n")
     ):
-        return None
-    enrich_node(script)
+        elements = None
+    else:
+        enrich_node(script)
+    if key is not None:
+        parsed[key] = elements and (where.start, elements)
     return elements
 
 

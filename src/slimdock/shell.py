@@ -607,14 +607,14 @@ class _Parser:
             literal=self.text[tok.start : tok.end],
         )
         name = tok.value.split("=", 1)[0].rstrip("+")
-        node.props["name"] = name
+        node.set_prop("name", name)
         self._attach_word_parts(node, tok)
         return node
 
     def _word_node(self, tok: Tok) -> UnifiedNode:
         literal = self.text[tok.start : tok.end]
         node = UnifiedNode(NodeKind.SC_WORD, self.spans(tok.start, tok.end), literal)
-        node.props["text"] = tok.value
+        node.set_prop("text", literal if tok.value == literal else tok.value)  # one string if plain
         if "$" in literal or "`" in literal:  # what a subst segment starts with
             self._attach_word_parts(node, tok)
         return node
@@ -642,7 +642,7 @@ class _Parser:
             self.spans(tok.start, tok.end),
             literal=self.text[tok.start : tok.end],
         )
-        node.props["op"] = tok.value
+        node.set_prop("op", tok.value)
         if tok.value in _TARGET_OPS:
             nxt = self._peek()
             if nxt.kind == "word":

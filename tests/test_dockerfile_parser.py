@@ -75,18 +75,34 @@ class TestBasicParsing:
         assert build_unified_ast(ast).runs()[0].children == [cmd]
 
     def test_parser_leaves_an_escaped_sh_c_string_opaque(self):
-        src = 'FROM x\nRUN ["sh", "-c", "echo \\"a\\""]\n'
+        # `\t` stands for a character other than the one it escapes
+        src = 'FROM x\nRUN ["sh", "-c", "echo \\"a\\tb\\""]\n'
         ast = parse_dockerfile(src)
         (run,) = ast.runs()
         (script,) = run.children
         assert script.kind is NodeKind.SC_SCRIPT
         assert [c.kind for c in script.children] == [NodeKind.SC_UNPARSED]
-        assert span_text(src, script.span) == 'echo \\"a\\"'
+        assert span_text(src, script.span) == 'echo \\"a\\tb\\"'
         assert ast.warnings == ["<memory>:2: exec-form payload with escapes left unparsed"]
         assert set(run.props) == {"run_form"}
         build_unified_ast(ast)
         assert run.children == [script]
         assert len(ast.warnings) == 1
+
+    def test_sh_c_string_with_quote_and_backslash_escapes_is_parsed(self):
+        # `\"`, `\\` and `\/` each stand for the character they escape
+        src = 'FROM x\nRUN ["sh", "-c", "echo \\"a b\\" c\\\\ d \\/e"]\n'
+        ast = build_unified_ast(parse_dockerfile(src))
+        assert ast.warnings == []
+        (run,) = ast.runs()
+        assert run.prop("_script_src").clean == 'echo "a b" c\\ d /e'
+        (script,) = run.children
+        assert span_text(src, script.span) == 'echo \\"a b\\" c\\\\ d \\/e'
+        words = [w for w in run.walk() if w.kind is NodeKind.SC_WORD]
+        assert [(w.literal, w.prop("text")) for w in words] == [
+            ("echo", "echo"), ('"a b"', "a b"), ("c\\ d", "c d"), ("/e", "/e")
+        ]
+        validate_tree(run)
 
     def test_invalid_json_array_falls_back_to_shell(self):
         ast = parse_dockerfile("RUN [ -f /x ] && echo present")

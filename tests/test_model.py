@@ -3,6 +3,7 @@ import gc
 import pytest
 
 from conftest import read_text
+from slimdock.dockerfile import SegmentedText
 from slimdock.model import (
     NodeKind,
     SourceMap,
@@ -10,6 +11,7 @@ from slimdock.model import (
     SpanError,
     UnifiedNode,
     span_text,
+    validate_tree,
 )
 from slimdock.runner import analyze_text, fix_text, process_files
 
@@ -81,6 +83,19 @@ class TestLazyPositions:
         assert (span.start_line, span.start_col, span.end_line, span.end_col) == (1, 1, 1, 1)
         assert span == SourceSpan(3, 5) and hash(span) == hash(SourceSpan(3, 5))
         assert span != SourceMap("ab\ncd").span(3, 5)
+        assert span != (3, 5) and repr(span) == "SourceSpan(3, 5)"
+
+    def test_position_out_of_range_raises(self):
+        with pytest.raises(SpanError):
+            SourceMap("abc").position(4)
+
+    def test_segmented_span_past_the_source_raises(self):
+        text = "ab\ncd"
+        seg = SegmentedText(text, [(0, 2), (3, 5)], SourceMap(text))
+        assert (seg.span(1, 3).start, seg.span(1, 3).end) == (1, 4)
+        broken = SegmentedText(text, [(0, 9)], SourceMap(text))  # a parser bug
+        with pytest.raises(SpanError):
+            broken.span(0, 7)
 
 
 class TestTreeSurgery:
@@ -89,6 +104,48 @@ class TestTreeSurgery:
         b = UnifiedNode(NodeKind.SC_WORD)
         a.add_child(b)
         assert a.children == [b]
+
+    def test_a_leaf_refuses_a_child_but_add_child_gives_it_one(self):
+        leaf, other = UnifiedNode(NodeKind.SC_WORD), UnifiedNode(NodeKind.SC_WORD)
+        assert leaf.children == [] and leaf.children is other.children  # shared
+        with pytest.raises(TypeError):
+            leaf.children.append(other)
+        child = UnifiedNode(NodeKind.SC_WORD)
+        assert leaf.add_child(child) is child
+        assert leaf.children == [child] and other.children == []
+
+    def test_set_prop_on_a_node_without_props(self):
+        node, other = UnifiedNode(NodeKind.SC_WORD), UnifiedNode(NodeKind.SC_WORD)
+        node.set_prop("text", "a")
+        node.set_prop("value", "b")
+        assert node.props == {"text": "a", "value": "b"} and other.props == {}
+        assert node.prop("value") == "b" and other.prop("value") is None
+
+    def test_a_moved_copy_shares_what_it_does_not_change(self):
+        sm = SourceMap("ab cd")
+        word = UnifiedNode(NodeKind.SC_WORD, sm.span(0, 2), "ab")
+        word.set_prop("text", "ab")
+        word.annotate("SC-ECHO")
+        copy = word.moved(3, sm.span(0, 5))
+        assert (copy.span.start, copy.span.end) == (3, 5)
+        assert copy.props is word.props and copy.annotations is word.annotations
+        copy.annotate("SC-RM")
+        copy.set_prop("value", "x")
+        assert word.annotations == {"SC-ECHO"} and copy.annotations == {"SC-ECHO", "SC-RM"}
+        assert word.props == {"text": "ab"}
+
+    def test_labels_are_interned_per_combination(self):
+        a, b = UnifiedNode(NodeKind.SC_WORD), UnifiedNode(NodeKind.SC_WORD)
+        for node in (a, b):
+            node.annotate("SC-ECHO")
+            node.annotate("SC-RM")
+        assert a.annotations is b.annotations
+
+    def test_a_child_that_escapes_its_parent_is_refused(self):
+        parent = UnifiedNode(NodeKind.SC_SCRIPT, SourceSpan(0, 2))
+        parent.add_child(UnifiedNode(NodeKind.SC_WORD, SourceSpan(1, 3), "ab"))
+        with pytest.raises(SpanError, match="<SC-WORD 1:3 'ab'> escapes parent <SC-SCRIPT 0:2>"):
+            validate_tree(parent)
 
 
 # The props each node kind may carry: what some rule, repair, verification
@@ -108,7 +165,7 @@ class TestTreeVocabulary:
         texts = [read_text(path) for path in roundtrip_paths] + [
             "FROM x\nRUN tar --file=a.tgz -x\n",  # value
             'FROM x\nRUN ["pip", "install", "x"]\n',  # exec_array
-            'FROM x\nRUN ["sh", "-c", "echo \\"a\\""]\n',  # escaped: no _script_* prop
+            'FROM x\nRUN ["sh", "-c", "echo a\\tb"]\n',  # escaped: no _script_* prop
         ]
         seen = set()
         for text in texts:

@@ -499,15 +499,34 @@ def test_reread_refuses_a_window_that_ends_in_a_backslash():
     assert _reread(run, new, _Shift(ast.insertions)) is None
 
 
+@pytest.mark.parametrize("text, at, inserted", [
+    # between two elements
+    ("FROM debian\nRUN apt-get install -y x &&  make\n", "&&  make", "&& true "),
+    # at an element's end, but no `&&` starts a new element there
+    ("FROM debian\nRUN apt-get install -y x && make\n", " && make", " -q"),
+])
+def test_reread_declines_an_insertion_that_no_window_holds(text, at, inserted):
+    """No repair inserts such text, but where it is inserted, the whole
+    payload is read again, not a window."""
+    ast, _, found = _analyze(text, "<gen>", None)
+    ast.insertions = [(text.index(at), 2, 0, inserted)]
+    fixed = print_minimal(ast, text)
+    read_as, _, _ = _reanalyze(ast, found, fixed, None)
+    assert shell_nodes(read_as[0]) == shell_nodes(parse_and_enrich(fixed).runs()[0])
+    (run,), (new,) = ast.runs(), parse_dockerfile(fixed).runs()
+    assert _reread(run, new, _Shift(ast.insertions)) is None
+
+
 def test_reread_declines_an_escaped_sh_c_string():
-    """The parser leaves an `sh -c` string with JSON escapes opaque: a
-    printed RUN that gains one keeps that tree, and is read as a whole."""
+    """The parser leaves an `sh -c` string with a JSON escape such as `\\t`
+    opaque: a printed RUN that gains one keeps that tree, and is read as a
+    whole."""
     text = 'RUN ["sh", "-c", "a && b"]\n'
     ast, _ = analyze_text(text, "<t>")
     (run,) = ast.runs()
-    (new,) = parse_dockerfile('RUN ["sh", "-c", "a && b \\"c\\""]\n').runs()
+    (new,) = parse_dockerfile('RUN ["sh", "-c", "a && b \\tc"]\n').runs()
     opaque = list(new.children)
-    shift = _Shift([(text.index('b"') + 1, 0, 0, ' \\"c\\"')])
+    shift = _Shift([(text.index('b"') + 1, 0, 0, ' \\tc')])
     assert _reread(run, new, shift) is None
     assert new.children == opaque and opaque[0].children[0].kind is NodeKind.SC_UNPARSED
 

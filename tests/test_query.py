@@ -88,7 +88,7 @@ class TestFindAll:
         before = [a.node for a in RunIndex(run).anchors("SC-PIP-INSTALL")]
         for node in run.walk():
             if node.kind is NodeKind.SC_WORD:
-                node.annotations.add("SC-ECHO")  # unrelated label
+                node.annotate("SC-ECHO")  # unrelated label
         after = [a.node for a in RunIndex(run).anchors("SC-PIP-INSTALL")]
         assert before == after
 

@@ -17,6 +17,7 @@ from slimdock.rules import (
     verify_or_rollback,
 )
 from slimdock.runner import fix_text
+from test_properties import assert_reread_is_fresh
 
 
 def fix(text, rules=None):
@@ -61,6 +62,17 @@ class TestAppendRepairs:
         assert fix("RUN T=$(mktemp -d) && make -C $T\n") == (
             'RUN T=$(mktemp -d) && make -C $T && rm -rf "$T"\n'
         )
+
+    @pytest.mark.parametrize("text", [
+        "FROM d\r\nRUN apt-get update && \\\r\n    apt-get install -y x\r\n",
+        "FROM d\r\nRUN apt-get update \\\r\n    && apt-get install -y x\r\n",
+    ])
+    def test_continued_joiner_takes_the_crlf_line_end(self, text):
+        report = fix_text(text, "<t>")
+        assert [o.status for o in report.repairs] == ["applied", "applied"]
+        assert "rm -rf /var/lib/apt/lists/*\r\n" in report.fixed
+        assert "\n" not in report.fixed.replace("\r\n", "")  # no bare LF
+        assert_reread_is_fresh(text, spliced=True)
 
     def test_npm_install_cleanup(self):
         assert fix("RUN npm install --production\n") == (
@@ -373,15 +385,16 @@ class TestNotFixable:
         out = fix('RUN ["sh", "-c", "pip install flask"]\n')
         assert out == 'RUN ["sh", "-c", "pip install --no-cache-dir flask"]\n'
 
-    def test_exec_shell_repair_that_breaks_the_json_rolls_back(self):
-        # the quotes of the appended `rm -rf "$T"` end the JSON string, so
-        # the printed RUN reads as shell form
+    def test_exec_shell_repair_is_escaped_into_the_json_string(self):
+        # the quotes of the appended `rm -rf "$T"` would end the JSON string
         text = 'RUN ["sh", "-c", "T=$(mktemp -d) && make -C $T"]\n'
         report = fix_text(text, "<t>")
         assert [(o.status, o.reason, o.detail) for o in report.repairs] == [
-            ("rolled-back", "still-detected", "words")
+            ("applied", None, None)
         ]
-        assert report.fixed == text
+        assert report.fixed == 'RUN ["sh", "-c", "T=$(mktemp -d) && make -C $T && rm -rf \\"$T\\""]\n'
+        assert report.residual == []
+        assert_reread_is_fresh(text, spliced=True)
 
 
 class TestVerifyOrRollback:
