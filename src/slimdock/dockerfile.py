@@ -258,9 +258,8 @@ class FileParser:
 
     def parse(self) -> DockerfileAst:
         text = self.text
-        root = UnifiedNode(NodeKind.DOCKER_FILE, self.sm.span(0, len(text)))
+        children: list[UnifiedNode] = []
         i = 0
-        instruction_count = 0
         while i < len(self.lines):
             line = self.lines[i]
             if _is_blank(text, line):
@@ -269,19 +268,15 @@ class FileParser:
             if _is_comment(text, line):
                 raw = text[line[0] : line[1]]
                 cstart = line[0] + (len(raw) - len(raw.lstrip(" \t\ufeff")))
-                node = UnifiedNode(
-                    NodeKind.DOCKER_COMMENT,
-                    self.sm.span(cstart, line[1]),
-                    literal=text[cstart : line[1]],
-                )
-                root.add_child(node)
+                span = self.sm.span(cstart, line[1])
+                children.append(UnifiedNode(NodeKind.DOCKER_COMMENT, span, text[cstart : line[1]]))
                 i += 1
                 continue
             node, i = self._parse_instruction(i)
-            root.add_child(node)
-            instruction_count += 1
-        if instruction_count == 0:
+            children.append(node)
+        if all(node.kind is NodeKind.DOCKER_COMMENT for node in children):
             self.warnings.append(f"{self.path}: no instructions found")
+        root = UnifiedNode(NodeKind.DOCKER_FILE, self.sm.span(0, len(text)), children=tuple(children))
         return DockerfileAst(
             root=root,
             source=text,
@@ -349,10 +344,11 @@ class FileParser:
                                 text, segments + body_segments, self.sm, anchor=content_start
                             )
 
-        node = UnifiedNode(kind, self.sm.span(kw_start, span_end))
-        if kind is NodeKind.DOCKER_RUN:
-            self._stash_run_payload(node, seg_text, heredoc_script)
-        return node, last_i + 1
+        span = self.sm.span(kw_start, span_end)
+        if kind is not NodeKind.DOCKER_RUN:
+            return UnifiedNode(kind, span), last_i + 1
+        children, props = self._run_payload(span, seg_text, heredoc_script)
+        return UnifiedNode(kind, span, None, children, props), last_i + 1
 
     def _assemble(self, i: int, content_start: int) -> tuple[list[tuple[int, int]], int]:
         """Payload segments for a logical line; elides escape-newline pairs
@@ -404,50 +400,44 @@ class FileParser:
 
     # -- per-kind payload handling -----------------------------------------
 
-    def _stash_run_payload(
-        self, node: UnifiedNode, seg_text: SegmentedText, heredoc_script: SegmentedText | None
-    ) -> None:
-        """Decide the RUN's form (shell / exec-shell / exec-array) and build
-        the trees that need no shell parse. Any other RUN keeps the text
-        (``_script_src``) and the region of it (``_script_region``) that
-        enrich.build_unified_ast parses as shell: all of a leading heredoc's
-        body, or else the text past the flags. A RUN that opens heredocs
-        outside quotes is never an exec array."""
+    def _run_payload(
+        self, span: SourceSpan, seg_text: SegmentedText, heredoc_script: SegmentedText | None
+    ) -> tuple[tuple[UnifiedNode, ...], dict[str, Any]]:
+        """The children and props of the RUN at ``span``: its form (shell,
+        exec-shell or exec-array), and the trees that need no shell parse.
+        Any other RUN keeps the text (``_script_src``) and the region of it
+        (``_script_region``) that enrich.build_unified_ast parses as shell:
+        all of a leading heredoc's body, or else the text past the flags. A
+        RUN that opens heredocs outside quotes is never an exec array."""
         payload = seg_text.clean
         flags_end = _RUN_FLAGS_RE.match(payload).end()
         elems = None if heredoc_script else _scan_exec_array(payload, flags_end)
         if elems is None:
             src = heredoc_script or seg_text
-            node.set_prop("run_form", "shell")
-            node.set_prop("_script_src", src)
-            node.set_prop("_script_region", (0 if heredoc_script else flags_end, len(src.clean)))
-            return
+            region = (0 if heredoc_script else flags_end, len(src.clean))
+            return (), {"run_form": "shell", "_script_src": src, "_script_region": region}
         if len(elems) >= 3 and elems[0][0] in _SHELLS_FOR_EXEC and elems[1][0] == "-c":
-            node.set_prop("run_form", "exec-shell")
             value, s, e = elems[2]
             src = self._unescaped(seg_text, s + 1, e - 1, value) if "\\" in payload[s:e] else seg_text
             if src is not None:
                 region = (s + 1, e - 1) if src is seg_text else (0, len(src.clean))
-                node.set_prop("_script_src", src)
-                node.set_prop("_script_region", region)
-                return
+                return (), {"run_form": "exec-shell", "_script_src": src, "_script_region": region}
             # other escapes stand for other characters: keep it opaque
-            script = UnifiedNode(NodeKind.SC_SCRIPT, seg_text.span(s + 1, e - 1))
-            script.add_child(UnifiedNode(NodeKind.SC_UNPARSED, script.span))
-            node.add_child(script)
+            where = seg_text.span(s + 1, e - 1)
+            opaque = (UnifiedNode(NodeKind.SC_UNPARSED, where),)
+            script = UnifiedNode(NodeKind.SC_SCRIPT, where, children=opaque)
             self.warnings.append(
-                f"{self.path}:{node.span.start_line}: exec-form payload with escapes left unparsed"
+                f"{self.path}:{span.start_line}: exec-form payload with escapes left unparsed"
             )
-            return
-        node.set_prop("run_form", "exec-array")
+            return (script,), {"run_form": "exec-shell"}
         start, end = (elems[0][1], elems[-1][2]) if elems else (flags_end, flags_end)
-        cmd = UnifiedNode(NodeKind.SC_SIMPLE_COMMAND, seg_text.span(start, end))
-        cmd.set_prop("exec_array", True)
-        for value, s, e in elems:
-            word = UnifiedNode(NodeKind.SC_WORD, seg_text.span(s, e), literal=payload[s:e])
-            word.set_prop("text", value)
-            cmd.add_child(word)
-        node.add_child(cmd)
+        words = tuple([
+            UnifiedNode(NodeKind.SC_WORD, seg_text.span(s, e), payload[s:e], props={"text": value})
+            for value, s, e in elems
+        ])
+        where = seg_text.span(start, end)
+        cmd = UnifiedNode(NodeKind.SC_SIMPLE_COMMAND, where, None, words, {"exec_array": True})
+        return (cmd,), {"run_form": "exec-array"}
 
     def _unescaped(
         self, seg_text: SegmentedText, start: int, end: int, value: str

@@ -62,7 +62,7 @@ def embed_run(run: UnifiedNode, path: str) -> list[str]:
     script = shell.parse_shell(
         src.clean, span_builder=src.span, warnings=warnings, region=run.prop("_script_region")
     )
-    run.add_child(script)
+    run.children = (script,)
     return [f"{path}:{run.span.start_line}: {w}" for w in warnings]
 
 

@@ -1,17 +1,23 @@
 """Core source model shared by every other module.
 
 Defines source spans and the unified node type that mixes Dockerfile-level
-and shell-level constructs in one tree. The tree is built by the parsers
-and annotated by enrichment, which adds labels from ``schemas.LABELS`` to
-a node's ``annotations``; after that it is read-only: repairs record text
+and shell-level constructs in one tree.
+
+A node is built whole: the parsers, and fix's re-read, give its
+``children`` (a tuple) and its props when they construct it. After that,
+only two kinds of write remain. Enrichment adds labels from
+``schemas.LABELS`` to a node's ``annotations`` (``annotate``) and sets two
+props (``set_prop``): a word's ``value`` and the root's ``enrich_stats``.
+And ``run.children = (script,)`` attaches a RUN's shell tree
+(``enrich.embed_run``, ``runner._reread``), the one structural write after
+construction. Once enriched, the tree is read-only: repairs record text
 insertions on the ``DockerfileAst``.
 
-A node carries only what it holds. Every leaf shares one empty
-``children`` list that refuses mutation (``add_child`` gives a node its
-own list), and every node without props one empty read-only mapping.
+A node carries only what it holds: a leaf's ``children`` is the empty
+tuple, and every node without props shares one empty read-only mapping.
 Labels are interned frozensets and props are replaced, never changed in
-place (``annotate``, ``set_prop``), so a copy (``moved``) shares its
-original's ``literal``, props and labels.
+place, so a copy (``moved``) shares its original's ``literal``, props and
+labels.
 
 Offsets are indices into the decoded source text (the text is decoded from
 UTF-8 once, at ingestion); slicing ``text[start:end]`` is always exact and
@@ -185,17 +191,6 @@ def span_text(source: str, span: SourceSpan) -> str:
     return source[span.start : span.end]
 
 
-class _Leaf(list):
-    """The ``children`` of every leaf: one shared empty list that refuses to change."""
-
-    def _refuse(self, *args: Any) -> None:
-        raise TypeError("a leaf shares its empty children list: use add_child")
-
-    append = extend = insert = remove = pop = clear = sort = reverse = _refuse
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
-
-
-_NO_CHILDREN = _Leaf()
 _NO_PROPS: Mapping[str, Any] = MappingProxyType({})
 _NO_LABELS: frozenset[str] = frozenset()
 # the label set of each (label set, label) ``annotate`` was asked for
@@ -219,21 +214,17 @@ class UnifiedNode:
         kind: NodeKind,
         span: SourceSpan | None = None,
         literal: str | None = None,
+        children: tuple["UnifiedNode", ...] = (),
+        props: Mapping[str, Any] = _NO_PROPS,
     ):
         self.kind = kind
-        self.children: list[UnifiedNode] = _NO_CHILDREN
+        self.children = children
         self.span = span
         self.annotations = _NO_LABELS
         self.literal = literal
-        self.props = _NO_PROPS
+        self.props = props
 
-    # -- construction ---------------------------------------------------
-
-    def add_child(self, child: "UnifiedNode") -> "UnifiedNode":
-        if self.children is _NO_CHILDREN:
-            self.children = []
-        self.children.append(child)
-        return child
+    # -- enrichment and copies -------------------------------------------
 
     def set_prop(self, key: str, value: Any) -> None:
         props = self.props
@@ -247,11 +238,10 @@ class UnifiedNode:
         """A copy of this subtree ``delta`` characters later, in the source
         of ``into``: spans moved, ``literal``, ``props`` and annotations
         shared."""
-        copy = UnifiedNode(self.kind, self.span.moved(delta, into), self.literal)
-        copy.props = self.props
+        span = self.span.moved(delta, into)
+        children = self.children and tuple([child.moved(delta, into) for child in self.children])
+        copy = UnifiedNode(self.kind, span, self.literal, children, self.props)
         copy.annotations = self.annotations
-        if self.children:
-            copy.children = [child.moved(delta, into) for child in self.children]
         return copy
 
     # -- traversal -------------------------------------------------------
@@ -276,10 +266,13 @@ class UnifiedNode:
 def validate_tree(root: UnifiedNode) -> None:
     """Assert structural invariants; used by tests, not production paths.
 
-    Checks that each child's span lies in its parent's. Nodes hold no link
-    to their parent, so a tree has no reference cycle.
+    Checks that each node's ``children`` is a tuple and that each child's
+    span lies in its parent's. Nodes hold no link to their parent, so a
+    tree has no reference cycle.
     """
     for node in root.walk():
+        if type(node.children) is not tuple:
+            raise TypeError(f"children of {node!r} are not a tuple")
         for child in node.children:
             if (
                 child.span is not None

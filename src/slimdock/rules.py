@@ -157,7 +157,7 @@ def _element_ok(node: UnifiedNode) -> bool:
     return False
 
 
-def chain_elements(script: UnifiedNode | None) -> list[UnifiedNode] | None:
+def chain_elements(script: UnifiedNode | None) -> tuple[UnifiedNode, ...] | None:
     """The top-level elements of ``script``, a RUN's SC-SCRIPT (None for an
     exec array), when it is one simple command or pipeline, or a pure
     AND-chain of them: the shape in which an inserted element is safe.
@@ -166,11 +166,11 @@ def chain_elements(script: UnifiedNode | None) -> list[UnifiedNode] | None:
     if script is None or len(script.children) != 1:
         return None  # exec-array form; empty, or a `;` sequence at top level
     top = script.children[0]
-    elements = top.children if top.kind is NodeKind.SC_AND else [top]
+    elements = top.children if top.kind is NodeKind.SC_AND else (top,)
     return elements if all(_element_ok(e) for e in elements) else None
 
 
-def _ends_shell(elements: list[UnifiedNode]) -> int | None:
+def _ends_shell(elements: tuple[UnifiedNode, ...]) -> int | None:
     """The index of the first of a chain's ``elements`` that is `exit`, or
     `exec` of a command: the shell ends there, so nothing after it runs."""
     for k, element in enumerate(elements):
@@ -542,7 +542,7 @@ _FLAG, _ADJACENT, _QUEUED = 0, 1, 2
 class Chain:
     """The chain of a fixable RUN, as the repairs extending it see it."""
 
-    elements: list[UnifiedNode]  # ``chain_elements`` of the RUN's script
+    elements: tuple[UnifiedNode, ...]  # ``chain_elements`` of the RUN's script
     joiner: str  # the text that joins a new element to an element
     end: int  # the offset after the last element
     appended: set[str] = field(default_factory=set)  # the statements appended at ``end``
@@ -559,7 +559,9 @@ def _chain(ast: DockerfileAst, run: UnifiedNode) -> Chain:
     return chain
 
 
-def _chain_joiner(elements: list[UnifiedNode], run: UnifiedNode, src: str, escape: str) -> str:
+def _chain_joiner(
+    elements: tuple[UnifiedNode, ...], run: UnifiedNode, src: str, escape: str
+) -> str:
     """Inline `` && `` or, when at least half of the chain's ``elements``
     start on a continued line, a continuation in the chain's dominant style
     with the last element's line indentation and line end. Where the

@@ -46,11 +46,12 @@ from .rules import (
     SmellDiagnostic,
     chain_elements,
     clear_configured,
+    detect,
     detect_run,
     repair,
     run_script,
 )
-from .shell import parse_shell, word_text
+from .shell import list_node, parse_shell, word_text
 
 PARSE_OK = "ok"
 PARSE_PARTIAL = "partial"
@@ -99,29 +100,18 @@ def analyze_text(
     text: str, path: str, rules: list[RuleId] | None = None
 ) -> tuple[DockerfileAst, FileReport]:
     """Parse + unify + enrich + detect; the lint pipeline for one file."""
-    return _analyze(text, path, rules)[:2]
-
-
-def _analyze(
-    text: str, path: str, rules: list[RuleId] | None
-) -> tuple[DockerfileAst, FileReport, list[SmellDiagnostic]]:
-    """``analyze_text``, and the diagnostics of each RUN before
-    ``clear_configured``, which ``fix_text`` keeps for unedited RUNs."""
     ast = parse_and_enrich(text, path)
     report = FileReport(path=path, original=text)
     report.warnings = list(ast.warnings)
     report.status = _parse_status(ast)
-    found = []
     if report.status == PARSE_FAILED:
         report.error = "no known instruction"
     else:
-        runs = ast.runs()
-        found = [d for run in runs for d in detect_run(path, run, rules)]
-        report.diagnostics = clear_configured(found, runs)
+        report.diagnostics = detect(ast, rules)
     matched, total = ast.root.prop("enrich_stats", (0, 0))
     report.enriched_commands = matched
     report.total_commands = total
-    return ast, report, found
+    return ast, report
 
 
 def fix_text(
@@ -139,7 +129,7 @@ def fix_text(
     least one more repair, so the loop ends. A file whose repairs all roll
     back reprints byte-identically.
     """
-    ast, first, found = _analyze(text, path, rules)
+    ast, first = analyze_text(text, path, rules)
     if first.status == PARSE_FAILED:
         first.fixed = text
         return first
@@ -158,22 +148,22 @@ def fix_text(
                 outcome = repair(ast, diagnostic)
             report.repairs.append(outcome)
         report.fixed = print_minimal(ast, text)
-        read_as, report.residual, garbled = _reanalyze(ast, found, report.fixed, rules)
+        read_as, report.residual, garbled = _reanalyze(ast, first.diagnostics, report.fixed, rules)
         unverified = _unverified(ordinals, report, read_as, garbled)
         if not unverified:
             return report
         failed |= unverified
 
 
-Windows = list[tuple[list[UnifiedNode], list[UnifiedNode]]]
+Windows = list[tuple[list[UnifiedNode], tuple[UnifiedNode, ...]]]
 
 
 def _reanalyze(
     ast: DockerfileAst, diagnostics: list[SmellDiagnostic], fixed: str, rules: list[RuleId] | None
 ) -> tuple[list[UnifiedNode] | None, list[SmellDiagnostic], set[int]]:
     """What ``analyze_text(fixed)`` finds, given ``ast`` and the
-    ``diagnostics`` of its RUNs before ``clear_configured``: per RUN, the
-    tree it reads as (None if the instructions changed: then every applied
+    ``diagnostics`` that ``analyze_text`` reports of it: per RUN, the tree
+    it reads as (None if the instructions changed: then every applied
     repair fails), the diagnostics, spans in ``fixed``, and the ordinals of
     the RUNs where an original word does not read the same.
     Only a RUN that holds an insertion, ends included, is read again; the
@@ -183,10 +173,13 @@ def _reanalyze(
     anew, and the words of each window are checked (``_words_kept``).
     Any other RUN keeps its tree and diagnostics, moved by the text
     inserted before it, as a check reads only its own RUN. The gemrc fact
-    is read once, of the printed RUNs, by ``clear_configured``."""
+    is read once, of the printed RUNs, by ``clear_configured``. Repairs
+    only insert text, so a gemrc write in ``ast`` is still read in them,
+    and what it cleared stays cleared, unless a RUN's words are garbled:
+    then every RUN is detected anew."""
     runs = ast.runs()
     if not ast.insertions:
-        return runs, clear_configured(list(diagnostics), runs), set()
+        return runs, list(diagnostics), set()
     shift = _Shift(ast.insertions)
     printed = FileParser(fixed, ast.path)
     read_as, garbled, held = [], set(), 0
@@ -219,7 +212,8 @@ def _reanalyze(
             residual += detect_run(ast.path, tree, rules)
             continue
         delta = shift(run.span.start)
-        residual += [replace(d, span=d.span.moved(delta, whole)) for d in kept.get(id(run), [])]
+        found = detect_run(ast.path, run, rules) if garbled else kept.get(id(run), [])
+        residual += [replace(d, span=d.span.moved(delta, whole)) for d in found]
     return read_as, clear_configured(residual, read_as), garbled
 
 
@@ -321,21 +315,14 @@ def _reread(run: UnifiedNode, new: UnifiedNode, shift: _Shift) -> Windows | None
             return None
         parts += found
         windows.append((old, found))
-    script = UnifiedNode(NodeKind.SC_SCRIPT, src.span(start, end))
-    if len(parts) > 1:
-        chain = UnifiedNode(NodeKind.SC_AND, parts[0].span.through(parts[-1].span))
-        script.add_child(chain)
-        for part in parts:
-            chain.add_child(part)
-    else:
-        script.add_child(parts[0])
-    new.add_child(script)
+    chain = parts[0] if len(parts) == 1 else list_node(NodeKind.SC_AND, parts)
+    new.children = (UnifiedNode(NodeKind.SC_SCRIPT, src.span(start, end), children=(chain,)),)
     return windows
 
 
 def _read_window(
     src: SegmentedText, start: int, end: int, payload_end: int, parsed: dict
-) -> list[UnifiedNode] | None:
+) -> tuple[UnifiedNode, ...] | None:
     """The enriched chain elements ``src.clean[start:end]`` reads as, or
     None unless they are what a parse of the payload to ``payload_end``
     reads there: unless the window ends the payload, its last character is
@@ -361,7 +348,7 @@ def _read_window(
     key = (src.clean[start:end], end == payload_end) if one_segment else None
     if key in parsed:
         hit = parsed[key]
-        return hit and [e.moved(where.start - hit[0], where) for e in hit[1]]
+        return hit and tuple([e.moved(where.start - hit[0], where) for e in hit[1]])
     warnings: list[str] = []
     script = parse_shell(src.clean, span_builder=src.span, warnings=warnings, region=(start, end))
     elements = chain_elements(script)

@@ -399,34 +399,32 @@ class _Parser:
     def parse_and_or(
         self, stop_ops: frozenset[str], stop_words: frozenset[str]
     ) -> UnifiedNode:
-        left = self.parse_pipeline(stop_ops, stop_words)
+        """A pipeline, or an AND/OR list of them: each run of one operator
+        is one n-ary node, and a list is read left to right, so
+        ``a && b || c`` is ``OR(AND(a, b), c)``."""
+        parts = [self.parse_pipeline(stop_ops, stop_words)]
+        kind = None  # of the operator that joins ``parts``
         while self._peek().kind == "op" and self._peek().value in ("&&", "||"):
             op = self._take()
             while self._peek().kind == "op" and self._peek().value == "\n":
                 self._take()
             if self._at_stop(stop_ops, stop_words):
                 self.warnings.append(f"dangling {op.value!r} in shell payload")
-                return left
-            right = self.parse_pipeline(stop_ops, stop_words)
-            kind = NodeKind.SC_AND if op.value == "&&" else NodeKind.SC_OR
-            if left.kind is kind:
-                left.add_child(right)
-                left.span = left.span.through(right.span)
-            else:
-                node = UnifiedNode(kind, left.span.through(right.span))
-                node.add_child(left)
-                node.add_child(right)
-                left = node
-        return left
+                break
+            op_kind = NodeKind.SC_AND if op.value == "&&" else NodeKind.SC_OR
+            if kind is not op_kind and len(parts) > 1:
+                parts = [list_node(kind, parts)]
+            kind = op_kind
+            parts.append(self.parse_pipeline(stop_ops, stop_words))
+        return parts[0] if len(parts) == 1 else list_node(kind, parts)
 
     def parse_pipeline(
         self, stop_ops: frozenset[str], stop_words: frozenset[str]
     ) -> UnifiedNode:
-        first = self.parse_command()
+        """A command, or a pipeline of them; ``a |`` is a pipeline of one."""
+        parts = [self.parse_command()]
         if not (self._peek().kind == "op" and self._peek().value in ("|", "|&")):
-            return first
-        node = UnifiedNode(NodeKind.SC_PIPELINE, first.span)
-        node.add_child(first)
+            return parts[0]
         while self._peek().kind == "op" and self._peek().value in ("|", "|&"):
             self._take()
             while self._peek().kind == "op" and self._peek().value == "\n":
@@ -434,9 +432,8 @@ class _Parser:
             if self._at_stop(stop_ops, stop_words):
                 self.warnings.append("dangling '|' in shell payload")
                 break
-            node.add_child(self.parse_command())
-        node.span = node.children[0].span.through(node.children[-1].span)
-        return node
+            parts.append(self.parse_command())
+        return list_node(NodeKind.SC_PIPELINE, parts)
 
     # -- commands -----------------------------------------------------------
 
@@ -463,9 +460,8 @@ class _Parser:
         else:
             self.warnings.append("unterminated subshell")
             end = close.start
-        node = UnifiedNode(NodeKind.SC_SUBSHELL, self.spans(open_tok.start, end))
-        _attach_sequence(node, stmts, self.spans)
-        return node
+        span = self.spans(open_tok.start, end)
+        return UnifiedNode(NodeKind.SC_SUBSHELL, span, children=_sequence(stmts))
 
     def _parse_block(self, opener: str) -> UnifiedNode:
         """A block from its opener through its closer, or to the end of the
@@ -486,10 +482,8 @@ class _Parser:
             if tok.value not in middles:
                 self.warnings.append(f"skipping {tok.value!r} in {opener!r} block")
         end = self.toks[self.i - 1].end  # the closer, or the last token
-        node = UnifiedNode(NodeKind.SC_COMPOUND, self.spans(open_tok.start, end))
-        for child in children:
-            node.add_child(child)
-        return node
+        span = self.spans(open_tok.start, end)
+        return UnifiedNode(NodeKind.SC_COMPOUND, span, children=tuple(children))
 
     def _for_header(self) -> list[UnifiedNode]:
         """The words of a ``for`` header, up to ``;``, newline or ``do``, as
@@ -518,11 +512,12 @@ class _Parser:
                 raise ShellUnterminated(f"unterminated case statement at offset {open_tok.start}")
             if tok.kind == "word" and _is_bare(tok) and tok.value in ("case", "esac"):
                 depth += 1 if tok.value == "case" else -1
-        node = UnifiedNode(NodeKind.SC_COMPOUND, self.spans(open_tok.start, tok.end))
         inner = self.toks[first : self.i - 1]
+        children = ()
         if inner:
-            node.add_child(UnifiedNode(NodeKind.SC_UNPARSED, self.spans(inner[0].start, inner[-1].end)))
-        return node
+            children = (UnifiedNode(NodeKind.SC_UNPARSED, self.spans(inner[0].start, inner[-1].end)),)
+        span = self.spans(open_tok.start, tok.end)
+        return UnifiedNode(NodeKind.SC_COMPOUND, span, children=children)
 
     def _looks_like_function(self) -> bool:
         """Whether a word, ``(`` and ``)`` come next: ``name()``."""
@@ -592,40 +587,27 @@ class _Parser:
             tok = self._take()
             self.warnings.append(f"unparsed token {tok.value!r}")
             return UnifiedNode(NodeKind.SC_UNPARSED, self.spans(tok.start, tok.end))
-        node = UnifiedNode(
-            NodeKind.SC_SIMPLE_COMMAND,
-            children[0].span.through(children[-1].span),
-        )
-        for child in children:
-            node.add_child(child)
-        return node
+        return list_node(NodeKind.SC_SIMPLE_COMMAND, children)
 
     def _assignment_node(self, tok: Tok) -> UnifiedNode:
-        node = UnifiedNode(
-            NodeKind.SC_ASSIGNMENT,
-            self.spans(tok.start, tok.end),
-            literal=self.text[tok.start : tok.end],
-        )
         name = tok.value.split("=", 1)[0].rstrip("+")
-        node.set_prop("name", name)
-        self._attach_word_parts(node, tok)
-        return node
+        span = self.spans(tok.start, tok.end)
+        literal = self.text[tok.start : tok.end]
+        return UnifiedNode(NodeKind.SC_ASSIGNMENT, span, literal, self._word_parts(tok), {"name": name})
 
     def _word_node(self, tok: Tok) -> UnifiedNode:
         literal = self.text[tok.start : tok.end]
-        node = UnifiedNode(NodeKind.SC_WORD, self.spans(tok.start, tok.end), literal)
-        node.set_prop("text", literal if tok.value == literal else tok.value)  # one string if plain
-        if "$" in literal or "`" in literal:  # what a subst segment starts with
-            self._attach_word_parts(node, tok)
-        return node
+        # "$" and "`" are what a subst segment starts with
+        parts = self._word_parts(tok) if "$" in literal or "`" in literal else ()
+        text = literal if tok.value == literal else tok.value  # one string if plain
+        span = self.spans(tok.start, tok.end)
+        return UnifiedNode(NodeKind.SC_WORD, span, literal, parts, {"text": text})
 
-    def _attach_word_parts(self, node: UnifiedNode, tok: Tok) -> None:
-        for seg in tok.segments:
-            if seg.kind == "subst":
-                node.add_child(self._substitution_node(seg))
+    def _word_parts(self, tok: Tok) -> tuple[UnifiedNode, ...]:
+        """The command substitutions of a word, its children."""
+        return tuple([self._substitution_node(seg) for seg in tok.segments if seg.kind == "subst"])
 
     def _substitution_node(self, seg: Seg) -> UnifiedNode:
-        node = UnifiedNode(NodeKind.SC_COMMAND_SUBSTITUTION, self.spans(seg.start, seg.end))
         inner_start, inner_end = seg.inner
         try:
             sub = _Parser(self.text, inner_start, inner_end, self.spans, self.warnings)
@@ -633,25 +615,22 @@ class _Parser:
         except ShellUnterminated as exc:
             self.warnings.append(f"substitution parse degraded: {exc}")
             stmts = [UnifiedNode(NodeKind.SC_UNPARSED, self.spans(inner_start, inner_end))]
-        _attach_sequence(node, stmts, self.spans)
-        return node
+        span = self.spans(seg.start, seg.end)
+        return UnifiedNode(NodeKind.SC_COMMAND_SUBSTITUTION, span, children=_sequence(stmts))
 
     def _redirection_node(self, tok: Tok) -> UnifiedNode:
-        node = UnifiedNode(
-            NodeKind.SC_REDIRECTION,
-            self.spans(tok.start, tok.end),
-            literal=self.text[tok.start : tok.end],
-        )
-        node.set_prop("op", tok.value)
+        """The redirection ``tok``, through its target word if it takes one."""
+        target: tuple[UnifiedNode, ...] = ()
         if tok.value in _TARGET_OPS:
             nxt = self._peek()
             if nxt.kind == "word":
                 self._take()
-                node.add_child(self._word_node(nxt))
-                node.span = node.span.through(node.children[-1].span)
+                target = (self._word_node(nxt),)
             else:
                 self.warnings.append(f"redirection {tok.value!r} without target")
-        return node
+        span = self.spans(tok.start, nxt.end if target else tok.end)
+        literal = self.text[tok.start : tok.end]
+        return UnifiedNode(NodeKind.SC_REDIRECTION, span, literal, target, {"op": tok.value})
 
     # -- degradation ---------------------------------------------------------
 
@@ -691,17 +670,15 @@ def _is_bare(tok: Tok) -> bool:
     return len(tok.segments) == 1 and tok.segments[0].kind == "bare"
 
 
-def _attach_sequence(
-    parent: UnifiedNode, stmts: list[UnifiedNode], spans: SpanBuilder
-) -> None:
-    """Attach a statement list: one child directly, several under SC-SEQ."""
-    if len(stmts) == 1:
-        parent.add_child(stmts[0])
-    elif len(stmts) > 1:
-        seq = UnifiedNode(NodeKind.SC_SEQ, stmts[0].span.through(stmts[-1].span))
-        for stmt in stmts:
-            seq.add_child(stmt)
-        parent.add_child(seq)
+def list_node(kind: NodeKind, parts: list[UnifiedNode]) -> UnifiedNode:
+    """A node of ``kind`` over ``parts``, from the first one's start to the
+    last one's end: a list, pipeline or simple command."""
+    return UnifiedNode(kind, parts[0].span.through(parts[-1].span), children=tuple(parts))
+
+
+def _sequence(stmts: list[UnifiedNode]) -> tuple[UnifiedNode, ...]:
+    """A statement list as children: one statement alone, several under SC-SEQ."""
+    return tuple(stmts) if len(stmts) < 2 else (list_node(NodeKind.SC_SEQ, stmts),)
 
 
 # ---------------------------------------------------------------------------
@@ -731,19 +708,16 @@ def parse_shell(
     if span_builder is None:
         span_builder = SourceMap(text).span
     start, end = region if region is not None else (0, len(text))
-    root_span = span_builder(start, end)
-    root = UnifiedNode(NodeKind.SC_SCRIPT, root_span)
-    if not text[start:end].strip():
-        return root
-    try:
-        parser = _Parser(text, start, end, span_builder, warnings)
-        stmts = parser.parse_statements(frozenset(), frozenset())
-    except ShellUnterminated as exc:
-        warnings.append(f"shell parse degraded to opaque text: {exc}")
-        root.add_child(UnifiedNode(NodeKind.SC_UNPARSED, span_builder(start, end)))
-        return root
-    _attach_sequence(root, stmts, span_builder)
-    return root
+    span = span_builder(start, end)
+    children: tuple[UnifiedNode, ...] = ()
+    if text[start:end].strip():
+        try:
+            parser = _Parser(text, start, end, span_builder, warnings)
+            children = _sequence(parser.parse_statements(frozenset(), frozenset()))
+        except ShellUnterminated as exc:
+            warnings.append(f"shell parse degraded to opaque text: {exc}")
+            children = (UnifiedNode(NodeKind.SC_UNPARSED, span),)
+    return UnifiedNode(NodeKind.SC_SCRIPT, span, children=children)
 
 
 QUOTE_CHARS = "\\'\""

@@ -19,7 +19,7 @@ class TestBasicParsing:
 
     def test_empty_input_warns(self):
         ast = parse_dockerfile("")
-        assert ast.root.children == []
+        assert ast.root.children == ()
         assert any("no instructions" in w for w in ast.warnings)
 
     def test_continuation_folds_into_one_instruction(self):
@@ -51,6 +51,7 @@ class TestBasicParsing:
             (r'["echo", "\u+041"]', None),
             (r'["echo", "\q"]', None),
             ('["echo", "a]', None),
+            ('["echo" "a"]', None),  # no `,` between the strings
         ],
     )
     def test_exec_array_strings_read_as_json(self, array, elements):
@@ -72,7 +73,7 @@ class TestBasicParsing:
             ('"pip"', "pip"), ('"install"', "install"), ('"x"', "x")
         ]
         assert set(run.props) == {"run_form"}
-        assert build_unified_ast(ast).runs()[0].children == [cmd]
+        assert build_unified_ast(ast).runs()[0].children == (cmd,)
 
     def test_parser_leaves_an_escaped_sh_c_string_opaque(self):
         # `\t` stands for a character other than the one it escapes
@@ -86,7 +87,7 @@ class TestBasicParsing:
         assert ast.warnings == ["<memory>:2: exec-form payload with escapes left unparsed"]
         assert set(run.props) == {"run_form"}
         build_unified_ast(ast)
-        assert run.children == [script]
+        assert run.children == (script,)
         assert len(ast.warnings) == 1
 
     def test_sh_c_string_with_quote_and_backslash_escapes_is_parsed(self):
@@ -285,7 +286,7 @@ class TestEmptyPayloads:
     def test_flags_alone_read_an_empty_script(self, src):
         (run,) = analyze_text(src, "Dockerfile")[0].runs()
         (script,) = run.children
-        assert (script.kind, script.children) == (NodeKind.SC_SCRIPT, [])
+        assert (script.kind, script.children) == (NodeKind.SC_SCRIPT, ())
         assert (script.span.start, script.span.end) == (len(src), len(src))
 
 

@@ -99,20 +99,17 @@ class TestLazyPositions:
 
 
 class TestTreeSurgery:
-    def test_add_child_sets_parent(self):
-        a = UnifiedNode(NodeKind.SC_SCRIPT)
+    def test_a_node_is_built_with_its_children(self):
         b = UnifiedNode(NodeKind.SC_WORD)
-        a.add_child(b)
-        assert a.children == [b]
+        a = UnifiedNode(NodeKind.SC_SCRIPT, children=(b,))
+        assert a.children == (b,)
+        validate_tree(a)
+        with pytest.raises(TypeError, match="are not a tuple"):
+            validate_tree(UnifiedNode(NodeKind.SC_SCRIPT, children=[b]))
 
-    def test_a_leaf_refuses_a_child_but_add_child_gives_it_one(self):
+    def test_a_leaf_has_the_empty_tuple_for_children(self):
         leaf, other = UnifiedNode(NodeKind.SC_WORD), UnifiedNode(NodeKind.SC_WORD)
-        assert leaf.children == [] and leaf.children is other.children  # shared
-        with pytest.raises(TypeError):
-            leaf.children.append(other)
-        child = UnifiedNode(NodeKind.SC_WORD)
-        assert leaf.add_child(child) is child
-        assert leaf.children == [child] and other.children == []
+        assert leaf.children == () and leaf.children is other.children
 
     def test_set_prop_on_a_node_without_props(self):
         node, other = UnifiedNode(NodeKind.SC_WORD), UnifiedNode(NodeKind.SC_WORD)
@@ -142,8 +139,8 @@ class TestTreeSurgery:
         assert a.annotations is b.annotations
 
     def test_a_child_that_escapes_its_parent_is_refused(self):
-        parent = UnifiedNode(NodeKind.SC_SCRIPT, SourceSpan(0, 2))
-        parent.add_child(UnifiedNode(NodeKind.SC_WORD, SourceSpan(1, 3), "ab"))
+        child = UnifiedNode(NodeKind.SC_WORD, SourceSpan(1, 3), "ab")
+        parent = UnifiedNode(NodeKind.SC_SCRIPT, SourceSpan(0, 2), children=(child,))
         with pytest.raises(SpanError, match="<SC-WORD 1:3 'ab'> escapes parent <SC-SCRIPT 0:2>"):
             validate_tree(parent)
 

@@ -5,7 +5,7 @@ import pytest
 
 from slimdock.enrich import parse_and_enrich
 from slimdock.printer import print_minimal, unified_diff
-from slimdock.runner import fix_text
+from slimdock.runner import analyze_text, fix_text
 
 
 class TestIdentity:
@@ -72,6 +72,10 @@ class TestDiffShape:
 
     def test_no_change_empty_diff(self):
         assert unified_diff("same\n", "same\n", "f") == ""
+
+    def test_a_lint_report_has_no_diff(self):
+        _, report = analyze_text("FROM a\nRUN pip install x\n", "Dockerfile")
+        assert report.fixed is None and report.diff() == ""
 
     @pytest.mark.parametrize("src, hunk", [
         # a last line without a line end is marked, as GNU diff marks it

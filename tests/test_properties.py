@@ -15,7 +15,7 @@ from slimdock.model import NodeKind, validate_tree
 from slimdock.printer import print_minimal
 from slimdock.rules import RuleId, repair
 from slimdock.runner import (
-    PARSE_FAILED, _analyze, _reanalyze, _reread, _Shift, analyze_text, fix_text,
+    PARSE_FAILED, _reanalyze, _reread, _Shift, analyze_text, fix_text,
 )
 from slimdock.shell import parse_shell
 from conftest import read_text
@@ -244,10 +244,10 @@ def test_a_gemrc_flip_keeps_the_unedited_runs_other_smells():
 def reanalyze(text, offset, inserted):
     """``_reanalyze`` of ``text`` with one crafted insertion; and the
     printed text."""
-    ast, _, found = _analyze(text, "<gen>", None)
+    ast, lint = analyze_text(text, "<gen>")
     ast.insertions = [(offset, 0, 0, inserted)]
     fixed = print_minimal(ast, text)
-    return _reanalyze(ast, found, fixed, None), fixed
+    return _reanalyze(ast, lint.diagnostics, fixed, None), fixed
 
 
 def test_a_garbled_gemrc_line_brings_back_an_unedited_runs_smell():
@@ -306,13 +306,13 @@ def reread_runs(text):
     """Per RUN that the first repair round edits: the tree ``fix_text``
     reads it as, a fresh parse and enrichment of the same RUN of the
     printed text, and whether only windows of it were parsed again."""
-    ast, lint, found = _analyze(text, "<gen>", None)
+    ast, lint = analyze_text(text, "<gen>")
     if lint.status == PARSE_FAILED:
         return []
     for diagnostic in lint.diagnostics:
         repair(ast, diagnostic)
     fixed = print_minimal(ast, text)
-    read_as, _, _ = _reanalyze(ast, found, fixed, None)
+    read_as, _, _ = _reanalyze(ast, lint.diagnostics, fixed, None)
     if read_as is None:
         return []
     fresh, printed = parse_dockerfile(fixed, "<gen>"), parse_dockerfile(fixed, "<gen>")
@@ -416,7 +416,7 @@ def test_reread_parses_only_windows(text):
 def parsed_windows(text, monkeypatch):
     """The text of each window that ``_reanalyze`` parses again after the
     first repair round of ``text``, in order."""
-    ast, lint, found = _analyze(text, "<gen>", None)
+    ast, lint = analyze_text(text, "<gen>")
     for diagnostic in lint.diagnostics:
         repair(ast, diagnostic)
     fixed = print_minimal(ast, text)
@@ -427,7 +427,7 @@ def parsed_windows(text, monkeypatch):
         return parse_shell(clean, **kwargs)
 
     monkeypatch.setattr(runner, "parse_shell", recording)
-    _reanalyze(ast, found, fixed, None)
+    _reanalyze(ast, lint.diagnostics, fixed, None)
     return parsed
 
 
@@ -508,10 +508,10 @@ def test_reread_refuses_a_window_that_ends_in_a_backslash():
 def test_reread_declines_an_insertion_that_no_window_holds(text, at, inserted):
     """No repair inserts such text, but where it is inserted, the whole
     payload is read again, not a window."""
-    ast, _, found = _analyze(text, "<gen>", None)
+    ast, lint = analyze_text(text, "<gen>")
     ast.insertions = [(text.index(at), 2, 0, inserted)]
     fixed = print_minimal(ast, text)
-    read_as, _, _ = _reanalyze(ast, found, fixed, None)
+    read_as, _, _ = _reanalyze(ast, lint.diagnostics, fixed, None)
     assert shell_nodes(read_as[0]) == shell_nodes(parse_and_enrich(fixed).runs()[0])
     (run,), (new,) = ast.runs(), parse_dockerfile(fixed).runs()
     assert _reread(run, new, _Shift(ast.insertions)) is None
@@ -525,10 +525,10 @@ def test_reread_declines_an_escaped_sh_c_string():
     ast, _ = analyze_text(text, "<t>")
     (run,) = ast.runs()
     (new,) = parse_dockerfile('RUN ["sh", "-c", "a && b \\tc"]\n').runs()
-    opaque = list(new.children)
+    opaque = new.children
     shift = _Shift([(text.index('b"') + 1, 0, 0, ' \\tc')])
     assert _reread(run, new, shift) is None
-    assert new.children == opaque and opaque[0].children[0].kind is NodeKind.SC_UNPARSED
+    assert new.children is opaque and opaque[0].children[0].kind is NodeKind.SC_UNPARSED
 
 
 @settings(max_examples=300, deadline=None)

@@ -104,7 +104,7 @@ class TestBasicShapes:
         (cmd,) = root.children
         redirs = [c for c in cmd.children if c.kind is NodeKind.SC_REDIRECTION]
         assert len(redirs) == 2
-        assert redirs[1].children == []
+        assert redirs[1].children == ()
 
 
 class TestWords:
@@ -119,14 +119,14 @@ class TestWords:
         root, _ = parse("cp $SRC ${DST}/x")
         words = root.children[0].children
         assert [word_text(w) for w in words] == ["cp", "$SRC", "${DST}/x"]
-        assert [w.children for w in words] == [[], [], []]
+        assert [w.children for w in words] == [(), (), ()]
 
     @pytest.mark.parametrize("text", ["echo $", "echo a$"])
     def test_dollar_at_end_is_bare(self, text):
         # the lexer must not read past the end of the payload for a name
         root, warnings = parse(text)
         word = root.children[0].children[1]
-        assert (word_text(word), word.children, warnings) == (text[5:], [], [])
+        assert (word_text(word), word.children, warnings) == (text[5:], (), [])
         assert word.span.end == len(text)
 
     def test_dollar_at_end_of_file(self):
@@ -145,7 +145,7 @@ class TestWords:
     def test_arithmetic_stays_opaque(self):
         root, _ = parse("echo $((1 + 2))")
         words = root.children[0].children
-        assert words[1].children == []  # no substitution child
+        assert words[1].children == ()  # no substitution child
 
 
 class TestWordLexing:
@@ -168,6 +168,8 @@ class TestWordLexing:
             ("x\\", "x\\", ["bare"]),
             ("--opt=\"$HOME/a b\"'c'd", "--opt=$HOME/a bcd", ["bare", "var", "double", "single", "bare"]),
             ('p"q\\\nr"s', "pqrs", ["bare", "double", "bare"]),
+            ('""', "", ["double"]),  # an empty string is one segment
+            ("a`b\\`c`d", "a`b\\`c`d", ["bare", "subst", "bare"]),  # an escaped backquote inside backquotes
         ],
     )
     def test_mixed_word(self, src, logical, segment_kinds):
@@ -297,6 +299,10 @@ class TestLexer:
 
 
 class TestDegradation:
+    def test_warnings_are_optional(self):
+        root = parse_shell("a &&")  # a dangling operator warns into no list
+        assert kinds(root) == [NodeKind.SC_SIMPLE_COMMAND]
+
     def test_unterminated_quote_makes_whole_script_unparsed(self):
         src = "echo ok && echo 'oops"
         root, warnings = parse(src)
@@ -364,7 +370,7 @@ class TestDegradation:
 
     def test_empty_script(self):
         root, warnings = parse("   ")
-        assert root.children == []
+        assert root.children == ()
         assert not warnings
 
 
@@ -400,14 +406,29 @@ class TestParserPaths:
             ("{ a", "COMPOUND'{ a'[SIMPLE-COMMAND'a'[WORD'a']]", ["unterminated '{' block"]),
             ("for x in a b", "COMPOUND'for x in a b'[UNPARSED'x in a b']",
              ["unterminated 'for' header", "unterminated 'for' block"]),
+            ("for; do a; done", "COMPOUND'for; do a; done'[SIMPLE-COMMAND'a'[WORD'a']]", []),
             # dangling operators
             ("a &&", "SIMPLE-COMMAND'a'[WORD'a']", ["dangling '&&' in shell payload"]),
             ("a ||", "SIMPLE-COMMAND'a'[WORD'a']", ["dangling '||' in shell payload"]),
             ("a |", "PIPELINE'a'[SIMPLE-COMMAND'a'[WORD'a']]", ["dangling '|' in shell payload"]),
+            ("a && b ||", "AND'a && b'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]",
+             ["dangling '||' in shell payload"]),
+            ("a | b |", "PIPELINE'a | b'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]",
+             ["dangling '|' in shell payload"]),
+            # a list is read left to right, one n-ary node per run of one operator
+            ("a && b || c && d",
+             "AND'a && b || c && d'[OR'a && b || c'[AND'a && b'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]"
+             " SIMPLE-COMMAND'c'[WORD'c']] SIMPLE-COMMAND'd'[WORD'd']]",
+             []),
+            # a newline after an operator does not end the list
+            ("a |\nb", r"PIPELINE'a |\nb'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]", []),
+            ("a &&\nb", r"AND'a &&\nb'[SIMPLE-COMMAND'a'[WORD'a'] SIMPLE-COMMAND'b'[WORD'b']]", []),
             ("(a", "SUBSHELL'(a'[SIMPLE-COMMAND'a'[WORD'a']]", ["unterminated subshell"]),
             # an operator that starts a command is one unparsed token
             (") a", "SEQ') a'[UNPARSED')' SIMPLE-COMMAND'a'[WORD'a']]", ["unparsed token ')'"]),
             ("| a", "SEQ'| a'[UNPARSED'|' SIMPLE-COMMAND'a'[WORD'a']]", ["unparsed token '|'"]),
+            # an array assignment is unparsed to the `)` that closes its subshell
+            ("(a=(1 2))", "SUBSHELL'(a=(1 2))'[UNPARSED'a=(1 2)']", ["statement outside supported shell subset"]),
             ("echo >", "SIMPLE-COMMAND'echo >'[WORD'echo' REDIRECTION'>']", ["redirection '>' without target"]),
             # case bodies are opaque; an unterminated one degrades the script
             ("case x in a) b;;", "UNPARSED'case x in a) b;;'",
@@ -501,6 +522,7 @@ class TestHelpers:
         assert variable_reference("${TMP:-x}") == "TMP"
         assert variable_reference("$TMP/build") == "TMP"
         assert variable_reference("$TMP/*") == "TMP"
+        assert variable_reference("$TMP.x") is None  # a suffix that is not a path
         assert variable_reference("pre$TMP") is None
         assert variable_reference("plain") is None
 

@@ -26,7 +26,7 @@ def test_lists_what_the_tests_leave_unrun():
     lines = done.stdout.splitlines()
     unrun = [line for line in lines if line.startswith("src/slimdock/")]
     assert lines[-1] == f"{len(unrun)} unrun lines"
-    ran = line_of(MODEL, "raise TypeError(")  # a leaf refuses a child
+    ran = line_of(MODEL, "escapes parent {node!r}")  # a child outside its parent
     skipped = line_of(MODEL, "return NotImplemented")  # no span is compared
     imported = line_of(MODEL, "class SourceSpan:")
     assert f"src/slimdock/model.py:{skipped}" in unrun
